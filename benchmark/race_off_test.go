@@ -1,0 +1,8 @@
+//go:build !race
+
+package main
+
+const (
+	raceDetector  = false
+	smokeLatEvery = latEvery
+)
