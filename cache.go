@@ -1,6 +1,7 @@
 package wflocks
 
 import (
+	"context"
 	"fmt"
 	"iter"
 	"runtime"
@@ -46,7 +47,8 @@ type Cache[K comparable, V any] struct {
 	eng *table.Table[K, V]
 	vc  Codec[V] // result-cell codec
 
-	// locks[s] guards eng.Shards[s] and lru[s] together.
+	// locks[s] guards eng.Shards[s] and lru[s] together; locks[s:s+1] is
+	// shard s's single-lock set for the runner.
 	locks []*Lock
 	lru   []lruShard
 
@@ -254,16 +256,6 @@ func (c *Cache[K, V]) cutoff() uint64 {
 	return c.now()
 }
 
-// do runs a critical section on shard si's lock. Construction validated
-// the budget against the manager's bounds, so the only errors Lock
-// could report here are impossible; surface them as panics rather than
-// forcing an error return on every cache access.
-func (c *Cache[K, V]) do(p *Process, si int, body func(*Tx)) {
-	if _, err := c.m.Lock(p, []*Lock{c.locks[si]}, c.opBudget, body); err != nil {
-		panic("wflocks: Cache: " + err.Error())
-	}
-}
-
 // moveToFront makes bucket i the most-recently-used entry of its
 // shard's LRU list. All pointer reads happen before any write, so
 // helpers re-executing the surgery replay the identical operation
@@ -365,7 +357,7 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	found := NewBoolCell(false)
 	p := c.m.Acquire()
 	defer c.m.Release(p)
-	c.do(p, si, func(tx *Tx) {
+	c.m.run(context.Background(), p, c.locks[si:si+1], c.opBudget, txFrame(func(tx *Tx) {
 		i, ok, _ := c.eng.Find(tx.run, esh, h, home, k)
 		if !ok {
 			Put(tx, sh.misses, Get(tx, sh.misses)+1)
@@ -383,7 +375,7 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 		Put(tx, val, c.eng.Val(tx.run, esh, i))
 		Put(tx, found, true)
 		Put(tx, sh.hits, Get(tx, sh.hits)+1)
-	})
+	}))
 	if !found.Get(p) {
 		return zero, false
 	}
@@ -405,7 +397,7 @@ func (c *Cache[K, V]) Contains(k K) bool {
 	found := NewBoolCell(false)
 	p := c.m.Acquire()
 	defer c.m.Release(p)
-	c.do(p, si, func(tx *Tx) {
+	c.m.run(context.Background(), p, c.locks[si:si+1], c.opBudget, txFrame(func(tx *Tx) {
 		i, ok, _ := c.eng.Find(tx.run, esh, h, home, k)
 		if !ok {
 			return
@@ -414,7 +406,7 @@ func (c *Cache[K, V]) Contains(k K) bool {
 			return
 		}
 		Put(tx, found, true)
-	})
+	}))
 	return found.Get(p)
 }
 
@@ -451,7 +443,7 @@ func (c *Cache[K, V]) putWithDeadline(k K, v V, dl uint64) {
 	sh := &c.lru[si]
 	p := c.m.Acquire()
 	defer c.m.Release(p)
-	c.do(p, si, func(tx *Tx) {
+	c.m.run(context.Background(), p, c.locks[si:si+1], c.opBudget, txFrame(func(tx *Tx) {
 		i, ok, free := c.eng.Find(tx.run, esh, h, home, k)
 		c.eng.BumpVer(tx.run, esh)
 		if ok {
@@ -462,7 +454,7 @@ func (c *Cache[K, V]) putWithDeadline(k K, v V, dl uint64) {
 			c.installLocked(tx, si, h, k, v, dl, free)
 		}
 		c.eng.BumpVer(tx.run, esh)
-	})
+	}))
 }
 
 // Delete removes k, reporting whether it was present. The bucket
@@ -474,14 +466,14 @@ func (c *Cache[K, V]) Delete(k K) bool {
 	removed := NewBoolCell(false)
 	p := c.m.Acquire()
 	defer c.m.Release(p)
-	c.do(p, si, func(tx *Tx) {
+	c.m.run(context.Background(), p, c.locks[si:si+1], c.opBudget, txFrame(func(tx *Tx) {
 		if i, ok, _ := c.eng.Find(tx.run, esh, h, home, k); ok {
 			c.eng.BumpVer(tx.run, esh)
 			c.removeLocked(tx, si, i)
 			c.eng.BumpVer(tx.run, esh)
 			Put(tx, removed, true)
 		}
-	})
+	}))
 	return removed.Get(p)
 }
 
@@ -508,7 +500,7 @@ func (c *Cache[K, V]) GetOrCompute(k K, compute func() V) V {
 	res := NewCellOf(c.vc, v)
 	p := c.m.Acquire()
 	defer c.m.Release(p)
-	c.do(p, si, func(tx *Tx) {
+	c.m.run(context.Background(), p, c.locks[si:si+1], c.opBudget, txFrame(func(tx *Tx) {
 		i, ok, free := c.eng.Find(tx.run, esh, h, home, k)
 		if ok {
 			if d := Get(tx, sh.exp[i]); d == 0 || d > cutoff {
@@ -530,7 +522,7 @@ func (c *Cache[K, V]) GetOrCompute(k K, compute func() V) V {
 		c.eng.BumpVer(tx.run, esh)
 		c.installLocked(tx, si, h, k, v, dl, free)
 		c.eng.BumpVer(tx.run, esh)
-	})
+	}))
 	return res.Get(p)
 }
 

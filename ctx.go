@@ -2,7 +2,6 @@ package wflocks
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"time"
 )
@@ -92,31 +91,6 @@ func (m *Manager) DoCtx(ctx context.Context, locks []*Lock, maxOps int, body fun
 	}
 	p := m.Acquire()
 	defer m.Release(p)
-	_, err := m.retryLoop(ctx, p, locks, maxOps, body)
+	_, err := m.run(ctx, p, locks, maxOps, txFrame(body))
 	return err
-}
-
-// retryLoop is the one retry implementation behind Do, DoCtx, Lock and
-// LockCtx: tryLock under p until an attempt wins, applying the
-// manager's RetryPolicy between failures and checking ctx before each
-// attempt. It returns the number of attempts used by a win, or the
-// failed attempt count wrapped in an ErrCanceled error. The caller has
-// already validated the arguments.
-func (m *Manager) retryLoop(ctx context.Context, p *Process, locks []*Lock, maxOps int, body func(*Tx)) (int, error) {
-	var t0 time.Time
-	if m.rec != nil {
-		t0 = time.Now()
-	}
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return attempt - 1, fmt.Errorf("%w after %d attempts: %w", ErrCanceled, attempt-1, err)
-		}
-		if m.tryLock(p, locks, maxOps, body) {
-			if m.rec != nil {
-				m.rec.RecAcquire(p.Pid(), uint64(time.Since(t0)))
-			}
-			return attempt, nil
-		}
-		m.retry.Wait(ctx, attempt)
-	}
 }

@@ -3,6 +3,8 @@ package wflocks
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -172,5 +174,144 @@ func TestBackoffCapsDelay(t *testing.T) {
 	p.Wait(context.Background(), 60)
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("capped backoff slept %v", elapsed)
+	}
+}
+
+// cancelAtWait is a RetryPolicy that cancels the acquisition's context
+// at its n-th Wait, so a blocked operation gives up after exactly n
+// failed passes.
+type cancelAtWait struct {
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAtWait) Wait(_ context.Context, n int) {
+	if n == c.n {
+		c.cancel()
+	}
+}
+
+// TestCancellationOneRunnerOneHelper drives every cancellable entry
+// point through the single runner (Manager.run) or the single blocking
+// helper (Manager.await) and checks the one cancellation contract:
+// errors.Is(err, ErrCanceled), the context's own error wrapped beside
+// it, and the failed attempt count in the message. Acquisitions are
+// uncontended, so an attempt never loses: they are canceled before the
+// first attempt (0 attempts). The blocking forms face a full or drained
+// structure and are canceled at the policy's third Wait (3 attempts).
+func TestCancellationOneRunnerOneHelper(t *testing.T) {
+	const waits = 3
+	type env struct {
+		ctx context.Context
+		m   *Manager
+	}
+	fullQueue := func(t *testing.T, m *Manager) *Queue[uint64] {
+		q, err := NewQueue[uint64](m, WithQueueCapacity(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q.TryEnqueue(1) {
+		}
+		return q
+	}
+	pool := func(t *testing.T, m *Manager, fill bool) *WorkPool[uint64] {
+		wp, err := NewWorkPool[uint64](m, WithPoolShards(2), WithPoolCapacity(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fill && wp.TryEnqueue(1) {
+		}
+		return wp
+	}
+	// A one-shard log whose attached cursor never advances: full after
+	// one ring of appends when fill is set, drained otherwise.
+	pinnedLog := func(t *testing.T, m *Manager, fill bool) (*Log[uint64], *Cursor[uint64]) {
+		lg, err := NewLog[uint64](m, WithLogShards(1), WithLogCapacity(16), WithLogSegment(16), WithLogConsumers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := lg.NewCursor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fill && lg.TryAppend(1) {
+		}
+		return lg, cur
+	}
+	for _, tc := range []struct {
+		name     string
+		blocking bool   // canceled at the third Wait, not up front
+		what     string // the state named in a blocking form's message
+		call     func(t *testing.T, e env) (attempts int, err error)
+	}{
+		{name: "DoCtx", call: func(t *testing.T, e env) (int, error) {
+			return -1, e.m.DoCtx(e.ctx, []*Lock{e.m.NewLock()}, 2, func(*Tx) { t.Error("body ran") })
+		}},
+		{name: "LockCtx", call: func(t *testing.T, e env) (int, error) {
+			return e.m.LockCtx(e.ctx, e.m.NewProcess(), []*Lock{e.m.NewLock()}, 2, func(*Tx) { t.Error("body ran") })
+		}},
+		{name: "AtomicCtx", call: func(t *testing.T, e env) (int, error) {
+			mp, err := NewMap[uint64, uint64](e.m, WithShards(2), WithShardCapacity(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return -1, mp.AtomicCtx(e.ctx, []uint64{1, 2}, func(*MapTxn[uint64, uint64]) { t.Error("body ran") })
+		}},
+		{name: "Queue.Enqueue", blocking: true, what: "queue full", call: func(t *testing.T, e env) (int, error) {
+			return -1, fullQueue(t, e.m).Enqueue(e.ctx, 9)
+		}},
+		{name: "Queue.Dequeue", blocking: true, what: "queue empty", call: func(t *testing.T, e env) (int, error) {
+			q, err := NewQueue[uint64](e.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = q.Dequeue(e.ctx)
+			return -1, err
+		}},
+		{name: "WorkPool.Enqueue", blocking: true, what: "pool full", call: func(t *testing.T, e env) (int, error) {
+			return -1, pool(t, e.m, true).Enqueue(e.ctx, 9)
+		}},
+		{name: "WorkPool.EnqueueKeyed", blocking: true, what: "pool full", call: func(t *testing.T, e env) (int, error) {
+			return -1, pool(t, e.m, true).EnqueueKeyed(e.ctx, 7, 9)
+		}},
+		{name: "WorkPool.Dequeue", blocking: true, what: "pool empty", call: func(t *testing.T, e env) (int, error) {
+			_, err := pool(t, e.m, false).Dequeue(e.ctx)
+			return -1, err
+		}},
+		{name: "Log.Append", blocking: true, what: "log full", call: func(t *testing.T, e env) (int, error) {
+			lg, _ := pinnedLog(t, e.m, true)
+			return -1, lg.Append(e.ctx, 9)
+		}},
+		{name: "Log.AppendKeyed", blocking: true, what: "log shard full", call: func(t *testing.T, e env) (int, error) {
+			lg, _ := pinnedLog(t, e.m, true)
+			return -1, lg.AppendKeyed(e.ctx, 7, 9)
+		}},
+		{name: "Cursor.Next", blocking: true, what: "log drained", call: func(t *testing.T, e env) (int, error) {
+			_, cur := pinnedLog(t, e.m, false)
+			_, err := cur.Next(e.ctx)
+			return -1, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			m := newManager(t, WithKappa(2), WithMaxLocks(2), WithMaxCriticalSteps(256),
+				WithDelayConstants(1, 1), WithRetryPolicy(&cancelAtWait{n: waits, cancel: cancel}))
+			want := waits
+			if !tc.blocking {
+				cancel()
+				want = 0
+			}
+			attempts, err := tc.call(t, env{ctx, m})
+			if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+			}
+			if attempts >= 0 && attempts != want {
+				t.Fatalf("returned attempts = %d, want %d", attempts, want)
+			}
+			if msg := fmt.Sprintf("%s after %d attempts", tc.what, want); !strings.Contains(err.Error(), msg) {
+				t.Fatalf("err = %q, want it to report %q", err, msg)
+			}
+		})
 	}
 }

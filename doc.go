@@ -50,7 +50,11 @@
 // context is done. For single-attempt semantics — "run this atomically
 // if I win the locks, tell me if I didn't" — use TryLock with an
 // explicit Process handle, which also carries per-process step
-// accounting.
+// accounting. Everything that blocks goes through one runner: Do,
+// DoCtx, Lock, LockCtx, the transactions and every structure operation
+// are the same retry-until-win loop around TryLock's single attempt,
+// so the RetryPolicy, the cancellation contract and the acquisition
+// latency histogram mean the same thing everywhere.
 //
 // # Typed cells
 //
@@ -92,7 +96,8 @@
 // range-over-func — All, Keys, Values return iter.Seq iterators whose
 // per-shard snapshots validate the engine's seqlock versions, so they
 // never block writers and never surface a torn entry (the callback
-// Range remains as a deprecated wrapper). Map.Stats exposes per-shard
+// Range they replaced is gone: write for k, v := range mp.All()).
+// Map.Stats exposes per-shard
 // contention counters (the same counters the shard locks contribute to
 // StatsSnapshot.Locks) plus a Jain balance index over shards.
 //
@@ -144,6 +149,13 @@
 // elements per critical section, amortizing acquisitions the way the
 // map's batches amortize shard locks.
 //
+// Queue is not a separate implementation: it is the one-shard
+// WorkPool. One ring means no round-robin spread and nothing to steal
+// from, which is exactly why it is strictly FIFO; the bodies, the
+// per-item budget (QueueCriticalSteps), the batch atomicity (a chunk
+// is one critical section) and the rule that a chunk that comes up
+// short ends a DequeueBatch are the pool's own.
+//
 // WorkPool (NewWorkPool, NewWorkPoolOf) is the sharded relaxed-FIFO
 // layer for independent work items: round-robin submission across
 // per-shard sub-rings, home-shard consumption, and — when a
@@ -152,8 +164,9 @@
 // element and migrates a small batch to the home shard. Ordering is
 // FIFO per shard only; that is the deliberate price of submit
 // throughput that scales with the shard count and stalls confined to
-// one shard. Queue is for order-bearing streams, WorkPool for
-// pipelines (see examples/pipeline).
+// one shard. Pick by shard count, then: one shard (Queue) for
+// order-bearing streams, several (WorkPool) for pipelines (see
+// examples/pipeline).
 //
 // # Broadcast logs and fan-out
 //

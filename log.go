@@ -6,9 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"wflocks/internal/arena"
 	"wflocks/internal/idem"
 	"wflocks/internal/stats"
 	"wflocks/internal/table"
@@ -57,14 +55,16 @@ type Log[T any] struct {
 	m  *Manager
 	vc Codec[T]
 
-	// scalarV is vc when the element codec is single-word, enabling
-	// the allocation-free append/next frames (the element rides the
-	// frame's atomic result word); nil for multi-word elements, which
-	// fall back to result cells.
+	// scalarV is vc when the element codec is single-word: a delivered
+	// entry then rides the next frame's atomic result word, which keeps
+	// the cursor advance allocation-free; nil for multi-word elements,
+	// which the frame routes through a result cell.
 	scalarV ScalarCodec[T]
 
 	rings []qring[T]
-	locks []*Lock // locks[s] guards rings[s] and every pos[s]/active[s]
+	// locks[s] guards rings[s] and every pos[s]/active[s]; locks[s:s+1]
+	// is shard s's single-lock set for the runner.
+	locks []*Lock
 
 	shardMask uint64
 	segment   int
@@ -328,44 +328,6 @@ func (l *Log[T]) Cap() int { return len(l.rings) * l.rings[0].capacity }
 // Segment reports the reclamation granularity in entries.
 func (l *Log[T]) Segment() int { return l.segment }
 
-// do runs a critical section on shard s's lock; doPair runs one on a
-// prepared {shard, cursor} lock pair. Construction validated the
-// budgets against the manager's bounds, so the only errors Lock could
-// report here are impossible; surface them as panics, as in the other
-// structures.
-func (l *Log[T]) do(p *Process, s, maxOps int, body func(*Tx)) {
-	if _, err := l.m.Lock(p, []*Lock{l.locks[s]}, maxOps, body); err != nil {
-		panic("wflocks: Log: " + err.Error())
-	}
-}
-
-func (l *Log[T]) doPair(p *Process, pair []*Lock, maxOps int, body func(*Tx)) {
-	if _, err := l.m.Lock(p, pair, maxOps, body); err != nil {
-		panic("wflocks: Log: " + err.Error())
-	}
-}
-
-// lockFrameSet acquires a prepared lock set and runs frame t to
-// completion, retrying failed attempts under the manager's
-// RetryPolicy: the multi-lock sibling of lockFrame, used by the log's
-// two-lock cursor-advance fast path. Each retry creates a fresh exec
-// over the same frame, which is safe: a lost exec's body never runs.
-func (m *Manager) lockFrameSet(p *Process, locks []*Lock, maxOps int, t idem.Thunk) {
-	var t0 time.Time
-	if m.rec != nil {
-		t0 = time.Now()
-	}
-	for attempt := 1; ; attempt++ {
-		if m.tryLockThunk(p, locks, maxOps, t) {
-			if m.rec != nil {
-				m.rec.RecAcquire(p.Pid(), uint64(time.Since(t0)))
-			}
-			return
-		}
-		m.retry.Wait(context.Background(), attempt)
-	}
-}
-
 // reclaimSegment frees at most one fully-consumed segment of shard s
 // inside a critical section, never freeing past tail-retain, and
 // returns the number of entries freed. The reclamation point is the
@@ -451,6 +413,10 @@ type logFrame[T any] struct {
 	op   uint8
 	v    T
 
+	// out is lopNext's result cell when the element codec is multi-word;
+	// nil for scalar codecs, whose entry rides resWord instead.
+	out *Cell[T]
+
 	resWord atomic.Uint64
 	resBits atomic.Uint32
 }
@@ -475,42 +441,25 @@ func (f *logFrame[T]) RunThunk(r *idem.Run) {
 			Put(tx, ring.empties, Get(tx, ring.empties)+1)
 			return
 		}
-		f.resWord.Store(lg.scalarV.EncodeWord(Get(tx, ring.vals[int(pos&ring.mask)])))
+		if v := Get(tx, ring.vals[int(pos&ring.mask)]); f.out != nil {
+			Put(tx, f.out, v)
+		} else {
+			f.resWord.Store(lg.scalarV.EncodeWord(v))
+		}
 		Put(tx, f.slot.pos[f.s], pos+1)
 		Put(tx, f.slot.reads, Get(tx, f.slot.reads)+1)
 		f.resBits.Store(lresOK)
 	}
 }
 
-// logFrameFor draws a fresh frame for this log's type from p's
-// per-structure arenas (created on the goroutine's first use).
-func logFrameFor[T any](p *Process) *logFrame[T] {
-	for _, s := range p.structs {
-		if a, ok := s.(*arena.Arena[logFrame[T]]); ok {
-			return a.New()
-		}
-	}
-	a := &arena.Arena[logFrame[T]]{}
-	p.structs = append(p.structs, a)
-	return a.New()
-}
-
-// tryAppendShard appends v to shard s with one acquisition, on the
-// frame fast path when the codec is scalar.
+// tryAppendShard appends v to shard s with one acquisition. The frame
+// carries v as a plain field and the outcome is one bit, so it serves
+// every element codec.
 func (l *Log[T]) tryAppendShard(p *Process, s int, v T) bool {
-	if l.scalarV != nil {
-		f := logFrameFor[T](p)
-		f.lg, f.s, f.op, f.v = l, s, lopAppend, v
-		l.m.lockFrame(p, l.locks[s], l.opBudget, f)
-		return f.resBits.Load()&lresOK != 0
-	}
-	ok := NewBoolCell(false)
-	l.do(p, s, l.opBudget, func(tx *Tx) {
-		if l.appendOne(tx, s, v) {
-			Put(tx, ok, true)
-		}
-	})
-	return ok.Get(p)
+	f := frameFor[logFrame[T]](p)
+	f.lg, f.s, f.op, f.v = l, s, lopAppend, v
+	l.m.run(context.Background(), p, l.locks[s:s+1], l.opBudget, f)
+	return f.resBits.Load()&lresOK != 0
 }
 
 // tryAppendFrom probes each shard once, starting at start.
@@ -553,15 +502,7 @@ func (l *Log[T]) TryAppendKeyed(key uint64, v T) bool {
 func (l *Log[T]) Append(ctx context.Context, v T) error {
 	p := l.m.Acquire()
 	defer l.m.Release(p)
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%w: log full after %d passes: %w", ErrCanceled, attempt-1, err)
-		}
-		if l.tryAppendFrom(p, l.rr.Add(1)-1, v) {
-			return nil
-		}
-		l.m.retry.Wait(ctx, attempt)
-	}
+	return l.m.await(ctx, "log", "full", func() bool { return l.tryAppendFrom(p, l.rr.Add(1)-1, v) })
 }
 
 // AppendKeyed appends v with TryAppendKeyed's strict shard affinity,
@@ -570,15 +511,7 @@ func (l *Log[T]) AppendKeyed(ctx context.Context, key uint64, v T) error {
 	p := l.m.Acquire()
 	defer l.m.Release(p)
 	s := int(key & l.shardMask)
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%w: log shard full after %d attempts: %w", ErrCanceled, attempt-1, err)
-		}
-		if l.tryAppendShard(p, s, v) {
-			return nil
-		}
-		l.m.retry.Wait(ctx, attempt)
-	}
+	return l.m.await(ctx, "log shard", "full", func() bool { return l.tryAppendShard(p, s, v) })
 }
 
 // AppendBatch appends vs, amortizing lock acquisitions: entries are
@@ -594,31 +527,24 @@ func (l *Log[T]) AppendBatch(ctx context.Context, vs []T) (int, error) {
 	p := l.m.Acquire()
 	defer l.m.Release(p)
 	done := 0
-	attempt := 0
 	for done < len(items) {
-		attempt++
-		if err := ctx.Err(); err != nil {
-			return done, fmt.Errorf("%w: %d of %d appended: %w", ErrCanceled, done, len(items), err)
-		}
-		chunk := items[done:]
-		if len(chunk) > l.batch {
-			chunk = chunk[:l.batch]
-		}
-		moved := 0
-		start := l.rr.Add(1) - 1
-		for j := 0; j < len(l.rings) && moved == 0; j++ {
-			s := int((start + uint64(j)) & l.shardMask)
-			n := NewCell(uint64(0))
-			l.do(p, s, l.batchBudget, func(tx *Tx) {
-				l.appendChunk(tx, s, chunk, n)
-			})
-			moved = int(n.Get(p))
-		}
-		done += moved
-		if moved == 0 {
-			l.m.retry.Wait(ctx, attempt)
-		} else {
-			attempt = 0
+		chunk := items[done:min(done+l.batch, len(items))]
+		err := l.m.await(ctx, "log", "full", func() bool {
+			moved := 0
+			start := l.rr.Add(1) - 1
+			for j := 0; j < len(l.rings) && moved == 0; j++ {
+				s := int((start + uint64(j)) & l.shardMask)
+				n := NewCell(uint64(0))
+				l.m.run(context.Background(), p, l.locks[s:s+1], l.batchBudget, txFrame(func(tx *Tx) {
+					l.appendChunk(tx, s, chunk, n)
+				}))
+				moved = int(n.Get(p))
+			}
+			done += moved
+			return moved > 0
+		})
+		if err != nil {
+			return done, fmt.Errorf("%d of %d appended: %w", done, len(items), err)
 		}
 	}
 	return done, nil
@@ -658,7 +584,7 @@ func (l *Log[T]) trim(retain uint64, clamp bool) int {
 			ring := &l.rings[s]
 			for _, cs := range l.slots {
 				cs := cs
-				l.doPair(p, cs.pairs[s], l.opBudget, func(tx *Tx) {
+				l.m.run(context.Background(), p, cs.pairs[s], l.opBudget, txFrame(func(tx *Tx) {
 					if Get(tx, cs.active[s]) == 0 {
 						return
 					}
@@ -672,14 +598,14 @@ func (l *Log[T]) trim(retain uint64, clamp bool) int {
 						Put(tx, cs.drops, Get(tx, cs.drops)+(target-pos))
 						Put(tx, cs.pos[s], target)
 					}
-				})
+				}))
 			}
 		}
 		for {
 			freed := NewCell(uint64(0))
-			l.do(p, s, l.opBudget, func(tx *Tx) {
+			l.m.run(context.Background(), p, l.locks[s:s+1], l.opBudget, txFrame(func(tx *Tx) {
 				Put(tx, freed, uint64(l.reclaimSegment(tx, s, retain)))
-			})
+			}))
 			n := int(freed.Get(p))
 			total += n
 			if n < l.segment {
@@ -738,7 +664,7 @@ func (l *Log[T]) newCursor(atTail bool) (*Cursor[T], error) {
 	for s := range l.rings {
 		s := s
 		ring := &l.rings[s]
-		l.doPair(p, slot.pairs[s], l.opBudget, func(tx *Tx) {
+		l.m.run(context.Background(), p, slot.pairs[s], l.opBudget, txFrame(func(tx *Tx) {
 			if s == 0 {
 				Put(tx, slot.reads, 0)
 				Put(tx, slot.drops, 0)
@@ -749,7 +675,7 @@ func (l *Log[T]) newCursor(atTail bool) (*Cursor[T], error) {
 			}
 			Put(tx, slot.pos[s], start)
 			Put(tx, slot.active[s], 1)
-		})
+		}))
 	}
 	return &Cursor[T]{lg: l, slot: slot, idx: idx}, nil
 }
@@ -769,9 +695,9 @@ func (c *Cursor[T]) Close() {
 	defer l.m.Release(p)
 	for s := range l.rings {
 		s := s
-		l.doPair(p, slot.pairs[s], l.opBudget, func(tx *Tx) {
+		l.m.run(context.Background(), p, slot.pairs[s], l.opBudget, txFrame(func(tx *Tx) {
 			Put(tx, slot.active[s], 0)
-		})
+		}))
 	}
 	l.mu.Lock()
 	slot.claimed = false
@@ -808,35 +734,19 @@ func (c *Cursor[T]) tryNextWith(p *Process) (T, bool) {
 		if slot.pos[s].Get(p) >= ring.tail.Get(p) {
 			continue
 		}
-		if l.scalarV != nil {
-			f := logFrameFor[T](p)
-			f.lg, f.slot, f.s, f.op = l, slot, s, lopNext
-			l.m.lockFrameSet(p, slot.pairs[s], l.opBudget, f)
-			if f.resBits.Load()&lresOK != 0 {
-				return l.scalarV.DecodeWord(f.resWord.Load()), true
-			}
+		f := frameFor[logFrame[T]](p)
+		f.lg, f.slot, f.s, f.op = l, slot, s, lopNext
+		if l.scalarV == nil {
+			f.out = newResultCell(l.vc)
+		}
+		l.m.run(context.Background(), p, slot.pairs[s], l.opBudget, f)
+		if f.resBits.Load()&lresOK == 0 {
 			continue
 		}
-		out := newResultCell(l.vc)
-		ok := NewBoolCell(false)
-		l.doPair(p, slot.pairs[s], l.opBudget, func(tx *Tx) {
-			if Get(tx, slot.active[s]) == 0 {
-				return
-			}
-			pos := Get(tx, slot.pos[s])
-			t := Get(tx, ring.tail)
-			if pos == t {
-				Put(tx, ring.empties, Get(tx, ring.empties)+1)
-				return
-			}
-			Put(tx, out, Get(tx, ring.vals[int(pos&ring.mask)]))
-			Put(tx, slot.pos[s], pos+1)
-			Put(tx, slot.reads, Get(tx, slot.reads)+1)
-			Put(tx, ok, true)
-		})
-		if ok.Get(p) {
-			return out.Get(p), true
+		if f.out != nil {
+			return f.out.Get(p), true
 		}
+		return l.scalarV.DecodeWord(f.resWord.Load()), true
 	}
 	return zero, false
 }
@@ -846,22 +756,22 @@ func (c *Cursor[T]) tryNextWith(p *Process) (T, bool) {
 // ends with an error wrapping ErrCanceled once ctx is done, or
 // ErrCursorClosed if the cursor is closed while waiting.
 func (c *Cursor[T]) Next(ctx context.Context) (T, error) {
-	var zero T
 	l := c.lg
 	p := l.m.Acquire()
 	defer l.m.Release(p)
-	for attempt := 1; ; attempt++ {
-		if c.closed.Load() {
-			return zero, ErrCursorClosed
+	var v T
+	closed := false
+	err := l.m.await(ctx, "log", "drained", func() (ok bool) {
+		if closed = c.closed.Load(); closed {
+			return true
 		}
-		if err := ctx.Err(); err != nil {
-			return zero, fmt.Errorf("%w: log drained after %d passes: %w", ErrCanceled, attempt-1, err)
-		}
-		if v, ok := c.tryNextWith(p); ok {
-			return v, nil
-		}
-		l.m.retry.Wait(ctx, attempt)
+		v, ok = c.tryNextWith(p)
+		return ok
+	})
+	if closed {
+		return v, ErrCursorClosed
 	}
+	return v, err
 }
 
 // NextBatch delivers up to max unread entries, waiting only until the
@@ -877,72 +787,70 @@ func (c *Cursor[T]) NextBatch(ctx context.Context, max int) ([]T, error) {
 		return nil, nil
 	}
 	l := c.lg
-	slot := c.slot
 	p := l.m.Acquire()
 	defer l.m.Release(p)
 	var got []T
-	attempt := 0
-	for len(got) < max {
-		attempt++
-		if c.closed.Load() {
-			return got, ErrCursorClosed
-		}
-		if err := ctx.Err(); err != nil {
-			return got, fmt.Errorf("%w: %d of %d delivered: %w", ErrCanceled, len(got), max, err)
-		}
-		movedThisPass := 0
-		start := c.rr.Add(1) - 1
-		for j := 0; j < len(l.rings) && len(got) < max; j++ {
-			s := int((start + uint64(j)) & l.shardMask)
-			ring := &l.rings[s]
-			if slot.pos[s].Get(p) >= ring.tail.Get(p) {
-				continue
+	closed := false
+	err := l.m.await(ctx, "log", "drained", func() bool {
+		for len(got) < max {
+			if closed = c.closed.Load(); closed {
+				return true
 			}
-			want := max - len(got)
-			if want > l.batch {
-				want = l.batch
-			}
-			outs := make([]*Cell[T], want)
-			for i := range outs {
-				outs[i] = newResultCell(l.vc)
-			}
-			n := NewCell(uint64(0))
-			l.doPair(p, slot.pairs[s], l.batchBudget, func(tx *Tx) {
-				if Get(tx, slot.active[s]) == 0 {
-					return
+			before := len(got)
+			start := c.rr.Add(1) - 1
+			for j := 0; j < len(l.rings) && len(got) < max; j++ {
+				s := int((start + uint64(j)) & l.shardMask)
+				// Advisory lock-free skip of drained shards, as in TryNext.
+				if c.slot.pos[s].Get(p) < l.rings[s].tail.Get(p) {
+					got = c.nextChunk(p, s, min(max-len(got), l.batch), got)
 				}
-				pos := Get(tx, slot.pos[s])
-				t := Get(tx, ring.tail)
-				k := uint64(0)
-				for int(k) < want && pos < t {
-					Put(tx, outs[k], Get(tx, ring.vals[int(pos&ring.mask)]))
-					pos++
-					k++
-				}
-				if k > 0 {
-					Put(tx, slot.pos[s], pos)
-					Put(tx, slot.reads, Get(tx, slot.reads)+k)
-				} else {
-					Put(tx, ring.empties, Get(tx, ring.empties)+1)
-				}
-				Put(tx, n, k)
-			})
-			moved := int(n.Get(p))
-			for i := 0; i < moved; i++ {
-				got = append(got, outs[i].Get(p))
 			}
-			movedThisPass += moved
-		}
-		if movedThisPass == 0 {
-			if len(got) > 0 {
-				return got, nil
+			if len(got) == before {
+				break
 			}
-			l.m.retry.Wait(ctx, attempt)
-		} else {
-			attempt = 0
 		}
+		return len(got) > 0
+	})
+	if closed {
+		return got, ErrCursorClosed
 	}
-	return got, nil
+	return got, err
+}
+
+// nextChunk delivers up to want unread entries of shard s in one
+// two-lock critical section and returns got with them appended.
+func (c *Cursor[T]) nextChunk(p *Process, s, want int, got []T) []T {
+	l, slot := c.lg, c.slot
+	ring := &l.rings[s]
+	outs := make([]*Cell[T], want)
+	for i := range outs {
+		outs[i] = newResultCell(l.vc)
+	}
+	n := NewCell(uint64(0))
+	l.m.run(context.Background(), p, slot.pairs[s], l.batchBudget, txFrame(func(tx *Tx) {
+		if Get(tx, slot.active[s]) == 0 {
+			return
+		}
+		pos := Get(tx, slot.pos[s])
+		t := Get(tx, ring.tail)
+		k := uint64(0)
+		for int(k) < want && pos < t {
+			Put(tx, outs[k], Get(tx, ring.vals[int(pos&ring.mask)]))
+			pos++
+			k++
+		}
+		if k > 0 {
+			Put(tx, slot.pos[s], pos)
+			Put(tx, slot.reads, Get(tx, slot.reads)+k)
+		} else {
+			Put(tx, ring.empties, Get(tx, ring.empties)+1)
+		}
+		Put(tx, n, k)
+	}))
+	for _, out := range outs[:n.Get(p)] {
+		got = append(got, out.Get(p))
+	}
+	return got
 }
 
 // Slot reports the consumer-slot index this cursor occupies: its row

@@ -613,3 +613,111 @@ func TestLogAllocs(t *testing.T) {
 		t.Fatalf("append+next averages %.2f allocs/op, want < 0.5", avg)
 	}
 }
+
+// TestLogWideCodecStall covers the single append and next bodies under
+// a multi-word codec in the holder-stall regime: append frames carry
+// the wide element as a plain field, next frames route it through their
+// result cell, and both encode inside the critical section — so armed
+// encodes park lock holders and competitors re-execute their bodies.
+// Effects must be exactly-once: the solo cursor sees every producer's
+// stream complete and in order, the cursor shared by three goroutines
+// delivers every entry to exactly one of them, and the counters agree.
+func TestLogWideCodecStall(t *testing.T) {
+	const (
+		producers = 2
+		perProd   = 40
+		sharers   = 3
+		total     = producers * perProd
+	)
+	var armed atomic.Bool
+	vc := stallingPairCodec(&armed, 8, 500*time.Microsecond)
+	m := newManager(t, WithKappa(producers+sharers+1), WithMaxLocks(2),
+		WithMaxCriticalSteps(LogCriticalSteps(2, 1, 2, 16)), WithDelayConstants(1, 1))
+	lg, err := NewLogOf[widePair](m, vc, WithLogShards(1), WithLogCapacity(64),
+		WithLogSegment(16), WithLogConsumers(2), WithLogBatch(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := lg.NewCursor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := lg.NewCursor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	var wg sync.WaitGroup
+	// Producer w appends A = w + producers*seq: A identifies the stream
+	// and its position.
+	for w := 0; w < producers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for seq := 0; seq < perProd; seq++ {
+				for !lg.TryAppend(newWidePair(uint64(w + producers*seq))) {
+					runtime.Gosched() // full until the cursors catch up
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var next [producers]int
+		for n := 0; n < total; {
+			v, ok := solo.TryNext()
+			if !ok {
+				runtime.Gosched()
+				continue
+			}
+			w, seq := int(v.A%producers), int(v.A/producers)
+			if !v.sane() || seq != next[w] {
+				t.Errorf("solo cursor: got %+v (producer %d seq %d), want seq %d", v, w, seq, next[w])
+				return
+			}
+			next[w]++
+			n++
+		}
+	}()
+	var delivered [total]atomic.Int32
+	var taken atomic.Int32
+	for s := 0; s < sharers; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for taken.Load() < total {
+				v, ok := shared.TryNext()
+				if !ok {
+					runtime.Gosched()
+					continue
+				}
+				if !v.sane() || v.A >= total {
+					t.Errorf("shared cursor: decoded %+v", v)
+					return
+				}
+				delivered[v.A].Add(1)
+				taken.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	armed.Store(false)
+	for a := range delivered {
+		if n := delivered[a].Load(); n != 1 {
+			t.Fatalf("shared cursor delivered entry %d %d times, want exactly once", a, n)
+		}
+	}
+	st := lg.Stats()
+	if st.Appends != total || st.Reads != 2*total {
+		t.Fatalf("stats = %d appends, %d reads; want %d, %d", st.Appends, st.Reads, total, 2*total)
+	}
+	for _, c := range st.Consumers {
+		if c.Reads != total || c.Lag != 0 {
+			t.Fatalf("consumer %d: %d reads, lag %d; want %d, 0", c.Slot, c.Reads, c.Lag, total)
+		}
+	}
+	if m.Stats().Helps == 0 {
+		t.Fatal("no attempt helped a stalled holder: bodies were never re-executed")
+	}
+}

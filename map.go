@@ -1,6 +1,7 @@
 package wflocks
 
 import (
+	"context"
 	"fmt"
 	"iter"
 	"runtime"
@@ -39,14 +40,15 @@ type Map[K comparable, V any] struct {
 	eng *table.Table[K, V]
 	vc  Codec[V] // result-cell codec
 
-	// scalarV is vc when the value codec is single-word, enabling the
-	// allocation-free Get frame (the found value rides the frame's
-	// atomic result word); nil for multi-word values, which fall back
-	// to result cells.
+	// scalarV is vc when the value codec is single-word: a locked Get's
+	// found value then rides the frame's atomic result word; nil for
+	// multi-word values, which the frame routes through a result cell.
 	scalarV ScalarCodec[V]
 
 	// locks[s] guards eng.Shards[s]; the engine owns everything the
 	// lock protects, the map owns the locking and the semantics.
+	// locks[s:s+1] is shard s's single-lock set, so the runner's lock
+	// sets exist from construction on.
 	locks []*Lock
 
 	opBudget  int // maxOps of a single-shard critical section
@@ -172,18 +174,6 @@ func (mp *Map[K, V]) Shards() int { return mp.eng.ShardCount() }
 // ShardCapacity reports the bucket count per shard (after rounding).
 func (mp *Map[K, V]) ShardCapacity() int { return mp.eng.Capacity() }
 
-// do runs a single-shard critical section on shard si's lock under the
-// caller's pooled handle (one Acquire covers the lock retries and the
-// result-cell reads that follow). Construction validated the budget
-// against the manager's bounds, so the only error Lock can report here
-// is impossible; it is surfaced as a panic rather than forcing an
-// error return on every read path.
-func (mp *Map[K, V]) do(p *Process, si int, body func(*Tx)) {
-	if _, err := mp.m.Lock(p, []*Lock{mp.locks[si]}, mp.opBudget, body); err != nil {
-		panic("wflocks: Map: " + err.Error())
-	}
-}
-
 // Get reports the value stored for k.
 //
 // It first attempts a lock-free seqlock-stable probe — the same
@@ -192,11 +182,10 @@ func (mp *Map[K, V]) do(p *Process, si int, body func(*Tx)) {
 // plain memory scan with no lock attempt at all. When writers keep the
 // shard's version moving, Get falls back to a critical section on k's
 // shard lock, which is wait-free, so the fallback bounds the total
-// work. For single-word value codecs the locked path is also
-// allocation-free: the operation runs as a pre-built frame (see
-// mapFrame) and the found value rides the frame's atomic result word.
-// Multi-word values route the locked result through fresh cells
-// instead.
+// work. The locked path runs as a pre-built frame (see mapFrame): for
+// single-word value codecs it is allocation-free, the found value
+// riding the frame's atomic result word; a multi-word value comes back
+// through one result cell the frame carries.
 func (mp *Map[K, V]) Get(k K) (V, bool) {
 	h := mp.eng.Hash(k)
 	si, home := mp.eng.ShardIndex(h), mp.eng.Home(h)
@@ -207,28 +196,19 @@ func (mp *Map[K, V]) Get(k K) (V, bool) {
 	if v, ok, done := mp.eng.FindStable(p.env, sh, h, home, k, 4); done {
 		return v, ok
 	}
-	if mp.scalarV != nil {
-		f := mp.frame(p, mopGet, sh, h, home, k)
-		mp.m.lockFrame(p, mp.locks[si], mp.opBudget, f)
-		if f.resBits.Load()&mresFound == 0 {
-			return zero, false
-		}
+	f := mp.frame(p, mopGet, sh, h, home, k)
+	if mp.scalarV == nil {
+		f.out = newResultCell(mp.vc)
+	}
+	mp.m.run(context.Background(), p, mp.locks[si:si+1], mp.opBudget, f)
+	switch {
+	case f.resBits.Load()&mresFound == 0:
+		return zero, false
+	case f.out != nil:
+		return f.out.Get(p), true
+	default:
 		return mp.scalarV.DecodeWord(f.resWord.Load()), true
 	}
-	val := newResultCell(mp.vc)
-	found := NewBoolCell(false)
-	mp.do(p, si, func(tx *Tx) {
-		i, ok, _ := mp.eng.Find(tx.run, sh, h, home, k)
-		if !ok {
-			return
-		}
-		Put(tx, val, mp.eng.Val(tx.run, sh, i))
-		Put(tx, found, true)
-	})
-	if !found.Get(p) {
-		return zero, false
-	}
-	return val.Get(p), true
 }
 
 // Put stores v for k, inserting or overwriting. It returns ErrMapFull
@@ -242,7 +222,7 @@ func (mp *Map[K, V]) Put(k K, v V) error {
 	defer mp.m.Release(p)
 	f := mp.frame(p, mopPut, sh, h, home, k)
 	f.v = v
-	mp.m.lockFrame(p, mp.locks[si], mp.opBudget, f)
+	mp.m.run(context.Background(), p, mp.locks[si:si+1], mp.opBudget, f)
 	if f.resBits.Load()&mresFull != 0 {
 		return fmt.Errorf("%w: shard %d at capacity %d", ErrMapFull, si, mp.eng.Capacity())
 	}
@@ -259,7 +239,7 @@ func (mp *Map[K, V]) Delete(k K) bool {
 	p := mp.m.Acquire()
 	defer mp.m.Release(p)
 	f := mp.frame(p, mopDelete, sh, h, home, k)
-	mp.m.lockFrame(p, mp.locks[si], mp.opBudget, f)
+	mp.m.run(context.Background(), p, mp.locks[si:si+1], mp.opBudget, f)
 	return f.resBits.Load()&mresFound != 0
 }
 
@@ -287,7 +267,7 @@ func (mp *Map[K, V]) Update(k K, fn func(old V, ok bool) (V, bool)) error {
 	defer mp.m.Release(p)
 	f := mp.frame(p, mopUpdate, sh, h, home, k)
 	f.fn = fn
-	mp.m.lockFrame(p, mp.locks[si], mp.opBudget, f)
+	mp.m.run(context.Background(), p, mp.locks[si:si+1], mp.opBudget, f)
 	if f.resBits.Load()&mresFull != 0 {
 		return fmt.Errorf("%w: shard %d at capacity %d", ErrMapFull, si, mp.eng.Capacity())
 	}
@@ -401,20 +381,6 @@ func (mp *Map[K, V]) Values() iter.Seq[V] {
 			if !yield(v) {
 				return
 			}
-		}
-	}
-}
-
-// Range calls f for every entry until f returns false, with All's
-// snapshot semantics.
-//
-// Deprecated: Range predates Go 1.23 iterators; use All (or Keys,
-// Values) with range-over-func instead. Range remains as a thin wrapper
-// and will not be removed, but new code should range over All().
-func (mp *Map[K, V]) Range(f func(k K, v V) bool) {
-	for k, v := range mp.All() {
-		if !f(k, v) {
-			return
 		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // mapManager builds a manager sized for maps in tests: κ and L as
@@ -271,33 +273,31 @@ func TestMapRange(t *testing.T) {
 		}
 	}
 	got := map[uint64]uint64{}
-	mp.Range(func(k, v uint64) bool {
+	for k, v := range mp.All() {
 		got[k] = v
-		return true
-	})
+	}
 	if len(got) != len(want) {
-		t.Fatalf("Range visited %d entries, want %d", len(got), len(want))
+		t.Fatalf("All visited %d entries, want %d", len(got), len(want))
 	}
 	for k, v := range want {
 		if got[k] != v {
-			t.Fatalf("Range saw %d=%d, want %d", k, got[k], v)
+			t.Fatalf("All saw %d=%d, want %d", k, got[k], v)
 		}
 	}
 	// Early termination stops the iteration.
 	visits := 0
-	mp.Range(func(k, v uint64) bool {
+	for range mp.All() {
 		visits++
-		return false
-	})
-	if visits != 1 {
-		t.Fatalf("Range after false = %d visits, want 1", visits)
+		break
 	}
-	// The callback may call back into the map (it runs outside any
+	if visits != 1 {
+		t.Fatalf("All after break = %d visits, want 1", visits)
+	}
+	// The loop body may call back into the map (it runs outside any
 	// critical section).
-	mp.Range(func(k, v uint64) bool {
+	for k := range mp.All() {
 		_, _ = mp.Get(k)
-		return true
-	})
+	}
 }
 
 // TestMapMultiWordCodecs exercises multi-word struct keys and values
@@ -500,19 +500,18 @@ func TestMapConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	// Len must equal the number of Range-visible entries at quiescence,
+	// Len must equal the number of All-visible entries at quiescence,
 	// and every key must round-trip.
 	seen := 0
-	mp.Range(func(k, v uint64) bool {
+	for k, v := range mp.All() {
 		seen++
 		got, ok := mp.Get(k)
 		if !ok || got != v {
-			t.Errorf("Range/Get disagree on %d: (%d, %v) vs %d", k, got, ok, v)
+			t.Errorf("All/Get disagree on %d: (%d, %v) vs %d", k, got, ok, v)
 		}
-		return true
-	})
+	}
 	if got := mp.Len(); got != seen {
-		t.Errorf("Len = %d but Range saw %d entries", got, seen)
+		t.Errorf("Len = %d but All saw %d entries", got, seen)
 	}
 	st := mp.Stats()
 	if len(st.Shards) != numShards {
@@ -580,4 +579,116 @@ func TestMapConcurrentSwap(t *testing.T) {
 				1000+i, got[uint64(1000+i)])
 		}
 	}
+}
+
+// widePair is a 2-word element for the wide-codec tests: B is derived
+// from A, so a torn or mis-decoded value is detectable on its own.
+type widePair struct{ A, B uint64 }
+
+func (w widePair) sane() bool { return w.B == w.A*7+1 }
+
+func newWidePair(a uint64) widePair { return widePair{A: a, B: a*7 + 1} }
+
+// stallingPairCodec is the holder-stall regime for a multi-word codec:
+// once armed, every period-th Encode sleeps. Encodes run inside
+// critical sections (slot writes and wide result-cell writes), so the
+// sleeper is a stalled lock holder whose body competitors re-execute.
+func stallingPairCodec(armed *atomic.Bool, period uint64, d time.Duration) Codec[widePair] {
+	var n atomic.Uint64
+	return CodecFunc(2,
+		func(w widePair, dst []uint64) {
+			if armed.Load() && n.Add(1)%period == 0 {
+				time.Sleep(d)
+			}
+			dst[0], dst[1] = w.A, w.B
+		},
+		func(src []uint64) widePair { return widePair{src[0], src[1]} })
+}
+
+// TestMapGetWideCodecLockedPath covers the one Get body for multi-word
+// values: the frame routes the found value through its result cell.
+// Stalling writers keep the single shard's seqlock odd for milliseconds
+// at a time, so concurrent Gets exhaust the lock-free probe, take the
+// shard lock and help the stalled writer; a Get's own result-cell
+// encode stalls too, so other acquirers re-execute Get bodies. Every
+// decoded value must be one a writer stored for that key, a missing key
+// must stay missing, and the win count proves the locked path ran.
+func TestMapGetWideCodecLockedPath(t *testing.T) {
+	const (
+		writers  = 2
+		readers  = 3
+		keyspace = 6
+		puts     = 60
+	)
+	var armed atomic.Bool
+	vc := stallingPairCodec(&armed, 8, 500*time.Microsecond)
+	m := mapManager(t, writers+readers, 1, 16, 1, 2)
+	mp, err := NewMapOf[uint64, widePair](m, IntegerCodec[uint64](), vc, WithShards(1), WithShardCapacity(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Key k only ever holds values with A%keyspace == k.
+	for k := uint64(0); k < keyspace; k++ {
+		if err := mp.Put(k, newWidePair(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	armed.Store(true)
+	var writing, reading sync.WaitGroup
+	var done atomic.Bool
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			for i := 0; i < puts; i++ {
+				k := uint64((w + i) % keyspace)
+				if err := mp.Put(k, newWidePair(k+uint64(i+1)*keyspace)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func(r int) {
+			defer reading.Done()
+			for i := 0; !done.Load(); i++ { // read for as long as writers stall
+				k := uint64((r + i) % (keyspace + 1)) // keyspace itself is never stored
+				v, ok := mp.Get(k)
+				switch {
+				case k == keyspace && ok:
+					t.Errorf("Get(%d) found %+v for a key never stored", k, v)
+				case k < keyspace && (!ok || !v.sane() || v.A%keyspace != k):
+					t.Errorf("Get(%d) = (%+v, %v), want a value stored for that key", k, v, ok)
+				}
+			}
+		}(r)
+	}
+	writing.Wait()
+	done.Store(true)
+	reading.Wait()
+	armed.Store(false)
+	// Every Put is exactly one won section; the surplus is locked Gets.
+	st := mp.Stats().Shards[0].Lock
+	if locked := int(st.Wins) - (keyspace + writers*puts); locked <= 0 || st.Helps == 0 {
+		t.Fatalf("locked Gets = %d, helps = %d: the locked path and helping must both have run", locked, st.Helps)
+	}
+
+	// Deterministic coverage of both outcomes: with the version forced
+	// odd the lock-free probe cannot succeed, so these Gets are locked.
+	p := m.Acquire()
+	ver := mp.eng.Shards[0].Ver
+	even := ver.Load(p.env)
+	ver.Store(p.env, even+1)
+	m.Release(p)
+	for k := uint64(0); k <= keyspace; k++ {
+		v, ok := mp.Get(k)
+		if ok != (k < keyspace) || (ok && (!v.sane() || v.A%keyspace != k)) {
+			t.Fatalf("locked Get(%d) = (%+v, %v)", k, v, ok)
+		}
+	}
+	p = m.Acquire()
+	ver.Store(p.env, even)
+	m.Release(p)
 }

@@ -1,12 +1,8 @@
 package wflocks
 
 import (
-	"context"
 	"sync/atomic"
-	"time"
 
-	"wflocks/internal/arena"
-	"wflocks/internal/core"
 	"wflocks/internal/idem"
 	"wflocks/internal/table"
 )
@@ -23,7 +19,10 @@ import (
 // always reads the parameters its exec was created with — and results
 // are published through atomic fields on the frame. Every run of the
 // body derives identical results from the canonical response log, so
-// the concurrent stores are race-free in effect (see idem.Body).
+// the concurrent stores are race-free in effect (see idem.Body). The
+// one result that does not fit a word — a found value under a
+// multi-word codec — goes through a result cell the frame carries, so
+// the body is still written once.
 
 // mapFrame operation kinds.
 const (
@@ -51,6 +50,10 @@ type mapFrame[K comparable, V any] struct {
 	v    V
 	fn   func(old V, ok bool) (V, bool)
 
+	// out is Get's result cell when the value codec is multi-word; nil
+	// for scalar codecs, whose found value rides resWord instead.
+	out *Cell[V]
+
 	// Results, published by every run with identical derived values.
 	// resWord holds the scalar-encoded found value (Get only).
 	resWord atomic.Uint64
@@ -67,7 +70,11 @@ func (f *mapFrame[K, V]) RunThunk(r *idem.Run) {
 		if !ok {
 			return
 		}
-		f.resWord.Store(f.mp.scalarV.EncodeWord(eng.Val(r, f.sh, i)))
+		if v := eng.Val(r, f.sh, i); f.out != nil {
+			Put(newTx(r), f.out, v)
+		} else {
+			f.resWord.Store(f.mp.scalarV.EncodeWord(v))
+		}
 		f.resBits.Store(mresFound)
 	case mopPut:
 		eng.BumpVer(r, f.sh)
@@ -110,49 +117,9 @@ func (f *mapFrame[K, V]) RunThunk(r *idem.Run) {
 	}
 }
 
-// mapFrameFor draws a fresh frame for this map's type from p's
-// per-structure arenas (created on the goroutine's first use).
-func mapFrameFor[K comparable, V any](p *Process) *mapFrame[K, V] {
-	for _, s := range p.structs {
-		if a, ok := s.(*arena.Arena[mapFrame[K, V]]); ok {
-			return a.New()
-		}
-	}
-	a := &arena.Arena[mapFrame[K, V]]{}
-	p.structs = append(p.structs, a)
-	return a.New()
-}
-
 // frame prepares a fresh operation frame for one single-key call.
 func (mp *Map[K, V]) frame(p *Process, op uint8, sh *table.Shard, h uint64, home int, k K) *mapFrame[K, V] {
-	f := mapFrameFor[K, V](p)
+	f := frameFor[mapFrame[K, V]](p)
 	f.mp, f.sh, f.h, f.home, f.k, f.op = mp, sh, h, home, k, op
 	return f
-}
-
-// lockFrame acquires a single lock and runs frame t to completion,
-// retrying failed attempts under the manager's RetryPolicy. Each retry
-// creates a fresh exec over the same frame, which is safe: a lost
-// exec's body never runs, so only the winning exec's (identical)
-// parameters ever take effect.
-func (m *Manager) lockFrame(p *Process, l *Lock, maxOps int, t idem.Thunk) {
-	if cap(p.lockBuf) < 1 {
-		p.lockBuf = make([]*core.Lock, 1)
-	}
-	locks := p.lockBuf[:1]
-	locks[0] = l.inner
-	var t0 time.Time
-	if m.rec != nil {
-		t0 = time.Now()
-	}
-	for attempt := 1; ; attempt++ {
-		thunk := idem.NewExecIn(p.env, t, maxOps)
-		if m.sys.TryLocks(p.env, locks, thunk) {
-			if m.rec != nil {
-				m.rec.RecAcquire(p.Pid(), uint64(time.Since(t0)))
-			}
-			return
-		}
-		m.retry.Wait(context.Background(), attempt)
-	}
 }

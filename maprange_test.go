@@ -8,13 +8,13 @@ import (
 	"time"
 )
 
-// White-box tests for Range's seqlock protocol: a shard scan must stall
+// White-box tests for the All iterator's seqlock protocol: a shard scan must stall
 // while a mutation is mid-application (odd version), retry when the
 // version moved under it (torn snapshot), and never surface a torn
-// entry to the callback under live writers.
+// entry to the loop body under live writers.
 
 // TestMapRangeWaitsForOddVersion pins the odd-version wait: with a
-// shard's version forced odd, Range must not complete; once the version
+// shard's version forced odd, All must not complete; once the version
 // returns to even it must. The version cell is driven directly, which
 // is exactly what a stalled mutation's half-applied bumpVer looks like
 // to a reader.
@@ -41,12 +41,14 @@ func TestMapRangeWaitsForOddVersion(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		n := 0
-		mp.Range(func(k, v uint64) bool { n++; return true })
+		for range mp.All() {
+			n++
+		}
 		done <- n
 	}()
 	select {
 	case n := <-done:
-		t.Fatalf("Range completed (%d entries) while the shard version was odd", n)
+		t.Fatalf("All completed (%d entries) while the shard version was odd", n)
 	case <-time.After(30 * time.Millisecond):
 		// Still spinning, as it must be.
 	}
@@ -56,17 +58,17 @@ func TestMapRangeWaitsForOddVersion(t *testing.T) {
 	select {
 	case n := <-done:
 		if n != 4 {
-			t.Fatalf("Range saw %d entries, want 4", n)
+			t.Fatalf("All saw %d entries, want 4", n)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Range did not complete after the version returned to even")
+		t.Fatal("All did not complete after the version returned to even")
 	}
 }
 
 // TestMapRangeRetriesOnVersionChange exercises the retry path: a
 // goroutine keeps stepping the shard version between even values (every
 // mutation bumps twice, so even→even is one completed mutation) while
-// Range scans a large region. Any scan the bumper interleaves with sees
+// All scans a large region. Any scan the bumper interleaves with sees
 // version movement and must retry until it catches a stable window —
 // and every snapshot must still report every entry exactly once.
 func TestMapRangeRetriesOnVersionChange(t *testing.T) {
@@ -86,7 +88,7 @@ func TestMapRangeRetriesOnVersionChange(t *testing.T) {
 	// The bumper works in short bursts separated by quiet gaps several
 	// times longer than one scan: bursts land mid-snapshot often enough
 	// to force retries, and the gaps guarantee every retry eventually
-	// catches a stable window (continuous bumping would livelock Range).
+	// catches a stable window (continuous bumping would livelock All).
 	var stop atomic.Bool
 	var bumps atomic.Uint64
 	started := make(chan struct{})
@@ -115,12 +117,11 @@ func TestMapRangeRetriesOnVersionChange(t *testing.T) {
 	}
 	for i := 0; i < rounds; i++ {
 		got := map[uint64]uint64{}
-		mp.Range(func(k, v uint64) bool {
+		for k, v := range mp.All() {
 			got[k] = v
-			return true
-		})
+		}
 		if len(got) != n {
-			t.Fatalf("iteration %d: Range saw %d entries, want %d", i, len(got), n)
+			t.Fatalf("iteration %d: All saw %d entries, want %d", i, len(got), n)
 		}
 		for k, v := range got {
 			if v != k*11 {
@@ -136,7 +137,7 @@ func TestMapRangeRetriesOnVersionChange(t *testing.T) {
 	}
 }
 
-// TestMapRangeUnderConcurrentWriters runs Range against live Put
+// TestMapRangeUnderConcurrentWriters runs All against live Put
 // traffic and checks that no snapshot is torn: writers maintain the
 // invariant value = key*1000 + generation with generation < 1000, so
 // any mixed-up key/value pairing is detectable. Runs in -short; -race
@@ -175,12 +176,11 @@ func TestMapRangeUnderConcurrentWriters(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < rounds; i++ {
-		mp.Range(func(k, v uint64) bool {
+		for k, v := range mp.All() {
 			if v/1000 != k {
 				t.Errorf("torn snapshot: key %d carries value %d", k, v)
 			}
-			return true
-		})
+		}
 	}
 	stop.Store(true)
 	wg.Wait()

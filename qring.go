@@ -1,9 +1,9 @@
 package wflocks
 
 // This file holds the shared bounded-ring protocol: the cell-resident
-// state and step helpers that Queue (one ring, one lock), WorkPool (one
-// ring per shard, two-lock steals) and Log (one ring per shard,
-// broadcast cursors) all build on. The ring owns everything a lock
+// state and step helpers that WorkPool (one ring per shard, two-lock
+// steals; Queue is its one-shard case) and Log (one ring per shard,
+// broadcast cursors) build on. The ring owns everything a lock
 // protects; the owner brings the locking.
 
 // qring is the cell-resident state of one bounded ring: monotone

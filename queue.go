@@ -8,44 +8,30 @@ import (
 )
 
 // Queue is a generic bounded MPMC FIFO ring queue built on the
-// manager's wait-free locks. The head and tail indices, the element
-// slots and the per-slot occupancy sequence numbers all live in typed
-// cells, and every enqueue/dequeue is a single-lock critical section on
-// the idempotence layer — so the queue inherits the locks' guarantees:
-// a producer or consumer stalled mid-operation (a preempted vCPU, a GC
-// pause) can never wedge the queue, because competitors help its
-// critical section complete, and every operation finishes within the
-// O(κ²L²T) step bound.
-//
-// Head and tail are monotone tickets: enqueue number t writes slot
-// t mod capacity, dequeue number h reads slot h mod capacity. Each slot
-// carries a sequence cell following the classic bounded-MPMC protocol —
-// seq == t while the slot awaits enqueue ticket t, t+1 while it holds
-// that ticket's element, and t+capacity once dequeue t's lap frees it.
-// Under a single lock the sequence numbers are not needed for mutual
-// exclusion; they are the occupancy audit that makes the ring's index
-// arithmetic checkable (the model-based fuzz test verifies them across
-// wraparound), exactly the role the engine's meta words play for the
-// shard table.
+// manager's wait-free locks: it is the one-shard WorkPool. The ring
+// state, the critical-section bodies and the blocking forms are the
+// pool's (see WorkPool); with a single ring there is no round-robin
+// spread and no steal, so what the pool guarantees per shard — strict
+// FIFO order, atomic batch chunks — the queue guarantees globally. It
+// inherits the locks' guarantees the same way: a producer or consumer
+// stalled mid-operation (a preempted vCPU, a GC pause) can never wedge
+// the queue, because competitors help its critical section complete,
+// and every operation finishes within the O(κ²L²T) step bound.
 //
 // The queue has fixed capacity (rounded up to a power of two): growing
 // the ring would make the worst-case critical section unbounded,
 // voiding the T bound, so size it with WithQueueCapacity. TryEnqueue
 // and TryDequeue fail fast on full/empty; Enqueue and Dequeue retry
 // under the manager's RetryPolicy until space/an element appears or
-// their context is done. For per-shard parallelism on top of this ring,
-// see WorkPool.
+// their context is done. A one-shard pool never runs the two-lock steal
+// section, so the queue needs neither WithMaxLocks(2) nor the steal
+// term of WorkPoolCriticalSteps: QueueCriticalSteps is its whole
+// budget.
 //
 // Construct with NewQueue (integer elements) or NewQueueOf (explicit
 // codec). All methods are safe for concurrent use.
 type Queue[T any] struct {
-	m    *Manager
-	ring qring[T]
-	lock *Lock
-
-	batch       int
-	opBudget    int // single-item critical section
-	batchBudget int // batch-of-`batch` critical section
+	pool *WorkPool[T]
 }
 
 // Default queue shape: 1024 slots, batches of 8 items per critical
@@ -146,110 +132,31 @@ func NewQueueOf[T any](m *Manager, vc Codec[T], opts ...QueueOption) (*Queue[T],
 				"manager has %d (see QueueCriticalSteps)",
 			cfg.batch, vc.Words(), batchBudget, m.cfg.maxCritical)
 	}
-	q := &Queue[T]{
-		m:           m,
-		ring:        newQring(vc, cfg.capacity),
-		lock:        m.NewLock(),
-		batch:       cfg.batch,
-		opBudget:    QueueCriticalSteps(vc.Words(), 1),
-		batchBudget: batchBudget,
-	}
-	return q, nil
+	pool := newPool(m, vc, poolConfig{shards: 1, capacity: cfg.capacity, batch: cfg.batch}, "queue")
+	return &Queue[T]{pool: pool}, nil
 }
 
 // Cap reports the queue's slot count (after power-of-two rounding).
-func (q *Queue[T]) Cap() int { return q.ring.capacity }
-
-// do runs a critical section on the queue's lock. Construction
-// validated the budget against the manager's bounds, so the only
-// errors Lock could report here are impossible; surface them as panics
-// rather than forcing an error return on every queue operation.
-func (q *Queue[T]) do(p *Process, maxOps int, body func(*Tx)) {
-	if _, err := q.m.Lock(p, []*Lock{q.lock}, maxOps, body); err != nil {
-		panic("wflocks: Queue: " + err.Error())
-	}
-}
+func (q *Queue[T]) Cap() int { return q.pool.Cap() }
 
 // TryEnqueue appends v, reporting false (without blocking or retrying
 // beyond the acquisition itself) when the queue is full.
-func (q *Queue[T]) TryEnqueue(v T) bool {
-	p := q.m.Acquire()
-	defer q.m.Release(p)
-	return q.tryEnqueueWith(p, v)
-}
-
-func (q *Queue[T]) tryEnqueueWith(p *Process, v T) bool {
-	ok := NewBoolCell(false)
-	q.do(p, q.opBudget, func(tx *Tx) {
-		if q.ring.enqOne(tx, v) {
-			Put(tx, ok, true)
-		} else {
-			Put(tx, q.ring.fulls, Get(tx, q.ring.fulls)+1)
-		}
-	})
-	return ok.Get(p)
-}
+func (q *Queue[T]) TryEnqueue(v T) bool { return q.pool.TryEnqueue(v) }
 
 // TryDequeue pops the oldest element, reporting false when the queue is
 // empty.
-func (q *Queue[T]) TryDequeue() (T, bool) {
-	p := q.m.Acquire()
-	defer q.m.Release(p)
-	return q.tryDequeueWith(p)
-}
-
-func (q *Queue[T]) tryDequeueWith(p *Process) (T, bool) {
-	out := newResultCell(q.ring.vc)
-	ok := NewBoolCell(false)
-	q.do(p, q.opBudget, func(tx *Tx) {
-		if q.ring.deqOne(tx, out) {
-			Put(tx, ok, true)
-		} else {
-			Put(tx, q.ring.empties, Get(tx, q.ring.empties)+1)
-		}
-	})
-	if !ok.Get(p) {
-		var zero T
-		return zero, false
-	}
-	return out.Get(p), true
-}
+func (q *Queue[T]) TryDequeue() (T, bool) { return q.pool.TryDequeue() }
 
 // Enqueue appends v, waiting while the queue is full: failed attempts
 // apply the manager's RetryPolicy (so a sleeping policy backs off and
 // wakes early on cancellation), and the wait ends with an error
 // wrapping ErrCanceled once ctx is done. A nil return means v was
 // enqueued exactly once.
-func (q *Queue[T]) Enqueue(ctx context.Context, v T) error {
-	p := q.m.Acquire()
-	defer q.m.Release(p)
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%w: queue full after %d attempts: %w", ErrCanceled, attempt-1, err)
-		}
-		if q.tryEnqueueWith(p, v) {
-			return nil
-		}
-		q.m.retry.Wait(ctx, attempt)
-	}
-}
+func (q *Queue[T]) Enqueue(ctx context.Context, v T) error { return q.pool.Enqueue(ctx, v) }
 
 // Dequeue pops the oldest element, waiting while the queue is empty
 // under the same retry/cancellation contract as Enqueue.
-func (q *Queue[T]) Dequeue(ctx context.Context) (T, error) {
-	p := q.m.Acquire()
-	defer q.m.Release(p)
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			var zero T
-			return zero, fmt.Errorf("%w: queue empty after %d attempts: %w", ErrCanceled, attempt-1, err)
-		}
-		if v, ok := q.tryDequeueWith(p); ok {
-			return v, nil
-		}
-		q.m.retry.Wait(ctx, attempt)
-	}
-}
+func (q *Queue[T]) Dequeue(ctx context.Context) (T, error) { return q.pool.Dequeue(ctx) }
 
 // EnqueueBatch appends vs in order, amortizing lock acquisitions: the
 // elements are moved in chunks of up to the WithQueueBatch size, each
@@ -259,103 +166,17 @@ func (q *Queue[T]) Dequeue(ctx context.Context) (T, error) {
 // the Enqueue retry contract. It returns the number of elements
 // enqueued, which is len(vs) unless ctx was done first.
 func (q *Queue[T]) EnqueueBatch(ctx context.Context, vs []T) (int, error) {
-	// Critical-section bodies must capture only data that stays
-	// immutable even after the call returns — a straggling helper may
-	// still be re-executing a body — so snapshot the caller's slice.
-	items := append([]T(nil), vs...)
-	p := q.m.Acquire()
-	defer q.m.Release(p)
-	done := 0
-	attempt := 0
-	for done < len(items) {
-		attempt++
-		if err := ctx.Err(); err != nil {
-			return done, fmt.Errorf("%w: %d of %d enqueued: %w", ErrCanceled, done, len(items), err)
-		}
-		chunk := items[done:]
-		if len(chunk) > q.batch {
-			chunk = chunk[:q.batch]
-		}
-		n := NewCell(uint64(0))
-		q.do(p, q.batchBudget, func(tx *Tx) {
-			moved := uint64(0)
-			for _, v := range chunk {
-				if !q.ring.enqOne(tx, v) {
-					Put(tx, q.ring.fulls, Get(tx, q.ring.fulls)+1)
-					break
-				}
-				moved++
-			}
-			Put(tx, n, moved)
-		})
-		moved := int(n.Get(p))
-		done += moved
-		if moved == 0 {
-			q.m.retry.Wait(ctx, attempt)
-		} else {
-			attempt = 0
-		}
-	}
-	return done, nil
+	return q.pool.EnqueueBatch(ctx, vs)
 }
 
 // DequeueBatch pops up to max elements in FIFO order, waiting only
 // until the first element is available: once anything has been
-// dequeued, it drains (in WithQueueBatch-sized atomic chunks) until the
-// queue is empty or max is reached, and returns without further
-// waiting. It returns an error wrapping ErrCanceled — with whatever was
-// dequeued before the cancellation — once ctx is done while still
-// empty-handed.
+// dequeued, it drains (in WithQueueBatch-sized atomic chunks) until a
+// chunk comes up short — the queue was empty at that instant — or max
+// is reached, and returns without further waiting. It returns an error
+// wrapping ErrCanceled once ctx is done while still empty-handed.
 func (q *Queue[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
-	if max <= 0 {
-		return nil, nil
-	}
-	p := q.m.Acquire()
-	defer q.m.Release(p)
-	var got []T
-	attempt := 0
-	for len(got) < max {
-		attempt++
-		if err := ctx.Err(); err != nil {
-			return got, fmt.Errorf("%w: %d of %d dequeued: %w", ErrCanceled, len(got), max, err)
-		}
-		want := max - len(got)
-		if want > q.batch {
-			want = q.batch
-		}
-		outs := make([]*Cell[T], want)
-		for i := range outs {
-			outs[i] = newResultCell(q.ring.vc)
-		}
-		n := NewCell(uint64(0))
-		q.do(p, q.batchBudget, func(tx *Tx) {
-			moved := uint64(0)
-			for i := 0; i < want; i++ {
-				if !q.ring.deqOne(tx, outs[i]) {
-					Put(tx, q.ring.empties, Get(tx, q.ring.empties)+1)
-					break
-				}
-				moved++
-			}
-			Put(tx, n, moved)
-		})
-		moved := int(n.Get(p))
-		for i := 0; i < moved; i++ {
-			got = append(got, outs[i].Get(p))
-		}
-		if moved < want {
-			// The chunk came up short, so the queue was empty at that
-			// instant: return what we hold, or wait for the first element
-			// if still empty-handed.
-			if len(got) > 0 {
-				return got, nil
-			}
-			q.m.retry.Wait(ctx, attempt)
-		} else {
-			attempt = 0
-		}
-	}
-	return got, nil
+	return q.pool.DequeueBatch(ctx, max)
 }
 
 // Len reports the number of queued elements. It is the lock-free fast
@@ -364,11 +185,7 @@ func (q *Queue[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 // live traffic the two tickets are read at slightly different instants
 // and the difference can be momentarily skewed; at quiescence it is
 // exact.
-func (q *Queue[T]) Len() int {
-	p := q.m.Acquire()
-	defer q.m.Release(p)
-	return q.ring.lenWith(p)
-}
+func (q *Queue[T]) Len() int { return q.pool.Len() }
 
 // QueueStats is a point-in-time view of a queue's traffic, with the
 // same weak-consistency caveat as StatsSnapshot: counters are updated
@@ -390,16 +207,14 @@ type QueueStats struct {
 
 // Stats snapshots the queue's counters and occupancy.
 func (q *Queue[T]) Stats() QueueStats {
-	p := q.m.Acquire()
-	defer q.m.Release(p)
-	a, w, h := q.lock.inner.Counters()
+	s := q.pool.Stats().Shards[0]
 	return QueueStats{
-		Lock:         LockStats{ID: q.lock.ID(), Attempts: a, Wins: w, Helps: h},
-		Enqueues:     q.ring.enqs.Get(p),
-		Dequeues:     q.ring.deqs.Get(p),
-		FullRejects:  q.ring.fulls.Get(p),
-		EmptyRejects: q.ring.empties.Get(p),
-		Len:          q.ring.lenWith(p),
-		Capacity:     q.ring.capacity,
+		Lock:         s.Lock,
+		Enqueues:     s.Enqueues,
+		Dequeues:     s.Dequeues,
+		FullRejects:  s.FullRejects,
+		EmptyRejects: s.EmptyRejects,
+		Len:          s.Len,
+		Capacity:     q.pool.Cap(),
 	}
 }

@@ -131,7 +131,7 @@ func FuzzQueueOps(f *testing.F) {
 			if got := q.Len(); got != len(model) {
 				t.Fatalf("step %d: Len = %d, model %d", step, got, len(model))
 			}
-			auditRing(t, m, &q.ring, mHead, mTail, model)
+			auditRing(t, m, &q.pool.rings[0], mHead, mTail, model)
 			s := q.Stats()
 			if int(s.Enqueues) != mTail || int(s.Dequeues) != mHead {
 				t.Fatalf("step %d: counters = %d/%d, model %d/%d", step, s.Enqueues, s.Dequeues, mTail, mHead)

@@ -99,27 +99,83 @@ func TestQueueWraparound(t *testing.T) {
 	}
 }
 
+// ringStats is the counter set Queue and a one-shard WorkPool share.
+type ringStats struct {
+	Enqueues, Dequeues, FullRejects, EmptyRejects uint64
+	Attempts, Wins                                uint64
+}
+
+// TestQueueStatsExact runs one op script against a Queue and against
+// WorkPool(WithPoolShards(1)) and demands the same exact counters from
+// both: the queue is the one-shard pool, so every rejection and every
+// lock acquisition must match. The script ends its drain on a short
+// chunk, pinning the shared rule that a chunk that comes up short ends
+// DequeueBatch without a further probe (one more acquisition and one
+// spurious EmptyRejects otherwise).
 func TestQueueStatsExact(t *testing.T) {
-	m := queueManager(t, 2, 1)
-	q, err := NewQueue[uint64](m, WithQueueCapacity(2), WithQueueBatch(1))
+	type ringOwner interface {
+		TryEnqueue(uint64) bool
+		TryDequeue() (uint64, bool)
+		EnqueueBatch(context.Context, []uint64) (int, error)
+		DequeueBatch(context.Context, int) ([]uint64, error)
+	}
+	script := func(t *testing.T, r ringOwner) {
+		t.Helper()
+		ctx := context.Background()
+		for v := uint64(1); v <= 4; v++ {
+			if !r.TryEnqueue(v) {
+				t.Fatalf("TryEnqueue(%d) failed below capacity", v)
+			}
+		}
+		if r.TryEnqueue(5) { // full
+			t.Fatal("TryEnqueue succeeded on a full ring")
+		}
+		if v, ok := r.TryDequeue(); !ok || v != 1 {
+			t.Fatalf("TryDequeue = (%d, %v), want (1, true)", v, ok)
+		}
+		if n, err := r.EnqueueBatch(ctx, []uint64{6}); n != 1 || err != nil {
+			t.Fatalf("EnqueueBatch = (%d, %v), want (1, nil)", n, err)
+		}
+		// Two sections: a full chunk of 2, then the 1 that reaches max.
+		if got, err := r.DequeueBatch(ctx, 3); err != nil || len(got) != 3 || got[0] != 2 || got[2] != 4 {
+			t.Fatalf("DequeueBatch(3) = (%v, %v), want [2 3 4]", got, err)
+		}
+		// One section: the chunk comes up short (1 of 2) and ends the drain.
+		if got, err := r.DequeueBatch(ctx, 4); err != nil || len(got) != 1 || got[0] != 6 {
+			t.Fatalf("DequeueBatch(4) = (%v, %v), want [6]", got, err)
+		}
+		if _, ok := r.TryDequeue(); ok { // empty
+			t.Fatal("TryDequeue succeeded on an empty ring")
+		}
+	}
+	want := ringStats{Enqueues: 5, Dequeues: 5, FullRejects: 1, EmptyRejects: 2, Attempts: 11, Wins: 11}
+
+	m := poolManager(t, 2, 2)
+	q, err := NewQueue[uint64](m, WithQueueCapacity(4), WithQueueBatch(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.TryEnqueue(1)
-	q.TryEnqueue(2)
-	q.TryEnqueue(3) // full
-	q.TryDequeue()
-	q.TryDequeue()
-	q.TryDequeue() // empty
-	s := q.Stats()
-	if s.Enqueues != 2 || s.Dequeues != 2 || s.FullRejects != 1 || s.EmptyRejects != 1 {
-		t.Fatalf("stats = %+v, want 2 enq, 2 deq, 1 full, 1 empty", s)
+	script(t, q)
+	qs := q.Stats()
+	if got := (ringStats{qs.Enqueues, qs.Dequeues, qs.FullRejects, qs.EmptyRejects, qs.Lock.Attempts, qs.Lock.Wins}); got != want {
+		t.Fatalf("queue stats = %+v, want %+v", got, want)
 	}
-	if s.Len != 0 || s.Capacity != 2 {
-		t.Fatalf("stats shape = len %d cap %d, want 0/2", s.Len, s.Capacity)
+	if qs.Len != 0 || qs.Capacity != 4 {
+		t.Fatalf("queue shape = len %d cap %d, want 0/4", qs.Len, qs.Capacity)
 	}
-	if s.Lock.Attempts == 0 || s.Lock.Wins == 0 {
-		t.Fatal("lock counters did not record the operations")
+
+	wp, err := NewWorkPool[uint64](m, WithPoolShards(1), WithPoolCapacity(4), WithPoolBatch(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	script(t, wp)
+	ps := wp.Stats()
+	sh := ps.Shards[0]
+	if got := (ringStats{ps.Enqueues, ps.Dequeues, ps.FullRejects, ps.EmptyRejects, sh.Lock.Attempts, sh.Lock.Wins}); got != want {
+		t.Fatalf("one-shard pool stats = %+v, want %+v", got, want)
+	}
+	if ps.Steals != 0 || ps.Len != 0 || wp.Cap() != 4 {
+		t.Fatalf("one-shard pool shape = steals %d len %d cap %d, want 0/0/4", ps.Steals, ps.Len, wp.Cap())
 	}
 }
 

@@ -162,12 +162,18 @@ func TestStatsConcurrentWithNewLock(t *testing.T) {
 	m := newManager(t, WithKappa(8), WithMaxLocks(1), WithMaxCriticalSteps(8),
 		WithDelayConstants(1, 1))
 	seed := m.NewLock()
-	c := NewCell(uint64(0))
+	// One counter per goroutine: the goroutines hold different locks, so
+	// a cell they shared would not be protected by any of them.
+	counters := make([]*Cell[uint64], creators+1)
+	for i := range counters {
+		counters[i] = NewCell(uint64(0))
+	}
 
 	var wg sync.WaitGroup
 	// Creators grow the lock registry...
 	for g := 0; g < creators; g++ {
 		wg.Add(1)
+		c := counters[g]
 		go func() {
 			defer wg.Done()
 			for i := 0; i < locksPerGoro; i++ {
@@ -187,6 +193,7 @@ func TestStatsConcurrentWithNewLock(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		c := counters[creators]
 		for i := 0; i < 50; i++ {
 			if err := m.Do([]*Lock{seed}, 2, func(tx *Tx) {
 				Put(tx, c, Get(tx, c)+1)
@@ -224,7 +231,11 @@ func TestStatsConcurrentWithNewLock(t *testing.T) {
 	if len(s.Locks) != want {
 		t.Fatalf("registry has %d locks, want %d", len(s.Locks), want)
 	}
-	if got := Load(m, c); got != s.Wins {
-		t.Fatalf("counter = %d, wins = %d", got, s.Wins)
+	var got uint64
+	for _, c := range counters {
+		got += Load(m, c)
+	}
+	if got != s.Wins {
+		t.Fatalf("counters sum to %d, wins = %d", got, s.Wins)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wflocks/internal/arena"
 	"wflocks/internal/core"
@@ -119,20 +120,31 @@ func (l *Lock) ID() int { return l.inner.ID() }
 type Process struct {
 	env *env.Native
 
-	// frames is the bump arena for per-attempt thunk frames. Frames
-	// are read by helpers at unbounded staleness, so they are never
-	// recycled; the arena abandons full chunks (internal/arena).
-	frames arena.Arena[txFrame]
-
 	// lockBuf is the reusable buffer for unwrapped lock sets. It is
 	// owner-transient — core copies the set into its own attempt
 	// record before publishing — so plain reuse is safe.
 	lockBuf []*core.Lock
 
-	// structs holds per-structure allocation state (e.g. the map's
-	// operation-frame arenas), found by type via a linear scan; the
-	// handful of structure types a goroutine touches keeps it short.
+	// structs holds the per-structure operation-frame arenas (see
+	// frameFor), found by type via a linear scan; the handful of
+	// structure types a goroutine touches keeps it short.
 	structs []any
+}
+
+// frameFor draws a fresh operation frame of type F (a mapFrame or
+// logFrame instantiation) from p's arena for that type, created on the
+// goroutine's first use. Frames are read by helpers at unbounded
+// staleness, so they are never recycled; the arena abandons full chunks
+// (internal/arena).
+func frameFor[F any](p *Process) *F {
+	for _, s := range p.structs {
+		if a, ok := s.(*arena.Arena[F]); ok {
+			return a.New()
+		}
+	}
+	a := &arena.Arena[F]{}
+	p.structs = append(p.structs, a)
+	return a.New()
 }
 
 // NewProcess creates a fresh process handle. Prefer Acquire, which
@@ -155,19 +167,18 @@ type Tx struct {
 	run *idem.Run
 }
 
-// txFrame adapts a user body to idem.Thunk without a per-attempt
-// closure allocation. A fresh frame is drawn from the owner's arena
-// for every attempt — helpers may re-read a frame long after the
-// attempt ended, so frames are never reused (see internal/arena).
-type txFrame struct {
-	body func(*Tx)
-}
+// txFrame adapts a closure body to idem.Thunk, the one form the runner
+// takes. A func value is pointer-shaped, so the conversion to the
+// interface allocates nothing and the frame needs no arena: it is the
+// closure itself, immutable for as long as any helper can still reach
+// it.
+type txFrame func(*Tx)
 
 // RunThunk implements idem.Thunk. It runs on the owner's and any
 // helper's goroutine; the Tx handle comes from the executing process's
 // own arena.
-func (f *txFrame) RunThunk(r *idem.Run) {
-	f.body(newTx(r))
+func (f txFrame) RunThunk(r *idem.Run) {
+	f(newTx(r))
 }
 
 // newTx returns a Tx for r, drawn from the executing environment's
@@ -199,14 +210,7 @@ func (m *Manager) TryLock(p *Process, locks []*Lock, maxOps int, body func(*Tx))
 	if err := m.validateCall(locks, maxOps); err != nil {
 		return false, err
 	}
-	return m.tryLock(p, locks, maxOps, body), nil
-}
-
-// tryLock runs one validated attempt.
-func (m *Manager) tryLock(p *Process, locks []*Lock, maxOps int, body func(*Tx)) bool {
-	f := p.frames.New()
-	f.body = body
-	return m.tryLockThunk(p, locks, maxOps, f)
+	return m.tryLockThunk(p, locks, maxOps, txFrame(body)), nil
 }
 
 // tryLockThunk runs one validated attempt with a prepared thunk frame.
@@ -242,7 +246,60 @@ func (m *Manager) LockCtx(ctx context.Context, p *Process, locks []*Lock, maxOps
 	if err := m.validateCall(locks, maxOps); err != nil {
 		return 0, err
 	}
-	return m.retryLoop(ctx, p, locks, maxOps, body)
+	return m.run(ctx, p, locks, maxOps, txFrame(body))
+}
+
+// run is the one retry-until-win loop in the package: every blocking
+// acquisition — Do, DoCtx, Lock, LockCtx, the transactions and every
+// structure operation — is tryLockThunk under p until an attempt wins,
+// with the manager's RetryPolicy between failures and a ctx check
+// before each attempt. Each retry creates a fresh exec over the same
+// thunk t, which is safe: a lost exec's body never runs, so only the
+// winning exec's (identical) parameters ever take effect. It returns
+// the number of attempts used by a win, or the failed attempt count
+// and an error wrapping ErrCanceled and ctx's error.
+//
+// The caller has validated locks and maxOps (validateCall, or a
+// structure's construction-time budget check), so under
+// context.Background() — what the structures pass, with lock sets
+// built at construction — run cannot fail and the result is dropped.
+func (m *Manager) run(ctx context.Context, p *Process, locks []*Lock, maxOps int, t idem.Thunk) (int, error) {
+	var t0 time.Time
+	if m.rec != nil {
+		t0 = time.Now()
+	}
+	for attempt := 1; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return attempt - 1, fmt.Errorf("%w after %d attempts: %w", ErrCanceled, attempt-1, err)
+		}
+		if m.tryLockThunk(p, locks, maxOps, t) {
+			if m.rec != nil {
+				m.rec.RecAcquire(p.Pid(), uint64(time.Since(t0)))
+			}
+			return attempt, nil
+		}
+		m.retry.Wait(ctx, attempt)
+	}
+}
+
+// await is the one blocking loop behind the structures' waiting forms
+// (Enqueue, Dequeue, Append, Cursor.Next and the batch variants). try
+// is a pass of complete, won acquisitions that reports false when it
+// found the structure full or empty; await repeats it under the
+// manager's RetryPolicy, checking ctx before each pass. Once ctx is done
+// it returns an error wrapping ErrCanceled and ctx's error that names
+// the structure and the state waited on (noun and state, e.g. "queue"
+// "full") and the failed pass count.
+func (m *Manager) await(ctx context.Context, noun, state string, try func() bool) error {
+	for attempt := 1; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("%w: %s %s after %d attempts: %w", ErrCanceled, noun, state, attempt-1, err)
+		}
+		if try() {
+			return nil
+		}
+		m.retry.Wait(ctx, attempt)
+	}
 }
 
 // validateCall audits an acquisition's arguments against the manager's

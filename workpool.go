@@ -3,7 +3,6 @@ package wflocks
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"wflocks/internal/stats"
@@ -28,16 +27,21 @@ import (
 // there is no global FIFO order — round-robin interleaves producers
 // across shards, and a stolen batch jumps behind the home shard's
 // existing elements. Use WorkPool when elements are independent work
-// items (the common pool case) and Queue when cross-element order
-// matters.
+// items (the common pool case) and Queue — this same pool with exactly
+// one shard, hence strictly FIFO — when cross-element order matters.
 //
 // Construct with NewWorkPool (integer elements) or NewWorkPoolOf
 // (explicit codec). A pool with more than one shard needs a manager
 // configured with WithMaxLocks(2) or more for the steal path. All
 // methods are safe for concurrent use.
 type WorkPool[T any] struct {
-	m      *Manager
-	rings  []qring[T]
+	m *Manager
+	// noun names the structure in cancellation errors: "pool", or
+	// "queue" for the one-shard pool behind a Queue.
+	noun  string
+	rings []qring[T]
+	// locks[s] guards rings[s]; locks[s:s+1] is shard s's single-lock
+	// set, so the runner's lock sets exist from construction on.
 	locks  []*Lock
 	steals []*Cell[uint64] // per shard: elements gained by stealing
 
@@ -164,9 +168,17 @@ func NewWorkPoolOf[T any](m *Manager, vc Codec[T], opts ...WorkPoolOption) (*Wor
 				"manager has %d (see WorkPoolCriticalSteps)",
 			cfg.batch, vc.Words(), budget, m.cfg.maxCritical)
 	}
+	return newPool(m, vc, cfg, "pool"), nil
+}
+
+// newPool builds the rings and locks of a pool whose options and
+// budget the public constructor (NewWorkPoolOf, or NewQueueOf for its
+// one-shard pool) has already validated.
+func newPool[T any](m *Manager, vc Codec[T], cfg poolConfig, noun string) *WorkPool[T] {
 	perShard := table.CeilPow2((cfg.capacity + cfg.shards - 1) / cfg.shards)
 	wp := &WorkPool[T]{
 		m:           m,
+		noun:        noun,
 		rings:       make([]qring[T], cfg.shards),
 		locks:       make([]*Lock, cfg.shards),
 		steals:      make([]*Cell[uint64], cfg.shards),
@@ -181,7 +193,7 @@ func NewWorkPoolOf[T any](m *Manager, vc Codec[T], opts ...WorkPoolOption) (*Wor
 		wp.locks[s] = m.NewLock()
 		wp.steals[s] = NewCell(uint64(0))
 	}
-	return wp, nil
+	return wp
 }
 
 // Shards reports the shard count (after power-of-two rounding).
@@ -191,35 +203,12 @@ func (wp *WorkPool[T]) Shards() int { return len(wp.rings) }
 // least the WithPoolCapacity request.
 func (wp *WorkPool[T]) Cap() int { return len(wp.rings) * wp.rings[0].capacity }
 
-// do runs a critical section on shard si's lock; doSteal runs one on a
-// home/victim lock pair. Construction validated the budgets, so errors
-// here are impossible and surface as panics, as in the other
-// structures.
-func (wp *WorkPool[T]) do(p *Process, si, maxOps int, body func(*Tx)) {
-	if _, err := wp.m.Lock(p, []*Lock{wp.locks[si]}, maxOps, body); err != nil {
-		panic("wflocks: WorkPool: " + err.Error())
-	}
-}
-
-func (wp *WorkPool[T]) doSteal(p *Process, home, victim int, body func(*Tx)) {
-	pair := []*Lock{wp.locks[home], wp.locks[victim]}
-	// Canonical acquisition order, as the transaction layer sorts.
-	sort.Slice(pair, func(i, j int) bool { return pair[i].ID() < pair[j].ID() })
-	if _, err := wp.m.Lock(p, pair, wp.stealBudget, body); err != nil {
-		panic("wflocks: WorkPool: " + err.Error())
-	}
-}
-
 // TryEnqueue submits v to the next shard in round-robin order, probing
 // each shard at most once; it reports false only when every shard is
 // full.
 func (wp *WorkPool[T]) TryEnqueue(v T) bool {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
-	return wp.tryEnqueueWith(p, v)
-}
-
-func (wp *WorkPool[T]) tryEnqueueWith(p *Process, v T) bool {
 	return wp.tryEnqueueFrom(p, wp.rr.Add(1)-1, v)
 }
 
@@ -228,13 +217,13 @@ func (wp *WorkPool[T]) tryEnqueueFrom(p *Process, start uint64, v T) bool {
 		si := int((start + uint64(j)) & wp.shardMask)
 		ring := &wp.rings[si]
 		ok := NewBoolCell(false)
-		wp.do(p, si, wp.opBudget, func(tx *Tx) {
+		wp.m.run(context.Background(), p, wp.locks[si:si+1], wp.opBudget, txFrame(func(tx *Tx) {
 			if ring.enqOne(tx, v) {
 				Put(tx, ok, true)
 			} else {
 				Put(tx, ring.fulls, Get(tx, ring.fulls)+1)
 			}
-		})
+		}))
 		if ok.Get(p) {
 			return true
 		}
@@ -264,13 +253,13 @@ func (wp *WorkPool[T]) tryDequeueWith(p *Process) (T, bool) {
 	ring := &wp.rings[home]
 	out := newResultCell(ring.vc)
 	ok := NewBoolCell(false)
-	wp.do(p, home, wp.opBudget, func(tx *Tx) {
+	wp.m.run(context.Background(), p, wp.locks[home:home+1], wp.opBudget, txFrame(func(tx *Tx) {
 		if ring.deqOne(tx, out) {
 			Put(tx, ok, true)
 		} else {
 			Put(tx, ring.empties, Get(tx, ring.empties)+1)
 		}
-	})
+	}))
 	if ok.Get(p) {
 		return out.Get(p), true
 	}
@@ -294,7 +283,12 @@ func (wp *WorkPool[T]) tryDequeueWith(p *Process) (T, bool) {
 	}
 	vr := &wp.rings[victim]
 	stolen := NewCell(uint64(0))
-	wp.doSteal(p, home, victim, func(tx *Tx) {
+	// Canonical acquisition order, as the transaction layer sorts.
+	pair := [2]*Lock{wp.locks[home], wp.locks[victim]}
+	if pair[0].ID() > pair[1].ID() {
+		pair[0], pair[1] = pair[1], pair[0]
+	}
+	wp.m.run(context.Background(), p, pair[:], wp.stealBudget, txFrame(func(tx *Tx) {
 		if !vr.deqOne(tx, out) {
 			Put(tx, vr.empties, Get(tx, vr.empties)+1)
 			return
@@ -308,7 +302,7 @@ func (wp *WorkPool[T]) tryDequeueWith(p *Process) (T, bool) {
 		}
 		Put(tx, stolen, moved)
 		Put(tx, wp.steals[home], Get(tx, wp.steals[home])+moved)
-	})
+	}))
 	if stolen.Get(p) == 0 {
 		return zero, false
 	}
@@ -336,15 +330,7 @@ func (wp *WorkPool[T]) TryEnqueueKeyed(key uint64, v T) bool {
 func (wp *WorkPool[T]) EnqueueKeyed(ctx context.Context, key uint64, v T) error {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%w: pool full after %d passes: %w", ErrCanceled, attempt-1, err)
-		}
-		if wp.tryEnqueueFrom(p, key, v) {
-			return nil
-		}
-		wp.m.retry.Wait(ctx, attempt)
-	}
+	return wp.m.await(ctx, wp.noun, "full", func() bool { return wp.tryEnqueueFrom(p, key, v) })
 }
 
 // Enqueue submits v, waiting while every shard is full: failed passes
@@ -354,15 +340,7 @@ func (wp *WorkPool[T]) EnqueueKeyed(ctx context.Context, key uint64, v T) error 
 func (wp *WorkPool[T]) Enqueue(ctx context.Context, v T) error {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%w: pool full after %d passes: %w", ErrCanceled, attempt-1, err)
-		}
-		if wp.tryEnqueueWith(p, v) {
-			return nil
-		}
-		wp.m.retry.Wait(ctx, attempt)
-	}
+	return wp.m.await(ctx, wp.noun, "full", func() bool { return wp.tryEnqueueFrom(p, wp.rr.Add(1)-1, v) })
 }
 
 // Dequeue pops an element, waiting while the pool is empty under the
@@ -370,16 +348,12 @@ func (wp *WorkPool[T]) Enqueue(ctx context.Context, v T) error {
 func (wp *WorkPool[T]) Dequeue(ctx context.Context) (T, error) {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			var zero T
-			return zero, fmt.Errorf("%w: pool empty after %d passes: %w", ErrCanceled, attempt-1, err)
-		}
-		if v, ok := wp.tryDequeueWith(p); ok {
-			return v, nil
-		}
-		wp.m.retry.Wait(ctx, attempt)
-	}
+	var v T
+	err := wp.m.await(ctx, wp.noun, "empty", func() (ok bool) {
+		v, ok = wp.tryDequeueWith(p)
+		return ok
+	})
+	return v, err
 }
 
 // EnqueueBatch submits vs, amortizing lock acquisitions: elements are
@@ -391,57 +365,59 @@ func (wp *WorkPool[T]) Dequeue(ctx context.Context) (T, error) {
 // returns the number of elements enqueued, which is len(vs) unless ctx
 // was done first.
 func (wp *WorkPool[T]) EnqueueBatch(ctx context.Context, vs []T) (int, error) {
-	items := append([]T(nil), vs...) // bodies must not capture caller-owned memory
+	// Critical-section bodies must capture only data that stays
+	// immutable even after the call returns — a straggling helper may
+	// still be re-executing a body — so snapshot the caller's slice.
+	items := append([]T(nil), vs...)
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
 	done := 0
-	attempt := 0
 	for done < len(items) {
-		attempt++
-		if err := ctx.Err(); err != nil {
-			return done, fmt.Errorf("%w: %d of %d enqueued: %w", ErrCanceled, done, len(items), err)
-		}
-		chunk := items[done:]
-		if len(chunk) > wp.batch {
-			chunk = chunk[:wp.batch]
-		}
-		moved := 0
-		start := wp.rr.Add(1) - 1
-		for j := 0; j < len(wp.rings) && moved == 0; j++ {
-			si := int((start + uint64(j)) & wp.shardMask)
-			ring := &wp.rings[si]
-			n := NewCell(uint64(0))
-			wp.do(p, si, wp.batchBudget, func(tx *Tx) {
-				k := uint64(0)
-				for _, v := range chunk {
-					if !ring.enqOne(tx, v) {
-						Put(tx, ring.fulls, Get(tx, ring.fulls)+1)
-						break
-					}
-					k++
-				}
-				Put(tx, n, k)
-			})
-			moved = int(n.Get(p))
-		}
-		done += moved
-		if moved == 0 {
-			wp.m.retry.Wait(ctx, attempt)
-		} else {
-			attempt = 0
+		chunk := items[done:min(done+wp.batch, len(items))]
+		err := wp.m.await(ctx, wp.noun, "full", func() bool {
+			moved := 0
+			start := wp.rr.Add(1) - 1
+			for j := 0; j < len(wp.rings) && moved == 0; j++ {
+				moved = wp.enqueueChunk(p, int((start+uint64(j))&wp.shardMask), chunk)
+			}
+			done += moved
+			return moved > 0
+		})
+		if err != nil {
+			return done, fmt.Errorf("%d of %d enqueued: %w", done, len(items), err)
 		}
 	}
 	return done, nil
 }
 
+// enqueueChunk appends as much of chunk as fits to shard si in one
+// critical section and returns the number of elements moved.
+func (wp *WorkPool[T]) enqueueChunk(p *Process, si int, chunk []T) int {
+	ring := &wp.rings[si]
+	n := NewCell(uint64(0))
+	wp.m.run(context.Background(), p, wp.locks[si:si+1], wp.batchBudget, txFrame(func(tx *Tx) {
+		k := uint64(0)
+		for _, v := range chunk {
+			if !ring.enqOne(tx, v) {
+				Put(tx, ring.fulls, Get(tx, ring.fulls)+1)
+				break
+			}
+			k++
+		}
+		Put(tx, n, k)
+	}))
+	return int(n.Get(p))
+}
+
 // DequeueBatch pops up to max elements, waiting only until the first
 // is available: shards are scanned in round-robin order and drained in
-// WithPoolBatch-sized atomic chunks until the scan comes up empty or
-// max is reached. The scan visits every shard, so the batch path needs
-// no steal. Elements within one chunk preserve their shard's FIFO
-// order; chunks from different shards interleave (relaxed FIFO). It
-// returns an error wrapping ErrCanceled — with whatever was dequeued —
-// once ctx is done while still empty-handed.
+// WithPoolBatch-sized atomic chunks until max is reached or a pass
+// finds every shard it probes short of a full chunk — the pool was
+// empty at those instants, so the drain ends without re-probing. The
+// scan visits every shard, so the batch path needs no steal. Elements
+// within one chunk preserve their shard's FIFO order; chunks from
+// different shards interleave (relaxed FIFO). It returns an error
+// wrapping ErrCanceled once ctx is done while still empty-handed.
 func (wp *WorkPool[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 	if max <= 0 {
 		return nil, nil
@@ -449,53 +425,49 @@ func (wp *WorkPool[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
 	var got []T
-	attempt := 0
-	for len(got) < max {
-		attempt++
-		if err := ctx.Err(); err != nil {
-			return got, fmt.Errorf("%w: %d of %d dequeued: %w", ErrCanceled, len(got), max, err)
+	err := wp.m.await(ctx, wp.noun, "empty", func() bool {
+		for len(got) < max {
+			fullChunk := false
+			start := wp.dq.Add(1) - 1
+			for j := 0; j < len(wp.rings) && len(got) < max; j++ {
+				want := min(max-len(got), wp.batch)
+				before := len(got)
+				got = wp.dequeueChunk(p, int((start+uint64(j))&wp.shardMask), want, got)
+				fullChunk = fullChunk || len(got)-before == want
+			}
+			if !fullChunk {
+				break
+			}
 		}
-		movedThisPass := 0
-		start := wp.dq.Add(1) - 1
-		for j := 0; j < len(wp.rings) && len(got) < max; j++ {
-			si := int((start + uint64(j)) & wp.shardMask)
-			ring := &wp.rings[si]
-			want := max - len(got)
-			if want > wp.batch {
-				want = wp.batch
-			}
-			outs := make([]*Cell[T], want)
-			for i := range outs {
-				outs[i] = newResultCell(ring.vc)
-			}
-			n := NewCell(uint64(0))
-			wp.do(p, si, wp.batchBudget, func(tx *Tx) {
-				k := uint64(0)
-				for i := 0; i < want; i++ {
-					if !ring.deqOne(tx, outs[i]) {
-						Put(tx, ring.empties, Get(tx, ring.empties)+1)
-						break
-					}
-					k++
-				}
-				Put(tx, n, k)
-			})
-			moved := int(n.Get(p))
-			for i := 0; i < moved; i++ {
-				got = append(got, outs[i].Get(p))
-			}
-			movedThisPass += moved
-		}
-		if movedThisPass == 0 {
-			if len(got) > 0 {
-				return got, nil
-			}
-			wp.m.retry.Wait(ctx, attempt)
-		} else {
-			attempt = 0
-		}
+		return len(got) > 0
+	})
+	return got, err
+}
+
+// dequeueChunk pops up to want elements from shard si in one critical
+// section and returns got with them appended.
+func (wp *WorkPool[T]) dequeueChunk(p *Process, si, want int, got []T) []T {
+	ring := &wp.rings[si]
+	outs := make([]*Cell[T], want)
+	for i := range outs {
+		outs[i] = newResultCell(ring.vc)
 	}
-	return got, nil
+	n := NewCell(uint64(0))
+	wp.m.run(context.Background(), p, wp.locks[si:si+1], wp.batchBudget, txFrame(func(tx *Tx) {
+		k := uint64(0)
+		for i := 0; i < want; i++ {
+			if !ring.deqOne(tx, outs[i]) {
+				Put(tx, ring.empties, Get(tx, ring.empties)+1)
+				break
+			}
+			k++
+		}
+		Put(tx, n, k)
+	}))
+	for _, out := range outs[:n.Get(p)] {
+		got = append(got, out.Get(p))
+	}
+	return got
 }
 
 // Len reports the number of pooled elements: the sum of the shards'

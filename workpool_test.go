@@ -98,11 +98,13 @@ func TestWorkPoolSteal(t *testing.T) {
 	p := m.Acquire()
 	ring0 := &wp.rings[0]
 	for v := uint64(1); v <= 6; v++ {
-		wp.do(p, 0, wp.opBudget, func(tx *Tx) {
+		if _, err := m.Lock(p, wp.locks[:1], wp.opBudget, func(tx *Tx) {
 			if !ring0.enqOne(tx, v) {
 				t.Errorf("plant %d failed", v)
 			}
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m.Release(p)
 	wp.dq.Store(1) // next TryDequeue homes on shard 1
