@@ -5,13 +5,14 @@
 //
 // Usage:
 //
-//	go test -bench 'Do|Map' -benchtime=500x -count=5 . | benchjson -out BENCH_PR.json
+//	go test -bench 'Do|Map' -benchmem -benchtime=500x -count=5 . | benchjson -out BENCH_PR.json
 //	benchjson -in bench.out -baseline BENCH_main.json      # print a diff table
 //	benchjson -in bench.out -baseline BENCH_main.json -max-regress 50
 //
 // With -count > 1 each benchmark appears several times; benchjson
 // aggregates to the mean and records the sample count. With -baseline
-// it prints a per-benchmark delta table instead of JSON and, when
+// it prints a per-benchmark table instead of JSON — ns/op with its
+// delta, B/op and allocs/op, each beside the baseline's — and, when
 // -max-regress is positive, exits 1 if any ns/op regression exceeds
 // that percentage.
 package main
@@ -29,11 +30,13 @@ import (
 	"strings"
 )
 
-// Result is one benchmark's aggregated numbers.
+// Result is one benchmark's aggregated numbers. The memory columns are
+// always written: the bench job runs with -benchmem, so a zero is a
+// measured zero.
 type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
-	BPerOp      float64 `json:"b_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	BPerOp      float64 `json:"b_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 	Samples     int     `json:"samples"`
 }
 
@@ -46,10 +49,13 @@ type Snapshot struct {
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
-// benchLine matches one result line of `go test -bench` output:
-// name, iterations, ns/op, and optionally B/op and allocs/op.
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+// benchLine matches one result line of `go test -bench` output up to
+// ns/op; memCols finds the -benchmem columns wherever they follow (a
+// benchmark's own metrics, such as hitrate, are printed before them).
+var (
+	benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op`)
+	memCols   = regexp.MustCompile(`\s([\d.]+) B/op\s+([\d.]+) allocs/op`)
+)
 
 // procSuffix is the `-N` GOMAXPROCS suffix Go appends to benchmark
 // names. It is stripped so snapshots from machines with different core
@@ -96,13 +102,11 @@ func Parse(r io.Reader) (*Snapshot, error) {
 				return nil, fmt.Errorf("benchjson: bad ns/op in %q: %w", line, err)
 			}
 			a.ns += ns
-			if mm[3] != "" {
-				v, _ := strconv.ParseFloat(mm[3], 64)
-				a.b += v
-			}
-			if mm[4] != "" {
-				v, _ := strconv.ParseFloat(mm[4], 64)
-				a.allocs += v
+			if mem := memCols.FindStringSubmatch(line); mem != nil {
+				b, _ := strconv.ParseFloat(mem[1], 64)
+				allocs, _ := strconv.ParseFloat(mem[2], 64)
+				a.b += b
+				a.allocs += allocs
 			}
 			a.n++
 		}
@@ -125,8 +129,9 @@ func Parse(r io.Reader) (*Snapshot, error) {
 	return snap, nil
 }
 
-// Diff renders a baseline-vs-current table and returns the worst ns/op
-// regression in percent (negative means everything got faster).
+// Diff renders a baseline-vs-current table (time, bytes and allocations
+// per op) and returns the worst ns/op regression in percent (negative
+// means everything got faster).
 func Diff(w io.Writer, baseline, current *Snapshot) float64 {
 	names := make([]string, 0, len(current.Benchmarks))
 	for name := range current.Benchmarks {
@@ -135,12 +140,14 @@ func Diff(w io.Writer, baseline, current *Snapshot) float64 {
 	sort.Strings(names)
 	worst := 0.0
 	first := true
-	fmt.Fprintf(w, "%-40s %14s %14s %9s\n", "benchmark", "base ns/op", "ns/op", "delta")
+	fmt.Fprintf(w, "%-40s %14s %14s %9s %12s %12s %11s %11s\n", "benchmark",
+		"base ns/op", "ns/op", "delta", "base B/op", "B/op", "base allocs", "allocs/op")
 	for _, name := range names {
 		cur := current.Benchmarks[name]
 		base, ok := baseline.Benchmarks[name]
 		if !ok || base.NsPerOp == 0 {
-			fmt.Fprintf(w, "%-40s %14s %14.1f %9s\n", name, "-", cur.NsPerOp, "new")
+			fmt.Fprintf(w, "%-40s %14s %14.1f %9s %12s %12.0f %11s %11.1f\n",
+				name, "-", cur.NsPerOp, "new", "-", cur.BPerOp, "-", cur.AllocsPerOp)
 			continue
 		}
 		delta := (cur.NsPerOp - base.NsPerOp) / base.NsPerOp * 100
@@ -148,7 +155,8 @@ func Diff(w io.Writer, baseline, current *Snapshot) float64 {
 			worst = delta
 			first = false
 		}
-		fmt.Fprintf(w, "%-40s %14.1f %14.1f %+8.1f%%\n", name, base.NsPerOp, cur.NsPerOp, delta)
+		fmt.Fprintf(w, "%-40s %14.1f %14.1f %+8.1f%% %12.0f %12.0f %11.1f %11.1f\n",
+			name, base.NsPerOp, cur.NsPerOp, delta, base.BPerOp, cur.BPerOp, base.AllocsPerOp, cur.AllocsPerOp)
 	}
 	return worst
 }

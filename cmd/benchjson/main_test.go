@@ -13,6 +13,7 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkDoUncontended-8         	   10000	      1000 ns/op	      48 B/op	       1 allocs/op
 BenchmarkDoUncontended-8         	   10000	      3000 ns/op	      48 B/op	       3 allocs/op
 BenchmarkMap/wfmap/shards=8-8    	     500	    141283 ns/op	    1763 B/op	      46 allocs/op
+BenchmarkCache/cache:zipf-8      	     300	      3662 ns/op	         0.9312 hitrate	     736 B/op	      11 allocs/op
 BenchmarkE3Philosophers-8        	       1	 123456789 ns/op
 PASS
 ok  	wflocks	1.224s
@@ -26,8 +27,8 @@ func TestParse(t *testing.T) {
 	if snap.Goos != "linux" || snap.Goarch != "amd64" || snap.Pkg != "wflocks" {
 		t.Fatalf("header = %q/%q/%q", snap.Goos, snap.Goarch, snap.Pkg)
 	}
-	if len(snap.Benchmarks) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3", len(snap.Benchmarks))
+	if len(snap.Benchmarks) != 4 {
+		t.Fatalf("parsed %d benchmarks, want 4", len(snap.Benchmarks))
 	}
 	// Repeated samples average; the GOMAXPROCS suffix is stripped so
 	// baselines from machines with different core counts still match.
@@ -39,6 +40,11 @@ func TestParse(t *testing.T) {
 	mp := snap.Benchmarks["Map/wfmap/shards=8"]
 	if mp.Samples != 1 || mp.NsPerOp != 141283 {
 		t.Fatalf("Map = %+v", mp)
+	}
+	// A metric the benchmark reports itself sits between ns/op and the
+	// memory columns and must not hide them.
+	if c := snap.Benchmarks["Cache/cache:zipf"]; c.NsPerOp != 3662 || c.BPerOp != 736 || c.AllocsPerOp != 11 {
+		t.Fatalf("Cache = %+v", c)
 	}
 	// Lines without allocs still parse.
 	e3 := snap.Benchmarks["E3Philosophers"]
@@ -55,13 +61,13 @@ func TestParseRejectsEmptyInput(t *testing.T) {
 
 func TestDiff(t *testing.T) {
 	base := &Snapshot{Benchmarks: map[string]Result{
-		"A-8": {NsPerOp: 100},
+		"A-8": {NsPerOp: 100, BPerOp: 16504, AllocsPerOp: 27},
 		"B-8": {NsPerOp: 200},
 	}}
 	cur := &Snapshot{Benchmarks: map[string]Result{
-		"A-8": {NsPerOp: 150}, // +50%
-		"B-8": {NsPerOp: 100}, // -50%
-		"C-8": {NsPerOp: 10},  // new, no baseline
+		"A-8": {NsPerOp: 150, BPerOp: 1328, AllocsPerOp: 26}, // +50%
+		"B-8": {NsPerOp: 100},                                // -50%
+		"C-8": {NsPerOp: 10},                                 // new, no baseline
 	}}
 	var sb strings.Builder
 	worst := Diff(&sb, base, cur)
@@ -69,7 +75,7 @@ func TestDiff(t *testing.T) {
 		t.Fatalf("worst regression = %v, want 50", worst)
 	}
 	out := sb.String()
-	for _, want := range []string{"A-8", "+50.0%", "-50.0%", "new"} {
+	for _, want := range []string{"A-8", "+50.0%", "-50.0%", "new", "B/op", "allocs/op", "16504", "1328", "27.0", "26.0"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("diff table missing %q:\n%s", want, out)
 		}

@@ -228,6 +228,15 @@
 // size is not — batches trade per-item acquisition overhead against a
 // longer T that every attempt's delays scale with.
 //
+// What T prices is steps, not bytes. It sets the delay schedule, and it
+// is where a body that runs past its budget panics; it is not a memory
+// size. An attempt's response log starts at 16 slots and grows only as
+// far as the body actually runs, so a lookup that touches ten cells
+// costs the same memory under a 2000-operation full-probe budget as
+// under a 64-operation one. Over-sizing a shard, or rounding T up to be
+// safe, lengthens the delays that scale with T but allocates nothing
+// more per operation.
+//
 // # Errors and observability
 //
 // Acquisitions validate their arguments and return typed sentinel

@@ -57,8 +57,13 @@ type Slices[T any] struct {
 	n     int
 }
 
-// sliceChunk is the backing-array length for slice chunks. Requests
-// larger than this fall back to a direct make.
+// sliceChunk is the backing-array length for slice chunks. A request
+// for more than a quarter of it falls back to a direct make, so that a
+// chunk always serves several requests. The callers' steady-state
+// requests are far below that: lock sets of a few entries, and idem's
+// response-log segments, which start at 16 slots and double only as a
+// body keeps running — the fallback is for the segments past the
+// ~500th operation of a genuinely long body, one allocation each.
 const sliceChunk = 1024
 
 // Make returns a fresh zeroed slice of length n whose backing memory

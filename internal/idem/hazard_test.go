@@ -13,15 +13,43 @@ import (
 // comment's construction notes). They complement the randomized
 // appears-once tests with adversarially shaped schedules.
 
+// forEachFreeze drives the freeze sweeps of the tests below. pad is how
+// many reads of a private cell precede the hazard operation: none, or
+// enough to put it in the response log's second (ops 16-47) and third
+// (48-111) segment, so the sweeps also stop a run in the middle of
+// installing or adopting a segment. freezeAt covers every count of its
+// own steps after which a run of padded(pad, op) can be frozen while
+// still inside the body: a padding read takes at most 4 steps, a
+// segment crossing 3, the hazard operation itself under 10.
+func forEachFreeze(f func(pad int, freezeAt uint64)) {
+	for _, pad := range []int{0, 20, 50} {
+		for freezeAt := uint64(1); freezeAt <= uint64(4*pad+20); freezeAt++ {
+			f(pad, freezeAt)
+		}
+	}
+}
+
+// padded returns a body that performs pad reads of a fresh cell, then
+// op.
+func padded(pad int, op func(r *Run)) Body {
+	private := NewCell(0)
+	return func(r *Run) {
+		for k := 0; k < pad; k++ {
+			r.Read(private)
+		}
+		op(r)
+	}
+}
+
 // TestLateHelperDoesNotReapply: a helper frozen mid-operation must not
 // re-apply the operation's effect after the thunk finished and the
 // cell moved on — the classic stale-write hazard.
 func TestLateHelperDoesNotReapply(t *testing.T) {
-	for _, freezeAt := range []uint64{1, 2, 3, 4, 5, 6, 8, 10, 15, 20} {
+	forEachFreeze(func(pad int, freezeAt uint64) {
 		c := NewCell(0)
-		x := NewExec(func(r *Run) {
+		x := NewExec(padded(pad, func(r *Run) {
 			r.CAS(c, 0, 1)
-		}, 1)
+		}), pad+1)
 		// Process 0: helper that gets frozen mid-protocol at freezeAt of
 		// its own steps, waking only much later.
 		// Process 1: completes the thunk normally.
@@ -46,16 +74,16 @@ func TestLateHelperDoesNotReapply(t *testing.T) {
 		})
 		err := sim.Run(100_000)
 		if err != nil && !errors.Is(err, sched.ErrStepLimit) {
-			t.Fatalf("freeze@%d: %v", freezeAt, err)
+			t.Fatalf("pad %d freeze@%d: %v", pad, freezeAt, err)
 		}
 		if !resetDone {
-			t.Fatalf("freeze@%d: resetter never ran", freezeAt)
+			t.Fatalf("pad %d freeze@%d: resetter never ran", pad, freezeAt)
 		}
 		e := env.NewNative(99, 1)
 		if got := c.Load(e); got != 0 {
-			t.Fatalf("freeze@%d: cell = %d after reset — a late helper re-applied the CAS", freezeAt, got)
+			t.Fatalf("pad %d freeze@%d: cell = %d after reset — a late helper re-applied the CAS", pad, freezeAt, got)
 		}
-	}
+	})
 }
 
 // TestFrozenInstallerResolvedByOthers: if the process that installed an
@@ -63,11 +91,11 @@ func TestLateHelperDoesNotReapply(t *testing.T) {
 // touching the cell must complete the resolution (non-blocking
 // helping), so the cell never stays wedged on a descriptor.
 func TestFrozenInstallerResolvedByOthers(t *testing.T) {
-	for freezeAt := uint64(1); freezeAt <= 12; freezeAt++ {
+	forEachFreeze(func(pad int, freezeAt uint64) {
 		c := NewCell(5)
-		x := NewExec(func(r *Run) {
+		x := NewExec(padded(pad, func(r *Run) {
 			r.Write(c, 9)
-		}, 1)
+		}), pad+1)
 		schedule := &sched.Stalling{
 			Base:    sched.RoundRobin{N: 2},
 			Windows: []sched.StallWindow{{Pid: 0, From: 2 * freezeAt, To: ^uint64(0), Redirected: 1}},
@@ -77,19 +105,20 @@ func TestFrozenInstallerResolvedByOthers(t *testing.T) {
 		var observed uint64
 		sim.Spawn(func(e env.Env) {
 			// A plain reader: must always get a value, never hang on an
-			// unresolved descriptor, and the value must be 5 or 9.
-			for k := 0; k < 50; k++ {
+			// unresolved descriptor, and the value must be 5 or 9. It
+			// keeps reading for 50 loads after the freeze.
+			for k := uint64(0); k < freezeAt+50; k++ {
 				observed = c.Load(e)
 				if observed != 5 && observed != 9 {
-					t.Errorf("freeze@%d: impossible value %d", freezeAt, observed)
+					t.Errorf("pad %d freeze@%d: impossible value %d", pad, freezeAt, observed)
 				}
 			}
 		})
 		err := sim.Run(100_000)
 		if err != nil && !errors.Is(err, sched.ErrStepLimit) {
-			t.Fatalf("freeze@%d: %v", freezeAt, err)
+			t.Fatalf("pad %d freeze@%d: %v", pad, freezeAt, err)
 		}
-	}
+	})
 }
 
 // TestTwoThunksCASSameOld: two distinct thunks CASing from the same

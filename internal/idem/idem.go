@@ -16,9 +16,23 @@
 // memory operations, so every run issues the same operation sequence;
 // the i-th operation of any run is "operation i". Each Exec (one
 // logical thunk execution, possibly run by many helpers) carries a
-// response log with one slot per operation. The log slot is the
-// canonical outcome of the operation: the first run to fill it decides,
-// and every other run adopts the logged response instead of its own.
+// response log with one slot per operation performed. The log slot is
+// the canonical outcome of the operation: the first run to fill it
+// decides, and every other run adopts the logged response instead of
+// its own.
+//
+// The log grows on demand, so an execution pays for the operations it
+// performs and not for its budget (the T bound is a step count, not a
+// memory size). It is a chain of segments: the first holds
+// min(maxOps, 16) slots and is created with the Exec; each further one
+// is twice the size of its predecessor (clamped to what is left of
+// maxOps) and is installed by the first run to cross the boundary with
+// one CAS on the predecessor's next pointer. Losers of that CAS adopt
+// the winner's segment, so all runs agree on the slot of operation i,
+// and a segment, like every other published object here, is never
+// recycled. Each run keeps a cursor into the chain, and an installed
+// descriptor carries the address of its slot, so finding a slot is
+// O(1) for the run and for whoever resolves the descriptor.
 //
 // Shared cells always hold immutable boxed values. Effectful
 // operations (Write, CAS) never mutate a cell directly; they install a
@@ -77,7 +91,12 @@ type arenas struct {
 	cells arena.Arena[Cell]
 	execs arena.Arena[Exec]
 	runs  arena.Arena[Run]
-	logs  arena.Slices[atomic.Pointer[response]]
+	segs  arena.Arena[logSeg]
+	// logs backs the segments' slots. Segments double from firstSegOps,
+	// so only the sixth and later ones (a run past ~500 operations)
+	// exceed what arena.Slices carves from a chunk and take its direct
+	// make: one heap allocation per several hundred operations.
+	logs arena.Slices[atomic.Pointer[response]]
 }
 
 // arenasOf returns e's idem arenas, creating them on first use, or nil
@@ -115,13 +134,32 @@ func (a *arenas) newResp(kind opKind, c *Cell, val uint64, by *opDesc) *response
 	return r
 }
 
-func (a *arenas) newDesc(x *Exec, op int, kind opKind, newVal uint64, prev *box) *opDesc {
+func (a *arenas) newDesc(slot *atomic.Pointer[response], kind opKind, newVal uint64, prev *box) *opDesc {
 	if a == nil {
-		return &opDesc{exec: x, op: op, kind: kind, newVal: newVal, prev: prev}
+		return &opDesc{slot: slot, kind: kind, newVal: newVal, prev: prev}
 	}
 	d := a.descs.New()
-	d.exec, d.op, d.kind, d.newVal, d.prev = x, op, kind, newVal, prev
+	d.slot, d.kind, d.newVal, d.prev = slot, kind, newVal, prev
 	return d
+}
+
+// makeSlots returns n fresh empty log slots.
+func (a *arenas) makeSlots(n int) []atomic.Pointer[response] {
+	if a == nil {
+		return make([]atomic.Pointer[response], n)
+	}
+	return a.logs.Make(n)
+}
+
+func (a *arenas) newSeg(n int) *logSeg {
+	var s *logSeg
+	if a == nil {
+		s = &logSeg{}
+	} else {
+		s = a.segs.New()
+	}
+	s.slots = a.makeSlots(n)
+	return s
 }
 
 // opKind identifies the kind of a simulated shared-memory operation.
@@ -155,10 +193,9 @@ type box struct {
 }
 
 // opDesc is an installed effectful operation (Write or CAS success
-// path) of one Exec.
+// path) of one Exec, identified by its slot in that Exec's log.
 type opDesc struct {
-	exec   *Exec
-	op     int
+	slot   *atomic.Pointer[response]
 	kind   opKind
 	newVal uint64
 	prev   *box // box displaced by the installation, for undo
@@ -277,17 +314,30 @@ type Thunk interface {
 type Exec struct {
 	body     Body
 	thunk    Thunk
-	log      []atomic.Pointer[response]
+	maxOps   int
+	log      logSeg // first segment of the response log
 	finished atomic.Bool
 }
+
+// logSeg is one segment of an Exec's response log: the slots of a
+// contiguous range of operations and the segment holding the next
+// range, nil until some run needs it.
+type logSeg struct {
+	slots []atomic.Pointer[response]
+	next  atomic.Pointer[logSeg]
+}
+
+// firstSegOps is the size of a log's first segment. The structures'
+// common bodies perform 4 to 50 operations, so most runs stay within
+// the first segment or the second.
+const firstSegOps = 16
 
 // NewExec creates an execution of body that performs at most maxOps
 // shared-memory operations (the paper's T bound).
 func NewExec(body Body, maxOps int) *Exec {
-	if maxOps < 0 {
-		panic("idem: negative maxOps")
-	}
-	return &Exec{body: body, log: make([]atomic.Pointer[response], maxOps)}
+	x := newExec(nil, maxOps)
+	x.body = body
+	return x
 }
 
 // NewExecIn creates an execution of frame t performing at most maxOps
@@ -296,17 +346,25 @@ func NewExec(body Body, maxOps int) *Exec {
 // helpers and read at unbounded staleness, so they are never recycled;
 // the arena only amortizes their allocation.
 func NewExecIn(e env.Env, t Thunk, maxOps int) *Exec {
+	x := newExec(arenasOf(e), maxOps)
+	x.thunk = t
+	return x
+}
+
+// newExec returns a fresh Exec with its budget and first log segment
+// set, from a when non-nil.
+func newExec(a *arenas, maxOps int) *Exec {
 	if maxOps < 0 {
 		panic("idem: negative maxOps")
 	}
-	a := arenasOf(e)
+	var x *Exec
 	if a == nil {
-		return &Exec{thunk: t, log: make([]atomic.Pointer[response], maxOps)}
+		x = &Exec{}
+	} else {
+		x = a.execs.New()
 	}
-	x := a.execs.New()
-	x.body, x.thunk = nil, t
-	x.log = a.logs.Make(maxOps)
-	x.finished.Store(false)
+	x.maxOps = maxOps
+	x.log.slots = a.makeSlots(min(maxOps, firstSegOps))
 	return x
 }
 
@@ -317,10 +375,10 @@ func (x *Exec) Execute(e env.Env) {
 	a := arenasOf(e)
 	var r *Run
 	if a == nil {
-		r = &Run{e: e, x: x}
+		r = &Run{e: e, x: x, seg: &x.log}
 	} else {
 		r = a.runs.New()
-		*r = Run{e: e, x: x, ar: a}
+		*r = Run{e: e, x: x, ar: a, seg: &x.log}
 	}
 	if x.thunk != nil {
 		x.thunk.RunThunk(r)
@@ -333,33 +391,59 @@ func (x *Exec) Execute(e env.Env) {
 // Finished reports whether some run of the thunk has completed.
 func (x *Exec) Finished() bool { return x.finished.Load() }
 
-// Run is one process's run of an Exec; it carries the op cursor. It is
+// Run is one process's run of an Exec; it carries the op cursor: the
+// index of the next operation and where its slot is in the log. It is
 // created by Execute and passed to the Body.
 type Run struct {
 	e    env.Env
 	x    *Exec
 	ar   *arenas
 	next int
+	seg  *logSeg // segment holding op next's slot, or the one before it
+	off  int     // of that slot within seg; len(seg.slots) when seg is used up
 }
 
 // Env exposes the environment, e.g. for step accounting of private
 // work inside the body.
 func (r *Run) Env() env.Env { return r.e }
 
-// logged returns the canonical response for op i if decided.
-func (r *Run) logged(i int) *response {
+// logged returns the canonical response in slot s if decided.
+func (r *Run) logged(s *atomic.Pointer[response]) *response {
 	r.e.Step()
-	return r.x.log[i].Load()
+	return s.Load()
 }
 
-// slot bounds-checks and claims the next op index.
-func (r *Run) slot() int {
+// slot bounds-checks and claims the next op index, returning it with
+// its log slot.
+func (r *Run) slot() (int, *atomic.Pointer[response]) {
 	i := r.next
-	if i >= len(r.x.log) {
-		panic(fmt.Sprintf("idem: thunk exceeded maxOps=%d", len(r.x.log)))
+	if i >= r.x.maxOps {
+		panic(fmt.Sprintf("idem: thunk exceeded maxOps=%d", r.x.maxOps))
 	}
+	if r.off == len(r.seg.slots) {
+		r.nextSeg()
+	}
+	s := &r.seg.slots[r.off]
 	r.next++
-	return i
+	r.off++
+	return i, s
+}
+
+// nextSeg moves the cursor from a used-up segment to its successor,
+// installing one if no run has yet. Every run computes the same size
+// for it, so it does not matter whose installation wins.
+func (r *Run) nextSeg() {
+	seg := r.seg
+	r.e.Step()
+	next := seg.next.Load()
+	if next == nil {
+		fresh := r.ar.newSeg(min(2*len(seg.slots), r.x.maxOps-r.next))
+		r.e.Step()
+		seg.next.CompareAndSwap(nil, fresh)
+		r.e.Step()
+		next = seg.next.Load()
+	}
+	r.seg, r.off = next, 0
 }
 
 // validate panics if a replayed response disagrees with the op being
@@ -375,9 +459,9 @@ func validate(resp *response, kind opKind, c *Cell, i int) {
 // Read performs an idempotent read of c: all runs of the thunk observe
 // the same (first-logged) value.
 func (r *Run) Read(c *Cell) uint64 {
-	i := r.slot()
+	i, s := r.slot()
 	for {
-		if resp := r.logged(i); resp != nil {
+		if resp := r.logged(s); resp != nil {
 			validate(resp, opRead, c, i)
 			return resp.val
 		}
@@ -388,8 +472,8 @@ func (r *Run) Read(c *Cell) uint64 {
 			continue
 		}
 		r.e.Step()
-		r.x.log[i].CompareAndSwap(nil, r.ar.newResp(opRead, c, b.val, nil))
-		resp := r.logged(i)
+		s.CompareAndSwap(nil, r.ar.newResp(opRead, c, b.val, nil))
+		resp := r.logged(s)
 		validate(resp, opRead, c, i)
 		return resp.val
 	}
@@ -398,9 +482,9 @@ func (r *Run) Read(c *Cell) uint64 {
 // Write performs an idempotent write of v to c: the write takes effect
 // exactly once no matter how many runs execute it.
 func (r *Run) Write(c *Cell, v uint64) {
-	i := r.slot()
+	i, s := r.slot()
 	for {
-		if resp := r.logged(i); resp != nil {
+		if resp := r.logged(s); resp != nil {
 			validate(resp, opWrite, c, i)
 			return
 		}
@@ -410,7 +494,7 @@ func (r *Run) Write(c *Cell, v uint64) {
 			resolve(r.e, c, b)
 			continue
 		}
-		d := r.ar.newDesc(r.x, i, opWrite, v, b)
+		d := r.ar.newDesc(s, opWrite, v, b)
 		db := r.ar.newBox(0, d)
 		r.e.Step()
 		if c.p.CompareAndSwap(b, db) {
@@ -424,9 +508,9 @@ func (r *Run) Write(c *Cell, v uint64) {
 // failure is decided once (by the canonical log) and its effect applies
 // at most once.
 func (r *Run) CAS(c *Cell, old, new uint64) bool {
-	i := r.slot()
+	i, s := r.slot()
 	for {
-		if resp := r.logged(i); resp != nil {
+		if resp := r.logged(s); resp != nil {
 			validate(resp, opCAS, c, i)
 			return resp.val == 1
 		}
@@ -440,17 +524,17 @@ func (r *Run) CAS(c *Cell, old, new uint64) bool {
 			// Observed a conflicting value: the op fails, linearized at
 			// this load — unless another run already decided otherwise.
 			r.e.Step()
-			r.x.log[i].CompareAndSwap(nil, r.ar.newResp(opCAS, c, 0, nil))
-			resp := r.logged(i)
+			s.CompareAndSwap(nil, r.ar.newResp(opCAS, c, 0, nil))
+			resp := r.logged(s)
 			validate(resp, opCAS, c, i)
 			return resp.val == 1
 		}
-		d := r.ar.newDesc(r.x, i, opCAS, new, b)
+		d := r.ar.newDesc(s, opCAS, new, b)
 		db := r.ar.newBox(0, d)
 		r.e.Step()
 		if c.p.CompareAndSwap(b, db) {
 			resolve(r.e, c, db)
-			resp := r.logged(i)
+			resp := r.logged(s)
 			validate(resp, opCAS, c, i)
 			return resp.val == 1
 		}
@@ -465,7 +549,7 @@ func (r *Run) CAS(c *Cell, old, new uint64) bool {
 func resolve(e env.Env, c *Cell, db *box) {
 	a := arenasOf(e)
 	d := db.desc
-	slot := &d.exec.log[d.op]
+	slot := d.slot
 	e.Step()
 	slot.CompareAndSwap(nil, a.newResp(d.kind, c, 1, d))
 	e.Step()

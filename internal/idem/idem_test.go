@@ -1,6 +1,8 @@
 package idem
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -210,42 +212,110 @@ func TestRacingThunksOnSharedCell(t *testing.T) {
 	}
 }
 
-func TestExceedMaxOpsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on op overflow")
+// TestMaxOpsBudget: a body of exactly maxOps operations runs, and
+// operation maxOps+1 panics, wherever the budget falls relative to the
+// log's segment boundaries (16, 16+32, ...).
+func TestMaxOpsBudget(t *testing.T) {
+	for _, maxOps := range []int{1, 15, 16, 17, 48, 49, 300} {
+		e := env.NewNative(0, 1)
+		ctr := NewCell(0)
+		incs := func(n int) Body {
+			return func(r *Run) {
+				for k := 0; k < n; k++ {
+					r.CAS(ctr, uint64(k), uint64(k+1))
+				}
+			}
 		}
-	}()
-	e := env.NewNative(0, 1)
-	c := NewCell(0)
-	x := NewExec(func(r *Run) {
-		r.Read(c)
-		r.Read(c)
-	}, 1)
-	x.Execute(e)
+		NewExec(incs(maxOps), maxOps).Execute(e)
+		if got := ctr.Load(e); got != uint64(maxOps) {
+			t.Fatalf("maxOps=%d: %d of %d budgeted operations took effect", maxOps, got, maxOps)
+		}
+		ctr.Store(e, 0)
+		func() {
+			defer func() {
+				want := fmt.Sprintf("idem: thunk exceeded maxOps=%d", maxOps)
+				if got := recover(); got != want {
+					t.Fatalf("maxOps=%d: operation %d panicked with %v, want %q", maxOps, maxOps+1, got, want)
+				}
+			}()
+			NewExec(incs(maxOps+1), maxOps).Execute(e)
+		}()
+		if got := ctr.Load(e); got != uint64(maxOps) {
+			t.Fatalf("maxOps=%d: %d operations took effect before the overflow panic", maxOps, got)
+		}
+	}
+}
+
+// TestLongThunkConcurrentHelpers: 8 goroutines run one 200-operation
+// thunk at once, so every run crosses the log's segment boundaries at
+// 16, 48 and 112 while others install, adopt or are already past them.
+// The effects must be those of one run and every run must have adopted
+// the same responses. Run under -race this is also the check that a
+// segment is published before anyone indexes it.
+func TestLongThunkConcurrentHelpers(t *testing.T) {
+	const helpers, incs = 8, 100
+	for round := 0; round < 20; round++ {
+		ctr := NewCell(0)
+		seen := make([][]uint64, helpers)
+		x := NewExec(func(r *Run) {
+			vals := make([]uint64, 0, incs)
+			for k := 0; k < incs; k++ {
+				v := r.Read(ctr)
+				r.Write(ctr, v+1)
+				vals = append(vals, v)
+			}
+			seen[r.Env().Pid()] = vals
+		}, 2*incs)
+		var wg sync.WaitGroup
+		for pid := 0; pid < helpers; pid++ {
+			wg.Add(1)
+			go func(pid int) {
+				defer wg.Done()
+				x.Execute(env.NewNative(pid, uint64(round)))
+			}(pid)
+		}
+		wg.Wait()
+		if got := ctr.Load(env.NewNative(99, 1)); got != incs {
+			t.Fatalf("round %d: counter = %d, want %d", round, got, incs)
+		}
+		for pid, vals := range seen {
+			for k, v := range vals {
+				if v != uint64(k) {
+					t.Fatalf("round %d: helper %d adopted %d for read %d, want %d", round, pid, v, k, k)
+				}
+			}
+		}
+	}
 }
 
 func TestNonDeterministicBodyDetected(t *testing.T) {
 	// A body whose op sequence depends on who runs it must be caught by
-	// replay validation.
-	e := env.NewNative(0, 1)
-	a, b := NewCell(0), NewCell(0)
-	first := true
-	x := NewExec(func(r *Run) {
-		if first {
-			first = false
-			r.Read(a)
-		} else {
-			r.Read(b) // diverges: same op index, different cell
-		}
-	}, 2)
-	x.Execute(e)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on divergent replay")
-		}
-	}()
-	x.Execute(e)
+	// replay validation, in the log's first segment and beyond it.
+	for _, at := range []int{0, 20} {
+		e := env.NewNative(0, 1)
+		a, b := NewCell(0), NewCell(0)
+		first := true
+		x := NewExec(func(r *Run) {
+			for k := 0; k < at; k++ {
+				r.Read(a)
+			}
+			if first {
+				first = false
+				r.Read(a)
+			} else {
+				r.Read(b) // diverges: same op index, different cell
+			}
+		}, at+1)
+		x.Execute(e)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic on replay diverging at op %d", at)
+				}
+			}()
+			x.Execute(e)
+		}()
+	}
 }
 
 func TestNewExecPanicsOnNegativeMaxOps(t *testing.T) {

@@ -424,12 +424,7 @@ func TestDoAllocs(t *testing.T) {
 	body := func(tx *Tx) {
 		Put(tx, c, Get(tx, c)+1)
 	}
-	for i := 0; i < 512; i++ {
-		if err := m.Do(locks, 2, body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(400, func() {
+	avg := steadyAllocs(func() {
 		if err := m.Do(locks, 2, body); err != nil {
 			t.Fatal(err)
 		}
@@ -439,37 +434,141 @@ func TestDoAllocs(t *testing.T) {
 	}
 }
 
+// steadyAllocs returns op's average heap allocations per call after
+// arena and pool warm-up.
+func steadyAllocs(op func()) float64 {
+	for i := 0; i < 512; i++ {
+		op()
+	}
+	return testing.AllocsPerRun(400, op)
+}
+
 // TestMapAllocs pins the map hot paths: a steady-state Get (seqlock
-// fast path) and Put (operation frame) on single-word codecs average
-// well under one allocation per call.
+// fast path), Put and Update (operation frames) on single-word codecs
+// average well under one allocation per call — at 16 buckets per shard
+// and at 1024, where the budget (2061 operations) is far beyond what
+// the arena carves from a chunk, so a response log sized by the budget
+// would cost a heap allocation per attempt. A 2-key Atomic still
+// allocates its closure, view and result cells at any size; what is
+// pinned for it is that the budget adds nothing to that.
 func TestMapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
-	m := newManager(t, WithUnknownBounds(4), WithMaxLocks(1),
-		WithMaxCriticalSteps(MapCriticalSteps(64, 1, 1)))
-	mp, err := NewMap[uint64, uint64](m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 512; i++ {
-		if err := mp.Put(uint64(i%64), uint64(i)); err != nil {
+	var atomicAllocs []float64
+	for _, shardCap := range []int{16, 1024} {
+		m := newManager(t, WithUnknownBounds(4), WithMaxLocks(2),
+			WithMaxCriticalSteps(MapAtomicSteps(shardCap, 1, 1, 2)))
+		mp, err := NewMap[uint64, uint64](m, WithShardCapacity(shardCap))
+		if err != nil {
 			t.Fatal(err)
 		}
-		mp.Get(uint64(i % 64))
+		for k := uint64(0); k < 48; k++ {
+			if err := mp.Put(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inc := func(old uint64, _ bool) (uint64, bool) { return old + 1, true }
+		for _, c := range []struct {
+			name string
+			op   func()
+		}{
+			{"Get", func() { mp.Get(42) }},
+			{"Put", func() {
+				if err := mp.Put(42, 7); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"Update", func() {
+				if err := mp.Update(42, inc); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		} {
+			if avg := steadyAllocs(c.op); avg >= 0.5 {
+				t.Errorf("%s at %d buckets per shard averages %.2f allocs/op, want < 0.5", c.name, shardCap, avg)
+			}
+		}
+		keys := []uint64{3, 42}
+		transfer := func(tx *MapTxn[uint64, uint64]) {
+			a, _ := tx.Get(3)
+			b, _ := tx.Get(42)
+			tx.Put(3, a+1)
+			tx.Put(42, b-1)
+		}
+		atomicAllocs = append(atomicAllocs, steadyAllocs(func() {
+			if err := mp.Atomic(keys, transfer); err != nil {
+				t.Fatal(err)
+			}
+		}))
 	}
-	avgGet := testing.AllocsPerRun(400, func() {
-		mp.Get(42)
-	})
-	if avgGet >= 0.5 {
-		t.Fatalf("Get averages %.2f allocs/op, want < 0.5", avgGet)
+	if small, large := atomicAllocs[0], atomicAllocs[1]; large >= small+0.5 {
+		t.Errorf("2-key Atomic averages %.2f allocs/op at 1024 buckets per shard, %.2f at 16: the budget is allocating", large, small)
 	}
-	avgPut := testing.AllocsPerRun(400, func() {
-		if err := mp.Put(42, 7); err != nil {
+}
+
+// TestCacheAllocs is the budget half of that gate for Cache, whose
+// sections are still closures with per-call result cells: a hit and an
+// overwrite on the default cache (128 entries per shard, budget 292,
+// above the arena's slice cut-off) allocate no more than on one with 16
+// entries per shard (budget 68).
+func TestCacheAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	measure := func(capacity int) (get, put float64) {
+		m := newManager(t, WithUnknownBounds(4), WithMaxLocks(1),
+			WithMaxCriticalSteps(CacheCriticalSteps(capacity/8, 1, 1)))
+		c, err := NewCache[uint64, uint64](m, WithCapacity(capacity))
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avgPut >= 0.5 {
-		t.Fatalf("Put averages %.2f allocs/op, want < 0.5", avgPut)
+		c.Put(42, 1)
+		return steadyAllocs(func() { c.Get(42) }), steadyAllocs(func() { c.Put(42, 7) })
+	}
+	smallGet, smallPut := measure(128)
+	get, put := measure(1024)
+	if get >= smallGet+0.5 || put >= smallPut+0.5 {
+		t.Errorf("default cache averages %.2f (Get) and %.2f (Put) allocs/op, %.2f and %.2f at 16 entries per shard: the budget is allocating",
+			get, put, smallGet, smallPut)
+	}
+}
+
+// TestDoAllocsBytesIndependentOfBudget is the bytes half of the gate
+// (the 'Allocs' in the name keeps it under the CI allocation step): the
+// budget bounds a section's steps, not its memory, so the same 4-op Do
+// costs the same bytes whether it is allowed 64 operations or 4096.
+func TestDoAllocsBytesIndependentOfBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	bytesPerOp := func(maxOps int) float64 {
+		m := newManager(t, WithUnknownBounds(4), WithMaxCriticalSteps(maxOps))
+		locks := []*Lock{m.NewLock()}
+		a, b := NewCell(uint64(0)), NewCell(uint64(0))
+		body := func(tx *Tx) {
+			Put(tx, a, Get(tx, a)+1)
+			Put(tx, b, Get(tx, b)+1)
+		}
+		do := func() {
+			if err := m.Do(locks, maxOps, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 512; i++ {
+			do()
+		}
+		const ops = 4096
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < ops; i++ {
+			do()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / ops
+	}
+	small, large := bytesPerOp(64), bytesPerOp(4096)
+	if large > 1.1*small {
+		t.Fatalf("a 4-op Do allocates %.0f B/op with maxOps=4096, %.0f with maxOps=64; want within 10%%", large, small)
 	}
 }
