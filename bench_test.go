@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -18,13 +17,12 @@ import (
 )
 
 // One benchmark per experiment: each regenerates the table reproducing
-// a quantitative claim of the paper (DESIGN.md §6, EXPERIMENTS.md).
-// Run a single experiment's bench with e.g.:
+// a quantitative claim of the paper (`go run ./cmd/wfbench -list`
+// prints the index). Run a single experiment's bench with e.g.:
 //
 //	go test -bench=BenchmarkE3 -benchtime=1x
 //
-// The full tables for EXPERIMENTS.md come from `go run ./cmd/wfbench
-// -scale=full`.
+// The full-scale tables come from `go run ./cmd/wfbench -scale=full`.
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
@@ -169,144 +167,141 @@ func benchDoContended(b *testing.B, v bench.Variant) {
 	})
 }
 
+// The structure benchmarks below are the scenario tables of
+// `wfbench -workload` under testing.B: each builds its implementations
+// with internal/bench's constructors (the same sizing, stall codec and
+// prefill the tables use) and drives internal/bench's operation mixes
+// from b.RunParallel. Stalled groups are the headline — the regime the
+// paper targets: lock holders that stall mid-critical-section (a
+// preempted vCPU, a page fault, a GC pause), modeled by a value codec
+// whose encode periodically sleeps (bench.StallDur every
+// bench.StallPeriod value writes) — inside the critical section for the
+// wait-free structures, while holding the mutex for the baselines (see
+// internal/bench.StallPoint). A stalled mutex holder blocks everyone
+// behind it; a stalled wait-free winner is helped, so only the stalled
+// goroutine loses time and the sleeps of different workers overlap. The
+// nostall groups show the raw regime, where the blocking baselines win
+// on constant factors; both numbers together are the honest story. The
+// wait-free rows run the adaptive default, with one -known sibling at
+// each family's headline configuration.
+
+// stallPoint returns a fresh stall point for one sub-benchmark, or nil
+// for the raw regime.
+func stallPoint(stalled bool) *bench.StallPoint {
+	if !stalled {
+		return nil
+	}
+	return bench.NewStallPoint(bench.StallPeriod, bench.StallDur)
+}
+
+// benchWorkers drives one operation closure per RunParallel goroutine
+// (worker(w) builds goroutine w's, with its private op stream).
+func benchWorkers(b *testing.B, worker func(w int) func(i int) error) {
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		op := worker(int(next.Add(1)))
+		for i := 0; pb.Next(); i++ {
+			if err := op(i); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+}
+
 // BenchmarkMap sweeps the wfmap shard count against a sync.Mutex-
-// sharded baseline under a 90/10 get/put mix. Total capacity is held
-// at 2× the keyspace while shards grow, so each doubling both halves
-// the per-lock contention and shrinks the per-shard region — and with
-// it the critical-section bound T that the attempts' fixed delays are
-// proportional to. Throughput therefore scales superlinearly for
-// wfmap (8-shard is well over 3× 1-shard at GOMAXPROCS=8); the mutex
-// baseline gives the blocking reference. Compare with:
+// sharded baseline on the map:read scenario (90/10 get/put). Total
+// capacity is held at 2× the keyspace while shards grow, so each
+// doubling both halves the per-lock contention and shrinks the
+// per-shard region — and with it the critical-section bound T that the
+// attempts' fixed delays are proportional to. Throughput therefore
+// scales superlinearly for wfmap (8-shard is well over 3× 1-shard at
+// GOMAXPROCS=8); the mutex baseline gives the blocking reference.
+// Compare with:
 //
 //	go test -bench=Map -benchtime=500x -cpu 8
-const benchMapKeys = 128
-
 func BenchmarkMap(b *testing.B) {
-	// The headline wfmap rows run the adaptive default; the wfmap-known
-	// row shows the paper's base algorithm at the headline shard count.
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("wfmap/shards=%d", shards), func(b *testing.B) {
-			benchWfmap(b, bench.VariantAdaptive, shards)
-		})
-	}
-	b.Run("wfmap-known/shards=8", func(b *testing.B) {
-		benchWfmap(b, bench.VariantKnown, 8)
-	})
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("mutex/shards=%d", shards), func(b *testing.B) {
-			benchMutexMap(b, shards)
-		})
-	}
-}
-
-func benchWfmap(b *testing.B, v bench.Variant, shards int) {
-	capPerShard := 2 * benchMapKeys / shards
-	// κ/P cover the RunParallel goroutine count; the known regime's
-	// delay constants of 1 keep its fixed stalls near their minimum so
-	// the benchmark measures structure, not calibration margin.
-	m, err := bench.NewManager(v, runtime.GOMAXPROCS(0), 1, wflocks.MapCriticalSteps(capPerShard, 1, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	mp, err := wflocks.NewMap[uint64, uint64](m,
-		wflocks.WithShards(shards), wflocks.WithShardCapacity(capPerShard))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for k := uint64(0); k < benchMapKeys; k++ {
-		if err := mp.Put(k, k); err != nil {
+	sc := workload.LookupMapScenario("map:read")
+	run := func(b *testing.B, kv bench.KV) {
+		if err := bench.PrefillMap(sc, kv); err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
+		benchWorkers(b, func(w int) func(int) error { return bench.MapWorker(sc, kv, w) })
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64()))
-		for pb.Next() {
-			k := rng.Uint64N(benchMapKeys)
-			if rng.IntN(10) == 0 {
-				if err := mp.Put(k, k); err != nil {
-					b.Error(err)
-					return
-				}
-			} else {
-				mp.Get(k)
+	wfmap := func(v bench.Variant, shards int) func(*testing.B) {
+		return func(b *testing.B) {
+			// κ/P cover the RunParallel goroutine count.
+			mp, _, err := bench.NewWfMap(v, runtime.GOMAXPROCS(0), sc.Keys, shards, 1, nil)
+			if err != nil {
+				b.Fatal(err)
 			}
+			run(b, mp)
 		}
-	})
-}
-
-func benchMutexMap(b *testing.B, shards int) {
-	mm := bench.NewMutexMap(shards)
-	for k := uint64(0); k < benchMapKeys; k++ {
-		mm.Put(k, k)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64()))
-		for pb.Next() {
-			k := rng.Uint64N(benchMapKeys)
-			if rng.IntN(10) == 0 {
-				mm.Put(k, k)
-			} else {
-				mm.Get(k)
-			}
-		}
-	})
+	for _, shards := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("wfmap/shards=%d", shards), wfmap(bench.VariantAdaptive, shards))
+	}
+	b.Run("wfmap-known/shards=8", wfmap(bench.VariantKnown, 8))
+	for _, shards := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("mutex/shards=%d", shards), func(b *testing.B) {
+			run(b, bench.NewMutexMap(shards))
+		})
+	}
 }
 
 // BenchmarkCache sweeps the wfcache shard count × key skew against the
-// classic single-mutex+container/list LRU, in the regime the paper
-// targets: lock holders that stall mid-critical-section (a preempted
-// vCPU, a page fault, a GC pause), modeled by a value codec whose
-// encode periodically sleeps — inside the critical section for
-// wfcache, while holding the mutex for the baseline (see
-// internal/bench.StallPoint). A stalled mutex holder blocks the whole
-// cache; a stalled wfcache winner is helped, so only the stalled
-// goroutine loses time and the sleeps of different workers overlap.
-// Expect the 8-shard wfcache to beat the mutex LRU on the cache:zipf
-// shape at -cpu 8. The nostall group shows the raw regime, where the
-// blocking baseline wins on constant factors (wait-free attempts pay
-// the fixed c·κ²L²T delays); both numbers together are the honest
-// story. Each sub-benchmark also reports its measured hit rate.
+// classic single-mutex+container/list LRU. Expect the 8-shard wfcache
+// to beat the mutex LRU on the cache:zipf shape at -cpu 8 under
+// stalls. Each sub-benchmark also reports its measured hit rate.
 // Compare with:
 //
 //	go test -bench=Cache -benchtime=500x -cpu 8
-const (
-	benchStallPeriod = 16
-	benchStallDur    = 8 * time.Millisecond
-)
-
 func BenchmarkCache(b *testing.B) {
-	for _, scName := range []string{"cache:zipf", "cache:read"} {
-		sc := workload.LookupCacheScenario(scName)
-		if sc == nil {
-			b.Fatalf("scenario %s missing", scName)
-		}
-		for _, shards := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/wfcache/shards=%d", sc.Name, shards), func(b *testing.B) {
-				benchWfcache(b, sc, shards, bench.NewStallPoint(benchStallPeriod, benchStallDur))
-			})
-		}
-		b.Run(fmt.Sprintf("%s/mutexlru", sc.Name), func(b *testing.B) {
-			benchMutexLRU(b, sc, bench.NewStallPoint(benchStallPeriod, benchStallDur))
-		})
+	par, workers := benchCacheWorkers()
+	run := func(b *testing.B, sc *workload.CacheScenario, sp *bench.StallPoint, c bench.CountedKV) {
+		bench.PrefillCache(sc, c)
+		b.SetParallelism(par)
+		sp.Arm()
+		h0, m0, _ := c.Counters()
+		benchWorkers(b, func(w int) func(int) error { return bench.CacheWorker(sc, c, w) })
+		b.ReportMetric(bench.HitRate(c, h0, m0), "hitrate")
 	}
+	wfcache := func(sc *workload.CacheScenario, v bench.Variant, shards int, stalled bool) func(*testing.B) {
+		return func(b *testing.B) {
+			sp := stallPoint(stalled)
+			c, _, err := bench.NewWfCache(sc, v, shards, workers, sp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			run(b, sc, sp, c)
+		}
+	}
+	mutexlru := func(sc *workload.CacheScenario, stalled bool) func(*testing.B) {
+		return func(b *testing.B) {
+			sp := stallPoint(stalled)
+			run(b, sc, sp, bench.NewMutexLRU(sc.Capacity, sp))
+		}
+	}
+	zipf := workload.LookupCacheScenario("cache:zipf")
+	for _, sc := range []*workload.CacheScenario{zipf, workload.LookupCacheScenario("cache:read")} {
+		for _, shards := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/wfcache/shards=%d", sc.Name, shards), wfcache(sc, bench.VariantAdaptive, shards, true))
+		}
+		b.Run(sc.Name+"/mutexlru", mutexlru(sc, true))
+	}
+	b.Run("cache:zipf/wfcache-known/shards=8", wfcache(zipf, bench.VariantKnown, 8, true))
 	// The raw regime for the headline pair, for scale.
-	sc := workload.LookupCacheScenario("cache:zipf")
-	b.Run("nostall/cache:zipf/wfcache/shards=8", func(b *testing.B) {
-		benchWfcache(b, sc, 8, nil)
-	})
-	b.Run("nostall/cache:zipf/mutexlru", func(b *testing.B) {
-		benchMutexLRU(b, sc, nil)
-	})
+	b.Run("nostall/cache:zipf/wfcache/shards=8", wfcache(zipf, bench.VariantAdaptive, 8, false))
+	b.Run("nostall/cache:zipf/mutexlru", mutexlru(zipf, false))
 }
 
 // benchCacheWorkers pins the worker-goroutine count: the stall regime
 // is about overlap — sleeping workers must leave runnable competitors
-// behind to help (wfcache) or to block (mutex) — so the benchmark
-// needs real concurrency even when GOMAXPROCS is low. It returns the
+// behind to help (wait-free) or to block (mutex) — so the benchmarks
+// need real concurrency even when GOMAXPROCS is low. It returns the
 // b.SetParallelism multiplier and the resulting total worker count.
 func benchCacheWorkers() (par, workers int) {
 	procs := runtime.GOMAXPROCS(0)
@@ -317,253 +312,58 @@ func benchCacheWorkers() (par, workers int) {
 	return par, procs * par
 }
 
-func benchWfcache(b *testing.B, sc *workload.CacheScenario, shards int, sp *bench.StallPoint) {
-	par, workers := benchCacheWorkers()
-	b.SetParallelism(par)
-	// CacheCriticalSteps pow2-rounds per-shard capacity exactly as the
-	// constructor does, so the raw quotient is the right input.
-	perShard := (sc.Capacity + shards - 1) / shards
-	m, err := wflocks.New(
-		wflocks.WithKappa(workers),
-		wflocks.WithMaxLocks(1),
-		wflocks.WithMaxCriticalSteps(wflocks.CacheCriticalSteps(perShard, 1, 1)),
-		wflocks.WithDelayConstants(1, 1),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = bench.StallValueCodec(sp)
-	}
-	c, err := wflocks.NewCacheOf[uint64, uint64](m, wflocks.IntegerCodec[uint64](), vc,
-		wflocks.WithCacheShards(shards), wflocks.WithCapacity(sc.Capacity))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for k := uint64(0); k < uint64(sc.Capacity); k++ {
-		c.Put(k, k*3)
-	}
-	sp.Arm()
-	base := c.Stats()
-	var seed atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		st := workload.NewCacheOpStream(sc, seed.Add(1)*0x9e3779b97f4a7c15)
-		for pb.Next() {
-			kind, key := st.Next()
-			k := uint64(key)
-			switch kind {
-			case workload.CacheGet:
-				c.GetOrCompute(k, func() uint64 { return k * 3 })
-			case workload.CachePut:
-				c.Put(k, k*3)
-			case workload.CacheDelete:
-				c.Delete(k)
-			}
-		}
-	})
-	b.StopTimer()
-	cs := c.Stats()
-	if acc := (cs.Hits - base.Hits) + (cs.Misses - base.Misses); acc > 0 {
-		b.ReportMetric(float64(cs.Hits-base.Hits)/float64(acc), "hitrate")
-	}
-}
-
-func benchMutexLRU(b *testing.B, sc *workload.CacheScenario, sp *bench.StallPoint) {
-	par, _ := benchCacheWorkers()
-	b.SetParallelism(par)
-	c := bench.NewMutexLRU(sc.Capacity, sp)
-	for k := uint64(0); k < uint64(sc.Capacity); k++ {
-		c.Put(k, k*3)
-	}
-	sp.Arm()
-	h0, m0, _ := c.Counters()
-	var seed atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		st := workload.NewCacheOpStream(sc, seed.Add(1)*0x9e3779b97f4a7c15)
-		for pb.Next() {
-			kind, key := st.Next()
-			k := uint64(key)
-			switch kind {
-			case workload.CacheGet:
-				if _, ok := c.Get(k); !ok {
-					c.Put(k, k*3)
-				}
-			case workload.CachePut:
-				c.Put(k, k*3)
-			case workload.CacheDelete:
-				c.Delete(k)
-			}
-		}
-	})
-	b.StopTimer()
-	hits, misses, _ := c.Counters()
-	if acc := (hits - h0) + (misses - m0); acc > 0 {
-		b.ReportMetric(float64(hits-h0)/float64(acc), "hitrate")
-	}
-}
-
 // BenchmarkTxn sweeps the keys-per-transaction count L over wfmap's
-// multi-lock Atomic path against a sorted-multi-mutex baseline, in the
-// holder-stall regime the paper targets (see BenchmarkCache for the
-// regime rationale). Each transaction transfers value between L keys;
-// stalls are injected through the value-write path on both sides. Every
-// wfmap attempt pays fixed delays growing as κ²L²·T(L) — T itself is L
-// single-shard budgets — so the sweep shows both sides of the paper's
-// trade: at small L helping absorbs stalls that serialize the blocking
-// baseline across every held shard, while at L=8 the delay product is
-// the dominant cost. The worker count is pinned small (κ² pricing) and
-// each run audits transfer conservation. Compare with:
+// multi-lock Atomic path against a sorted-multi-mutex baseline on the
+// txn:transfer scenario, stalled. Each transaction transfers value
+// between L keys. The known-bounds sibling pays fixed delays growing as
+// κ²L²·T(L) — T itself is L single-shard budgets — so at L=8 the delay
+// product is its dominant cost; the adaptive rows show what tracking
+// actual contention buys back. At small L helping absorbs stalls that
+// serialize the blocking baseline across every held shard. The worker
+// count is pinned small (κ² pricing) and each run audits transfer
+// conservation. Compare with:
 //
 //	go test -bench=Txn -benchtime=200x -cpu 4
-const (
-	benchTxnKeys    = 64
-	benchTxnShards  = 8
-	benchTxnWorkers = 4
-)
+const benchTxnWorkers = 4
 
 func BenchmarkTxn(b *testing.B) {
-	for _, l := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("wfmap/L=%d", l), func(b *testing.B) {
-			benchWfmapTxn(b, l, bench.NewStallPoint(benchStallPeriod, benchStallDur))
-		})
-	}
-	for _, l := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("multimutex/L=%d", l), func(b *testing.B) {
-			benchMultiMutexTxn(b, l, bench.NewStallPoint(benchStallPeriod, benchStallDur))
-		})
-	}
-}
-
-// benchTxnParallelism pins the worker count to benchTxnWorkers
-// regardless of -cpu, as benchCacheWorkers does for the cache.
-func benchTxnParallelism(b *testing.B) {
+	sc := workload.LookupTxnScenario("txn:transfer")
+	// Pin the worker count to benchTxnWorkers regardless of -cpu, as
+	// benchCacheWorkers does for the cache.
 	procs := runtime.GOMAXPROCS(0)
 	par := 1
 	for procs*par < benchTxnWorkers {
 		par++
 	}
-	b.SetParallelism(par)
-}
-
-func benchWfmapTxn(b *testing.B, l int, sp *bench.StallPoint) {
-	benchTxnParallelism(b)
-	capPerShard := 2 * benchTxnKeys / benchTxnShards
-	workers := runtime.GOMAXPROCS(0)
-	if workers < benchTxnWorkers {
-		workers = benchTxnWorkers
-	}
-	m, err := wflocks.New(
-		wflocks.WithKappa(workers),
-		wflocks.WithMaxLocks(l),
-		wflocks.WithMaxCriticalSteps(wflocks.MapAtomicSteps(capPerShard, 1, 1, l)),
-		wflocks.WithDelayConstants(1, 1),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = bench.StallValueCodec(sp)
-	}
-	mp, err := wflocks.NewMapOf[uint64, uint64](m, wflocks.IntegerCodec[uint64](), vc,
-		wflocks.WithShards(benchTxnShards), wflocks.WithShardCapacity(capPerShard))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for k := uint64(0); k < benchTxnKeys; k++ {
-		if err := mp.Put(k, 100); err != nil {
+	run := func(b *testing.B, l int, sp *bench.StallPoint, m bench.TxnMap) {
+		bench.PrefillTxn(sc, m)
+		b.SetParallelism(par)
+		sp.Arm()
+		benchWorkers(b, func(w int) func(int) error { return bench.TxnWorker(sc, m, l, w) })
+		if err := bench.AuditTxn(sc, m); err != nil {
 			b.Fatal(err)
 		}
 	}
-	sp.Arm()
-	var seed atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewPCG(seed.Add(1), 0x9e3779b97f4a7c15))
-		for pb.Next() {
-			keys := drawDistinctKeys(rng, l, benchTxnKeys)
-			if err := mp.Atomic(keys, func(tx *wflocks.MapTxn[uint64, uint64]) {
-				ks := tx.Keys()
-				gained := uint64(0)
-				for _, k := range ks[1:] {
-					if v, ok := tx.Get(k); ok && v > 0 {
-						tx.Put(k, v-1)
-						gained++
-					}
-				}
-				v, _ := tx.Get(ks[0])
-				tx.Put(ks[0], v+gained)
-			}); err != nil {
-				b.Error(err)
-				return
+	wfmap := func(v bench.Variant, l int) func(*testing.B) {
+		return func(b *testing.B) {
+			sp := stallPoint(true)
+			mp, _, err := bench.NewWfMap(v, procs*par, sc.Keys, bench.TxnShards, l, sp)
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-	})
-	b.StopTimer()
-	total := uint64(0)
-	for _, v := range mp.All() {
-		total += v
-	}
-	if total != benchTxnKeys*100 {
-		b.Fatalf("conservation violated: sum %d, want %d", total, benchTxnKeys*100)
-	}
-}
-
-func benchMultiMutexTxn(b *testing.B, l int, sp *bench.StallPoint) {
-	benchTxnParallelism(b)
-	mm := bench.NewMultiMutexMap(benchTxnShards, sp)
-	for k := uint64(0); k < benchTxnKeys; k++ {
-		mm.Put(k, 100)
-	}
-	sp.Arm()
-	var seed atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewPCG(seed.Add(1), 0x9e3779b97f4a7c15))
-		for pb.Next() {
-			keys := drawDistinctKeys(rng, l, benchTxnKeys)
-			mm.Atomic(keys, func(get func(uint64) (uint64, bool), put func(uint64, uint64)) {
-				gained := uint64(0)
-				for _, k := range keys[1:] {
-					if v, ok := get(k); ok && v > 0 {
-						put(k, v-1)
-						gained++
-					}
-				}
-				v, _ := get(keys[0])
-				put(keys[0], v+gained)
-			})
-		}
-	})
-	b.StopTimer()
-	if got := mm.Sum(); got != benchTxnKeys*100 {
-		b.Fatalf("conservation violated: sum %d, want %d", got, benchTxnKeys*100)
-	}
-}
-
-// drawDistinctKeys samples l distinct keys in [0, n). The slice is
-// freshly allocated per call: wfmap transaction bodies may be
-// re-executed by straggling helpers after the call returns, so key
-// buffers must never be reused.
-func drawDistinctKeys(rng *rand.Rand, l, n int) []uint64 {
-	keys := make([]uint64, 0, l)
-	for len(keys) < l {
-		k := rng.Uint64N(uint64(n))
-		dup := false
-		for _, have := range keys {
-			if have == k {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			keys = append(keys, k)
+			run(b, l, sp, mp)
 		}
 	}
-	return keys
+	for _, l := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("wfmap/L=%d", l), wfmap(bench.VariantAdaptive, l))
+	}
+	b.Run("wfmap-known/L=8", wfmap(bench.VariantKnown, 8))
+	for _, l := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("multimutex/L=%d", l), func(b *testing.B) {
+			sp := stallPoint(true)
+			run(b, l, sp, bench.MutexTxnMap{MultiMutexMap: bench.NewMultiMutexMap(bench.TxnShards, sp)})
+		})
+	}
 }
 
 func BenchmarkCellReadWrite(b *testing.B) {
@@ -604,139 +404,79 @@ func BenchmarkStructCellReadWrite(b *testing.B) {
 // BenchmarkQueue sweeps the WorkPool shard count (plus the single-ring
 // Queue) against the mutex+ring and buffered-channel baselines on a
 // balanced MPMC shape — every worker enqueues one element and dequeues
-// one per iteration — in the holder-stall regime the paper targets
-// (see BenchmarkCache for the regime rationale). Stalls ride the
-// value-write path on every side that has a lock to hold: wfqueue
-// encodes stall inside critical sections, the mutex+ring stalls while
-// holding its mutex, and the channel draws its stalls outside the op
-// (a goroutine cannot sleep holding the runtime's channel lock), which
-// makes it the stall-tolerant reference. The queue managers run the
-// unknown-bounds adaptive variant, as in internal/bench's queue
-// scenario runner: after sharding, per-lock contention is far below
-// the worker count, and the Section 6.2 algorithm's delays track
-// actual contention. Expect the 8-shard WorkPool to beat the
-// mutex+ring well beyond 2× under stalls, and the nostall group to
-// show the raw regime where the blocking baselines win on constant
-// factors. Compare with:
+// one per iteration — at the queue:mpmc scenario's capacity. Stalls
+// ride the value-write path on every side that has a lock to hold:
+// wfqueue encodes stall inside critical sections, the mutex+ring stalls
+// while holding its mutex, and the channel draws its stalls outside the
+// op (a goroutine cannot sleep holding the runtime's channel lock),
+// which makes it the stall-tolerant reference. Expect the 8-shard
+// WorkPool to beat the mutex+ring well beyond 2× under stalls. Compare
+// with:
 //
 //	go test -bench=Queue -benchtime=500x -cpu 8
-const benchQueueCapacity = 256
-
 func BenchmarkQueue(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workpool/shards=%d", shards), func(b *testing.B) {
-			benchWorkPool(b, shards, bench.NewStallPoint(benchStallPeriod, benchStallDur))
-		})
+	sc := workload.LookupQueueScenario("queue:mpmc")
+	par, workers := benchCacheWorkers()
+	// tryQueue is the surface the balanced iteration needs; all four
+	// implementations provide it.
+	type tryQueue interface {
+		TryEnqueue(v uint64) bool
+		TryDequeue() (uint64, bool)
 	}
-	b.Run("wfqueue", func(b *testing.B) {
-		benchWfQueue(b, bench.NewStallPoint(benchStallPeriod, benchStallDur))
-	})
-	b.Run("mutexring", func(b *testing.B) {
-		benchMutexRing(b, bench.NewStallPoint(benchStallPeriod, benchStallDur))
-	})
-	b.Run("channel", func(b *testing.B) {
-		benchChanQueue(b, bench.NewStallPoint(benchStallPeriod, benchStallDur))
-	})
-	b.Run("nostall/workpool/shards=8", func(b *testing.B) {
-		benchWorkPool(b, 8, nil)
-	})
-	b.Run("nostall/mutexring", func(b *testing.B) {
-		benchMutexRing(b, nil)
-	})
-}
-
-// benchQueuePair runs the balanced enqueue-then-dequeue iteration; the
-// queue never grows beyond the worker count, so full rejects are rare
-// and empty rejects only happen transiently.
-func benchQueuePair(b *testing.B, enq func(uint64) bool, deq func() (uint64, bool)) {
-	par, _ := benchCacheWorkers()
-	b.SetParallelism(par)
-	var seed atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		v := seed.Add(1) * 0x9e3779b97f4a7c15
-		for pb.Next() {
-			v++
-			for !enq(v) {
-				runtime.Gosched()
+	// The queue never grows beyond the worker count, so full rejects
+	// are rare and empty rejects only happen transiently.
+	queue := func(stalled bool, mk func(sp *bench.StallPoint) (tryQueue, error)) func(*testing.B) {
+		return func(b *testing.B) {
+			sp := stallPoint(stalled)
+			q, err := mk(sp)
+			if err != nil {
+				b.Fatal(err)
 			}
-			for {
-				if _, ok := deq(); ok {
-					break
+			b.SetParallelism(par)
+			sp.Arm()
+			benchWorkers(b, func(w int) func(int) error {
+				v := uint64(w) << 32
+				return func(int) error {
+					v++
+					for !q.TryEnqueue(v) {
+						runtime.Gosched()
+					}
+					for {
+						if _, ok := q.TryDequeue(); ok {
+							return nil
+						}
+						runtime.Gosched()
+					}
 				}
-				runtime.Gosched()
+			})
+			if l, ok := q.(interface{ Len() int }); ok && l.Len() != 0 {
+				b.Fatalf("queue holds %d elements after balanced run", l.Len())
+			}
+			if wp, ok := q.(*wflocks.WorkPool[uint64]); ok {
+				b.ReportMetric(float64(wp.Stats().Steals), "steals")
 			}
 		}
-	})
-}
-
-func benchWorkPool(b *testing.B, shards int, sp *bench.StallPoint) {
-	_, workers := benchCacheWorkers()
-	m, err := wflocks.New(
-		wflocks.WithUnknownBounds(workers+2),
-		wflocks.WithMaxLocks(2),
-		wflocks.WithMaxCriticalSteps(wflocks.WorkPoolCriticalSteps(1, 1)),
-	)
-	if err != nil {
-		b.Fatal(err)
 	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = bench.StallValueCodec(sp)
+	workpool := func(shards int) func(*bench.StallPoint) (tryQueue, error) {
+		return func(sp *bench.StallPoint) (tryQueue, error) {
+			wp, _, err := bench.NewWfPool(sc.Capacity, shards, workers+2, sp)
+			return wp, err
+		}
 	}
-	wp, err := wflocks.NewWorkPoolOf[uint64](m, vc,
-		wflocks.WithPoolShards(shards), wflocks.WithPoolCapacity(benchQueueCapacity),
-		wflocks.WithPoolBatch(1))
-	if err != nil {
-		b.Fatal(err)
+	mutexring := func(sp *bench.StallPoint) (tryQueue, error) { return bench.NewMutexRing(sc.Capacity, sp), nil }
+	for _, shards := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workpool/shards=%d", shards), queue(true, workpool(shards)))
 	}
-	sp.Arm()
-	benchQueuePair(b, wp.TryEnqueue, wp.TryDequeue)
-	b.StopTimer()
-	if n := wp.Len(); n != 0 {
-		b.Fatalf("pool holds %d elements after balanced run", n)
-	}
-	s := wp.Stats()
-	b.ReportMetric(float64(s.Steals), "steals")
-}
-
-func benchWfQueue(b *testing.B, sp *bench.StallPoint) {
-	_, workers := benchCacheWorkers()
-	m, err := wflocks.New(
-		wflocks.WithUnknownBounds(workers+2),
-		wflocks.WithMaxLocks(1),
-		wflocks.WithMaxCriticalSteps(wflocks.QueueCriticalSteps(1, 1)),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = bench.StallValueCodec(sp)
-	}
-	q, err := wflocks.NewQueueOf[uint64](m, vc,
-		wflocks.WithQueueCapacity(benchQueueCapacity), wflocks.WithQueueBatch(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	sp.Arm()
-	benchQueuePair(b, q.TryEnqueue, q.TryDequeue)
-	b.StopTimer()
-	if n := q.Len(); n != 0 {
-		b.Fatalf("queue holds %d elements after balanced run", n)
-	}
-}
-
-func benchMutexRing(b *testing.B, sp *bench.StallPoint) {
-	q := bench.NewMutexRing(benchQueueCapacity, sp)
-	sp.Arm()
-	benchQueuePair(b, q.TryEnqueue, q.TryDequeue)
-}
-
-func benchChanQueue(b *testing.B, sp *bench.StallPoint) {
-	q := bench.NewChanQueue(benchQueueCapacity, sp)
-	sp.Arm()
-	benchQueuePair(b, q.TryEnqueue, q.TryDequeue)
+	b.Run("wfqueue", queue(true, func(sp *bench.StallPoint) (tryQueue, error) {
+		q, _, err := bench.NewWfQueue(sc.Capacity, workers+2, sp)
+		return q, err
+	}))
+	b.Run("mutexring", queue(true, mutexring))
+	b.Run("channel", queue(true, func(sp *bench.StallPoint) (tryQueue, error) {
+		return bench.NewChanQueue(sc.Capacity, sp), nil
+	}))
+	b.Run("nostall/workpool/shards=8", queue(false, workpool(8)))
+	b.Run("nostall/mutexring", queue(false, mutexring))
 }
 
 // BenchmarkServe drives the wfserve request pipeline end to end over
@@ -760,7 +500,6 @@ func benchServe(b *testing.B, backend string) {
 		Capacity:    2 * keys,
 		MaxKeyBytes: 16,
 		MaxValBytes: 32,
-		NewManager:  bench.AdaptiveManager,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -819,111 +558,91 @@ func benchServe(b *testing.B, backend string) {
 }
 
 // BenchmarkLog sweeps the wflog shard count against the mutex+slice
-// broadcast baseline on a balanced fan-out shape: every worker owns a
-// cursor, appends one entry per iteration and drains its own cursor,
-// so each entry is delivered to every worker and retention stays near
-// the worker count. The holder-stall regime rides the value-write path
-// on both sides (see BenchmarkCache for the regime rationale): wflog
-// encodes stall inside append and cursor-advance critical sections,
-// the mutex+slice log stalls while holding its one mutex on appends
-// and reads. The channel fan-out baseline is covered by the scenario
-// runner (`wfbench -workload log:fanout`) — its broadcaster goroutine
-// does not fit the per-iteration lifecycle here. Expect the 8-shard
-// wflog to beat the mutex+slice log well beyond 2× under stalls, and
-// the nostall group to show the raw regime where the blocking
-// baseline wins on constant factors. Compare with:
+// broadcast baseline on a balanced fan-out shape at the log:fanout
+// scenario's capacity and segment: every worker owns a cursor, appends
+// one entry per iteration and drains its own cursor, so each entry is
+// delivered to every worker and retention stays near the worker count.
+// wflog encodes stall inside append and cursor-advance critical
+// sections, the mutex+slice log stalls while holding its one mutex on
+// appends and reads. The channel fan-out baseline is covered by the
+// scenario tables (`wfbench -workload log:fanout`) — its broadcaster
+// goroutine does not fit the per-iteration lifecycle here. Expect the
+// 8-shard wflog to beat the mutex+slice log well beyond 2× under
+// stalls. Compare with:
 //
 //	go test -bench=Log -benchtime=200x -cpu 8
-const (
-	benchLogCapacity = 1024
-	benchLogSegment  = 64
-)
-
 func BenchmarkLog(b *testing.B) {
+	par, workers := benchCacheWorkers()
+	sc := *workload.LookupLogScenario("log:fanout")
+	sc.Consumers = workers // one cursor per worker
+	// reader is one worker's cursor: its non-blocking read and detach.
+	type reader struct {
+		next  func() (uint64, bool)
+		close func()
+	}
+	// The balanced broadcast iteration: append one, drain the worker's
+	// own cursor. The append retry loop also drains, so a full ring
+	// pinned by the spinning worker's own backlog always makes
+	// progress; workers detach their cursors on exit so finished workers
+	// stop pinning reclamation for the rest.
+	round := func(b *testing.B, sp *bench.StallPoint, append func(uint64) bool, attach func() (reader, error)) {
+		b.SetParallelism(par)
+		sp.Arm()
+		var next atomic.Uint64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			r, err := attach()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			defer r.close()
+			v := next.Add(1) << 32
+			for pb.Next() {
+				v++
+				for !append(v) {
+					if _, ok := r.next(); !ok {
+						runtime.Gosched()
+					}
+				}
+				for {
+					if _, ok := r.next(); !ok {
+						break
+					}
+				}
+			}
+		})
+	}
+	wflog := func(shards int, stalled bool) func(*testing.B) {
+		return func(b *testing.B) {
+			sp := stallPoint(stalled)
+			lg, _, err := bench.NewWfLog(&sc, shards, workers+2, sp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			round(b, sp, lg.TryAppend, func() (reader, error) {
+				cur, err := lg.NewCursor()
+				if err != nil {
+					return reader{}, err
+				}
+				return reader{cur.TryNext, cur.Close}, nil
+			})
+		}
+	}
+	mutexslice := func(stalled bool) func(*testing.B) {
+		return func(b *testing.B) {
+			sp := stallPoint(stalled)
+			l := bench.NewMutexSliceLog(sc.Capacity, sp)
+			round(b, sp, func(v uint64) bool { return l.TryAppend(0, v) }, func() (reader, error) {
+				r := l.NewReader()
+				return reader{r.TryNext, r.Close}, nil
+			})
+		}
+	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("wflog/shards=%d", shards), func(b *testing.B) {
-			benchWfLog(b, shards, bench.NewStallPoint(benchStallPeriod, benchStallDur))
-		})
+		b.Run(fmt.Sprintf("wflog/shards=%d", shards), wflog(shards, true))
 	}
-	b.Run("mutexslice", func(b *testing.B) {
-		benchMutexSliceLog(b, bench.NewStallPoint(benchStallPeriod, benchStallDur))
-	})
-	b.Run("nostall/wflog/shards=8", func(b *testing.B) { benchWfLog(b, 8, nil) })
-	b.Run("nostall/mutexslice", func(b *testing.B) { benchMutexSliceLog(b, nil) })
-}
-
-// benchLogRound runs the balanced broadcast iteration: append one,
-// drain the worker's own cursor. The append retry loop also drains, so
-// a full ring pinned by the spinning worker's own backlog always makes
-// progress; workers detach their cursors on exit so finished workers
-// stop pinning reclamation for the rest.
-func benchLogRound(b *testing.B, append func(uint64) bool,
-	newReader func() (func() (uint64, bool), func(), error)) {
-	par, _ := benchCacheWorkers()
-	b.SetParallelism(par)
-	var seed atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		read, detach, err := newReader()
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		defer detach()
-		v := seed.Add(1) * 0x9e3779b97f4a7c15
-		for pb.Next() {
-			v++
-			for !append(v) {
-				if _, ok := read(); !ok {
-					runtime.Gosched()
-				}
-			}
-			for {
-				if _, ok := read(); !ok {
-					break
-				}
-			}
-		}
-	})
-}
-
-func benchWfLog(b *testing.B, shards int, sp *bench.StallPoint) {
-	_, workers := benchCacheWorkers()
-	m, err := wflocks.New(
-		wflocks.WithUnknownBounds(workers+2),
-		wflocks.WithMaxLocks(2),
-		wflocks.WithMaxCriticalSteps(wflocks.LogCriticalSteps(1, 1, workers, benchLogSegment)),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = bench.StallValueCodec(sp)
-	}
-	lg, err := wflocks.NewLogOf[uint64](m, vc,
-		wflocks.WithLogShards(shards), wflocks.WithLogCapacity(benchLogCapacity),
-		wflocks.WithLogSegment(benchLogSegment), wflocks.WithLogBatch(1),
-		wflocks.WithLogConsumers(workers))
-	if err != nil {
-		b.Fatal(err)
-	}
-	sp.Arm()
-	benchLogRound(b, lg.TryAppend, func() (func() (uint64, bool), func(), error) {
-		cur, err := lg.NewCursor()
-		if err != nil {
-			return nil, nil, err
-		}
-		return cur.TryNext, cur.Close, nil
-	})
-}
-
-func benchMutexSliceLog(b *testing.B, sp *bench.StallPoint) {
-	l := bench.NewMutexSliceLog(benchLogCapacity, sp)
-	sp.Arm()
-	benchLogRound(b, func(v uint64) bool { return l.TryAppend(0, v) },
-		func() (func() (uint64, bool), func(), error) {
-			r := l.NewReader()
-			return r.TryNext, r.Close, nil
-		})
+	b.Run("mutexslice", mutexslice(true))
+	b.Run("nostall/wflog/shards=8", wflog(8, false))
+	b.Run("nostall/mutexslice", mutexslice(false))
 }

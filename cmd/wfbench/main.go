@@ -17,9 +17,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -28,27 +31,34 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wfbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		expID    = flag.String("exp", "", "experiment id (E1..E10); empty = all")
-		scale    = flag.String("scale", "quick", "quick or full")
-		list     = flag.Bool("list", false, "list experiments and workload scenarios, then exit")
-		workName = flag.String("workload", "",
+		expID    = fs.String("exp", "", "experiment id (E1..E10); empty = all")
+		scale    = fs.String("scale", "quick", "quick or full")
+		list     = fs.Bool("list", false, "list experiments and workload scenarios, then exit")
+		workName = fs.String("workload", "",
 			"data-structure workload instead of an experiment (see -list for the registry)")
-		variant = flag.String("variant", "both",
+		variant = fs.String("variant", "both",
 			"delay variant for map/cache/txn workloads: known, adaptive, or both "+
 				"(queue, log and service workloads always run adaptive)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-14s %s\n", e.ID, e.Claim)
+			fmt.Fprintf(stdout, "%-14s %s\n", e.ID, e.Claim)
 		}
-		printScenarios(os.Stdout)
+		printScenarios(stdout)
 		return 0
 	}
 
@@ -59,25 +69,25 @@ func run() int {
 	case "full":
 		s = bench.Full
 	default:
-		fmt.Fprintf(os.Stderr, "wfbench: unknown scale %q (want quick or full)\n", *scale)
+		fmt.Fprintf(stderr, "wfbench: unknown scale %q (want quick or full)\n", *scale)
 		return 2
 	}
 
 	variants, err := bench.ParseVariants(*variant)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wfbench: %v\n", err)
+		fmt.Fprintf(stderr, "wfbench: %v\n", err)
 		return 2
 	}
 
 	if *workName != "" {
-		return runWorkload(*workName, s, variants)
+		return runWorkload(*workName, s, variants, stdout, stderr)
 	}
 
 	exps := bench.Experiments()
 	if *expID != "" {
 		e := bench.Lookup(*expID)
 		if e == nil {
-			fmt.Fprintf(os.Stderr, "wfbench: unknown experiment %q (try -list)\n", *expID)
+			fmt.Fprintf(stderr, "wfbench: unknown experiment %q (try -list)\n", *expID)
 			return 2
 		}
 		exps = []bench.Experiment{*e}
@@ -87,71 +97,48 @@ func run() int {
 		start := time.Now()
 		table, err := e.Run(s)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wfbench: %s failed: %v\n", e.ID, err)
+			fmt.Fprintf(stderr, "wfbench: %s failed: %v\n", e.ID, err)
 			return 1
 		}
-		fmt.Println(table)
-		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(stdout, table)
+		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
 }
 
-// contains reports whether list holds s.
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
 // printScenarios renders the central workload registry, one line per
 // scenario.
-func printScenarios(w *os.File) {
+func printScenarios(w io.Writer) {
 	for _, in := range workload.Scenarios() {
 		fmt.Fprintf(w, "%-14s %s\n", in.Name, in.Summary)
 	}
 }
 
-// runWorkload dispatches a data-structure workload by name; every
-// scenario family shares the flag and the central registry describes
-// the options. vs restricts the map/cache/txn delay-variant sweep; the
-// queue, log and service tiers are adaptive-only by construction.
-func runWorkload(name string, s bench.Scale, vs []bench.Variant) int {
-	var run func() (*bench.Table, error)
-	if sc := workload.LookupMapScenario(name); sc != nil {
-		run = func() (*bench.Table, error) { return bench.RunMapScenarioVariants(sc, s, vs) }
-	} else if sc := workload.LookupCacheScenario(name); sc != nil {
-		run = func() (*bench.Table, error) { return bench.RunCacheScenarioVariants(sc, s, vs) }
-	} else if sc := workload.LookupTxnScenario(name); sc != nil {
-		run = func() (*bench.Table, error) { return bench.RunTxnScenarioVariants(sc, s, vs) }
-	} else if sc := workload.LookupQueueScenario(name); sc != nil {
-		run = func() (*bench.Table, error) { return bench.RunQueueScenario(sc, s) }
-	} else if sc := workload.LookupLogScenario(name); sc != nil {
-		run = func() (*bench.Table, error) { return bench.RunLogScenario(sc, s) }
-	} else if sc := workload.LookupServiceScenario(name); sc != nil {
-		run = func() (*bench.Table, error) { return bench.RunServiceScenario(sc, s) }
-	} else {
+// runWorkload runs a registry scenario by name; every scenario family
+// shares the flag and the central registry describes the options. vs
+// restricts the map/cache/txn delay-variant sweep; the queue, log and
+// service tiers are adaptive-only by construction.
+func runWorkload(name string, s bench.Scale, vs []bench.Variant, stdout, stderr io.Writer) int {
+	if workload.Lookup(name) == nil {
 		// Name the failure precisely: a family nobody registered is a
 		// different mistake from a typo inside a known family.
 		fam, _, _ := strings.Cut(name, ":")
-		if fams := workload.Families(); !contains(fams, fam) {
-			fmt.Fprintf(os.Stderr, "wfbench: unknown workload family %q (families: %s); the registry:\n",
+		if fams := workload.Families(); !slices.Contains(fams, fam) {
+			fmt.Fprintf(stderr, "wfbench: unknown workload family %q (families: %s); the registry:\n",
 				fam, strings.Join(fams, ", "))
 		} else {
-			fmt.Fprintf(os.Stderr, "wfbench: unknown %s workload %q; the registry:\n", fam, name)
+			fmt.Fprintf(stderr, "wfbench: unknown %s workload %q; the registry:\n", fam, name)
 		}
-		printScenarios(os.Stderr)
+		printScenarios(stderr)
 		return 2
 	}
 	start := time.Now()
-	table, err := run()
+	table, err := bench.RunScenario(name, s, vs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wfbench: %s failed: %v\n", name, err)
+		fmt.Fprintf(stderr, "wfbench: %s failed: %v\n", name, err)
 		return 1
 	}
-	fmt.Println(table)
-	fmt.Printf("(%s completed in %v)\n", name, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintln(stdout, table)
+	fmt.Fprintf(stdout, "(%s completed in %v)\n", name, time.Since(start).Round(time.Millisecond))
 	return 0
 }

@@ -192,7 +192,6 @@ func dialer(addr, loopback string, stall, prefill bool, keys, valBytes int, with
 		TraceSample:        traceRate,
 		WatchdogDelaySteps: wdSteps,
 		WatchdogHelpRun:    wdHelp,
-		NewManager:         bench.AdaptiveManager,
 	}
 	var sp *bench.StallPoint
 	if stall {

@@ -262,10 +262,11 @@
 // sets canonically (by lock ID) so identical transactions are
 // identical attempts.
 //
-// The txn:transfer sweep (cmd/wfbench -workload txn:transfer, or
-// BenchmarkTxn) quantifies the trade against a sorted-multi-mutex
-// baseline, with each wfmap row's manager sized for its L and both
-// delay variants swept. Raw, the blocking baseline wins throughout
+// The txn:transfer sweep (cmd/wfbench -workload txn:transfer;
+// BenchmarkTxn drives the same scenario stalled, adaptive rows plus a
+// known-bounds sibling at L=8) quantifies the trade against a
+// sorted-multi-mutex baseline, with each wfmap row's manager sized for
+// its L and both delay variants swept. Raw, the blocking baseline wins throughout
 // and the gap widens with L — adaptive wfmap runs ~300000 vs the
 // baseline's ~4100000 txns/sec at L=1, narrowing to ~29000 vs
 // ~1600000 at L=8 on one 2.1 GHz core, the delay schedule steepening
@@ -393,7 +394,12 @@
 // StatsSnapshot.HelpRate is the first number to watch — near 0 the
 // locks are behaving like uncontended mutexes, rising it means helpers
 // are carrying stalled winners' work. Read the three rates against the
-// benchmarks' two regimes: in the raw regime FastPathRate sits near 1,
+// benchmarks' two regimes — every cmd/wfbench -workload table comes
+// from one driver (internal/bench.RunScenario) that runs each
+// implementation raw and under holder stalls (every 16th value write
+// sleeps 4ms inside the critical section, or under the baseline's
+// mutex) and prints these rates as its last three columns: in the raw
+// regime FastPathRate sits near 1,
 // HelpRate near 0, and the delay share near 0 — the machinery is idle
 // and the locks cost their constant factors. Under stalls FastPathRate
 // falls (attempts observe competitors), HelpRate climbs (it can exceed

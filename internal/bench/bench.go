@@ -1,12 +1,18 @@
-// Package bench is the experiment harness: it reproduces every
+// Package bench is the experiment harness. It reproduces every
 // quantitative claim of the paper as an experiment E1–E11 (the paper
 // has no empirical tables or figures, so each experiment regenerates a
-// theorem's bound or an in-text claim; see DESIGN.md §6 for the index
-// and EXPERIMENTS.md for paper-vs-measured results).
+// theorem's bound or an in-text claim; `wfbench -list` prints the
+// index, each id with the claim it reproduces), and it runs the
+// structure scenarios of internal/workload's registry through one
+// driver (scenario.go): RunScenario sweeps a family's implementations
+// — the wait-free structure and its blocking baselines — over the raw
+// and holder-stall regimes and tabulates one row each.
 //
-// Each experiment returns a Table that renders as an aligned text
-// table — the "rows the paper reports" equivalent. The cmd/wfbench
-// binary and the top-level benchmarks drive these functions.
+// Experiments and scenarios both return a Table that renders as an
+// aligned text table — the "rows the paper reports" equivalent. The
+// cmd/wfbench binary drives these functions; the top-level benchmarks
+// run the experiments, and drive the same structure constructors and
+// operation mixes as the scenarios from b.RunParallel.
 package bench
 
 import (
@@ -78,7 +84,7 @@ func (t *Table) String() string {
 }
 
 // Scale selects experiment sizes: Quick for tests and smoke runs, Full
-// for the numbers in EXPERIMENTS.md.
+// for the numbers worth quoting.
 type Scale int
 
 // Scales, smallest first.

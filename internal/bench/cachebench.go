@@ -4,15 +4,14 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
-	"time"
 
 	"wflocks"
 	"wflocks/internal/workload"
 )
 
-// Cache workload runner: drives a workload.CacheScenario against the
-// wfcache subsystem and against a classic mutex+container/list LRU,
-// in two regimes.
+// Cache family: drives a workload.CacheScenario against the wfcache
+// subsystem and against a classic mutex+container/list LRU, in two
+// regimes.
 //
 // In the raw regime the blocking baseline wins on absolute ops/sec —
 // every wait-free attempt pays the paper's fixed delays (c·κ²L²T own
@@ -32,11 +31,8 @@ import (
 // writes and result-cell writes are both body operations; result cells
 // are constructed unencoded), so a helper re-executing a stalled body
 // draws its own — almost always stall-free — pass and completes the
-// stalled winner's work. The one residual asymmetry cuts against
-// wfcache: a GetOrCompute miss encodes its computed candidate into a
-// fresh cell before taking the lock, an extra off-lock draw per miss
-// that the baseline does not pay. The draw is per execution, not per
-// logical op, which is exactly the preemption model: stalls strike the
+// stalled winner's work. The draw is per execution, not per logical
+// op, which is exactly the preemption model: stalls strike the
 // executing process, not the operation.
 
 // MutexLRU is the blocking baseline: the classic cache design — one
@@ -133,189 +129,140 @@ func (c *MutexLRU) Counters() (hits, misses, evictions uint64) {
 	return c.hits, c.misses, c.evictions
 }
 
-// cacheShardCounts is the shard sweep of the cache benchmarks.
-var cacheShardCounts = []int{1, 2, 4, 8}
-
-// RunCacheScenario drives sc against wfcache (sweeping the shard count
-// under both delay variants) and the mutex LRU baseline, in the raw and
-// holder-stall regimes, and tabulates throughput, hit rate, evictions
-// and contention.
-func RunCacheScenario(sc *workload.CacheScenario, scale Scale) (*Table, error) {
-	return RunCacheScenarioVariants(sc, scale, AllVariants)
+// CountedKV is the surface the cache family compares: the operation
+// mix's KV plus cumulative Get outcomes and evictions.
+type CountedKV interface {
+	KV
+	Counters() (hits, misses, evictions uint64)
 }
 
-// RunCacheScenarioVariants is RunCacheScenario restricted to the given
-// delay variants (the -variant flag).
-func RunCacheScenarioVariants(sc *workload.CacheScenario, scale Scale, variants []Variant) (*Table, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	workers := mapWorkers()
-	opsPer := 200
-	if scale == Full {
-		opsPer = 1000
-	}
-	t := &Table{
-		Title: fmt.Sprintf("%s: %d%%/%d%%/%d%% get/put/delete, %d keys, cap %d, skew %.1f, %d workers × %d ops",
-			sc.Name, sc.GetPct, sc.PutPct, sc.DeletePct, sc.Keys, sc.Capacity, sc.Skew, workers, opsPer),
-		Header: append([]string{"impl", "shards", "stall", "ops/sec", "hit%", "evict", "success", "attempts/op", "balance"}, ObsHeader...),
-	}
-	for _, stalled := range []bool{false, true} {
-		// Each run gets its own stall point so the regime's rows do not
-		// share a stall schedule.
-		label := "none"
-		newSP := func() *StallPoint { return nil }
-		if stalled {
-			label = fmt.Sprintf("%v/%d", StallDur, StallPeriod)
-			newSP = func() *StallPoint { return NewStallPoint(StallPeriod, StallDur) }
-		}
-		for _, v := range variants {
-			for _, shards := range cacheShardCounts {
-				row, err := runWfcacheScenario(sc, v, shards, workers, opsPer, label, newSP())
-				if err != nil {
-					return nil, err
-				}
-				t.Rows = append(t.Rows, row)
-			}
-		}
-		t.Rows = append(t.Rows, runMutexLRUScenario(sc, workers, opsPer, label, newSP()))
-	}
-	t.Notes = append(t.Notes,
-		"adaptive rows use WithUnknownBounds delays that track point contention (the recommended default); known rows pay the fixed c·κ²L²T delays",
-		"raw regime: the mutex LRU wins on constant factors — contended wfcache attempts still pay their regime's delays",
-		"stall regime: holders stall mid-critical-section ("+fmt.Sprintf("%v every %d value writes", StallDur, StallPeriod)+"); helpers absorb wfcache's stalls, the mutex serializes them",
-		"hit% counts Get outcomes; the cache holds "+fmt.Sprintf("%d of %d", sc.Capacity, sc.Keys)+" keys, so hit rate is emergent from skew and recency")
-	return t, nil
+// WfCache is a wflocks.Cache as a CountedKV.
+type WfCache struct {
+	*wflocks.Cache[uint64, uint64]
 }
 
-// runWfcacheScenario measures one wfcache configuration under one delay
-// variant.
-func runWfcacheScenario(sc *workload.CacheScenario, v Variant, shards, workers, opsPer int, stallLabel string, sp *StallPoint) ([]string, error) {
+// Counters reports hits, misses and evictions so far.
+func (c WfCache) Counters() (hits, misses, evictions uint64) {
+	cs := c.Stats()
+	return cs.Hits, cs.Misses, cs.Evictions
+}
+
+// NewWfCache builds the scenario's wfcache at the given shard count
+// under delay variant v, its values drawing from sp. procs bounds the
+// goroutines that will contend (see NewManager).
+func NewWfCache(sc *workload.CacheScenario, v Variant, shards, procs int, sp *StallPoint, extra ...wflocks.Option) (WfCache, *wflocks.Manager, error) {
 	// CacheCriticalSteps pow2-rounds its per-shard argument exactly as
 	// the constructor does, so the raw quotient is the right input.
 	perShard := (sc.Capacity + shards - 1) / shards
-	m, err := NewManager(v, workers, 1, wflocks.CacheCriticalSteps(perShard, 1, 1), wflocks.WithMetrics())
+	m, err := NewManager(v, procs, 1, wflocks.CacheCriticalSteps(perShard, 1, 1), extra...)
 	if err != nil {
-		return nil, err
+		return WfCache{}, nil, err
 	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = StallValueCodec(sp)
-	}
-	cache, err := wflocks.NewCacheOf[uint64, uint64](m, wflocks.IntegerCodec[uint64](), vc,
+	c, err := wflocks.NewCacheOf[uint64, uint64](m, wflocks.IntegerCodec[uint64](), valueCodec(sp),
 		wflocks.WithCacheShards(shards), wflocks.WithCapacity(sc.Capacity))
-	if err != nil {
-		return nil, err
-	}
-	// Prefill with the head of the keyspace (the zipf-hot ranks) so the
-	// run starts from a warm cache, then arm the stalls.
-	for k := 0; k < sc.Capacity; k++ {
-		cache.Put(uint64(k), uint64(k)*3)
-	}
-	sp.Arm()
-	base := m.Stats()
-	obsBase := m.Observe()
-	baseCache := cache.Stats()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := workload.NewCacheOpStream(sc, uint64(w)*0x9e3779b97f4a7c15+1)
-			for i := 0; i < opsPer; i++ {
-				kind, key := st.Next()
-				k := uint64(key)
-				switch kind {
-				case workload.CacheGet:
-					// Read-through: a miss computes (free here) and
-					// installs, the cache idiom GetOrCompute serves.
-					cache.GetOrCompute(k, func() uint64 { return k * 3 })
-				case workload.CachePut:
-					cache.Put(k, k*3)
-				case workload.CacheDelete:
-					cache.Delete(k)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	delta := m.Stats().Sub(base)
-	cs := cache.Stats()
-	totalOps := workers * opsPer
-	hits := cs.Hits - baseCache.Hits
-	misses := cs.Misses - baseCache.Misses
-	evictions := cs.Evictions - baseCache.Evictions
-	hitPct := 0.0
-	if hits+misses > 0 {
-		hitPct = 100 * float64(hits) / float64(hits+misses)
-	}
-	return append([]string{
-		"wfcache/" + string(v),
-		fmt.Sprint(shards),
-		stallLabel,
-		fmt.Sprintf("%.0f", float64(totalOps)/elapsed.Seconds()),
-		fmt.Sprintf("%.1f", hitPct),
-		fmt.Sprint(evictions),
-		fmt.Sprintf("%.3f", delta.SuccessRate()),
-		fmt.Sprintf("%.2f", float64(delta.Attempts)/float64(totalOps)),
-		fmt.Sprintf("%.3f", cs.Balance),
-	}, ObsCols(m, delta, obsBase)...), nil
+	return WfCache{c}, m, err
 }
 
-// runMutexLRUScenario measures the baseline. It has one lock, so the
-// shards and balance columns do not apply.
-func runMutexLRUScenario(sc *workload.CacheScenario, workers, opsPer int, stallLabel string, sp *StallPoint) []string {
-	c := NewMutexLRU(sc.Capacity, sp)
-	for k := 0; k < sc.Capacity; k++ {
-		c.Put(uint64(k), uint64(k)*3)
+// cacheValue is the value every cache implementation holds for key k.
+func cacheValue(k uint64) uint64 { return k * 3 }
+
+// PrefillCache fills kv to capacity with the head of the keyspace (the
+// zipf-hot ranks), so a run starts from a warm cache.
+func PrefillCache(sc *workload.CacheScenario, kv KV) {
+	for k := uint64(0); k < uint64(sc.Capacity); k++ {
+		kv.Put(k, cacheValue(k))
 	}
-	sp.Arm()
-	h0, m0, e0 := c.Counters()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := workload.NewCacheOpStream(sc, uint64(w)*0x9e3779b97f4a7c15+1)
-			for i := 0; i < opsPer; i++ {
-				kind, key := st.Next()
-				k := uint64(key)
-				switch kind {
-				case workload.CacheGet:
-					if _, ok := c.Get(k); !ok {
-						c.Put(k, k*3)
-					}
-				case workload.CachePut:
-					c.Put(k, k*3)
-				case workload.CacheDelete:
-					c.Delete(k)
-				}
+}
+
+// CacheWorker returns goroutine w's operation over kv: each call draws
+// one op from the scenario's mix and applies it.
+func CacheWorker(sc *workload.CacheScenario, kv KV, w int) func(i int) error {
+	st := workload.NewCacheOpStream(sc, workerSeed(w))
+	return func(int) error {
+		kind, key := st.Next()
+		k := uint64(key)
+		switch kind {
+		case workload.CacheGet:
+			// Read-through: a miss computes (free here) and installs.
+			if _, ok := kv.Get(k); !ok {
+				kv.Put(k, cacheValue(k))
 			}
-		}(w)
+		case workload.CachePut:
+			kv.Put(k, cacheValue(k))
+		case workload.CacheDelete:
+			kv.Delete(k)
+		}
+		return nil
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	hits, misses, evictions := c.Counters()
-	hits -= h0
-	misses -= m0
-	evictions -= e0
-	totalOps := workers * opsPer
-	hitPct := 0.0
-	if hits+misses > 0 {
-		hitPct = 100 * float64(hits) / float64(hits+misses)
+}
+
+// HitRate is the share of Gets that hit since the (hits, misses) base
+// was read off c.
+func HitRate(c CountedKV, baseHits, baseMisses uint64) float64 {
+	hits, misses, _ := c.Counters()
+	hits, misses = hits-baseHits, misses-baseMisses
+	if hits+misses == 0 {
+		return 0
 	}
-	return append([]string{
-		"mutexlru",
-		"1",
-		stallLabel,
-		fmt.Sprintf("%.0f", float64(totalOps)/elapsed.Seconds()),
-		fmt.Sprintf("%.1f", hitPct),
-		fmt.Sprint(evictions),
-		"-",
-		"-",
-		"-",
-	}, ObsBlank()...)
+	return float64(hits) / float64(hits+misses)
+}
+
+// cacheFamily compares wfcache (sweeping the shard count under each
+// delay variant) with the mutex LRU baseline, raw and stalled:
+// throughput, hit rate, evictions and contention.
+func cacheFamily(sc *workload.CacheScenario, scale Scale, variants []Variant) (*family, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	workers := workersAtLeast(4)
+	opsPer := scale.pick(200, 1000)
+	ops := workers * opsPer
+	f := &family{
+		title: fmt.Sprintf("%s: %d%%/%d%%/%d%% get/put/delete, %d keys, cap %d, skew %.1f, %d workers × %d ops",
+			sc.Name, sc.GetPct, sc.PutPct, sc.DeletePct, sc.Keys, sc.Capacity, sc.Skew, workers, opsPer),
+		header: append([]string{"impl", "shards", "stall", "ops/sec", "hit%", "evict", "success", "attempts/op", "balance"}, obsHeader...),
+		notes: []string{
+			"adaptive rows use WithUnknownBounds delays that track point contention (the recommended default); known rows pay the fixed c·κ²L²T delays",
+			"raw regime: the mutex LRU wins on constant factors — contended wfcache attempts still pay their regime's delays",
+			"stall regime: holders stall mid-critical-section (" + fmt.Sprintf("%v every %d value writes", StallDur, StallPeriod) + "); helpers absorb wfcache's stalls, the mutex serializes them",
+			"hit% counts Get outcomes; the cache holds " + fmt.Sprintf("%d of %d", sc.Capacity, sc.Keys) + " keys, so hit rate is emergent from skew and recency",
+		},
+		stall: true,
+		obs:   true,
+	}
+	// cacheInstance is what every cache row shares: the prefill, the
+	// symmetric run over c and the cells over the run's own counter
+	// deltas. balance is the implementation's shard-balance cell.
+	cacheInstance := func(c CountedKV, balance func() string, mgrs ...*wflocks.Manager) *instance {
+		PrefillCache(sc, c)
+		h0, m0, e0 := c.Counters()
+		return &instance{
+			mgrs: mgrs,
+			run: func() error {
+				return runWorkers(workers, opsPer, func(w int) func(int) error { return CacheWorker(sc, c, w) })
+			},
+			cols: func(r measured) []string {
+				_, _, evictions := c.Counters()
+				success, attemptsPer := r.attemptCols(uint64(ops))
+				return []string{r.perSec(ops), fmt.Sprintf("%.1f", 100*HitRate(c, h0, m0)), fmt.Sprint(evictions - e0),
+					success, attemptsPer, balance()}
+			},
+		}
+	}
+	for _, v := range variants {
+		for _, shards := range shardSweep {
+			f.add(func(sp *StallPoint) (*instance, error) {
+				c, m, err := NewWfCache(sc, v, shards, workers, sp, wflocks.WithMetrics())
+				if err != nil {
+					return nil, err
+				}
+				return cacheInstance(c, func() string { return fmt.Sprintf("%.3f", c.Stats().Balance) }, m), nil
+			}, "wfcache/"+string(v), fmt.Sprint(shards))
+		}
+	}
+	f.add(func(sp *StallPoint) (*instance, error) {
+		// One lock: the balance column does not apply.
+		return cacheInstance(NewMutexLRU(sc.Capacity, sp), func() string { return "-" }), nil
+	}, "mutexlru", "1")
+	return f, nil
 }

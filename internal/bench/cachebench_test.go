@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"strconv"
 	"testing"
 	"time"
-
-	"wflocks/internal/workload"
 )
 
 func TestMutexLRUBasic(t *testing.T) {
@@ -93,46 +90,5 @@ func TestStallValueCodecRoundTrip(t *testing.T) {
 	}
 	if sp.n.Load() != 1 {
 		t.Fatalf("encode drew %d stall decisions, want 1", sp.n.Load())
-	}
-}
-
-// TestRunCacheScenario runs the quick-scale cache:zipf table end to end
-// and sanity-checks its shape and numbers. The stall regime sleeps for
-// real, so this is skipped in -short.
-func TestRunCacheScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stall-regime rows sleep for real; skip in -short")
-	}
-	sc := workload.LookupCacheScenario("cache:zipf")
-	if sc == nil {
-		t.Fatal("cache:zipf missing")
-	}
-	tab, err := RunCacheScenario(sc, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (4 wfcache shard counts × 2 delay variants) + 1 mutexlru, in 2
-	// stall regimes.
-	if len(tab.Rows) != 18 {
-		t.Fatalf("table has %d rows, want 18", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		ops, err := strconv.ParseFloat(row[3], 64)
-		if err != nil || ops <= 0 {
-			t.Fatalf("row %v: bad ops/sec %q", row, row[3])
-		}
-		hit, err := strconv.ParseFloat(row[4], 64)
-		if err != nil || hit < 0 || hit > 100 {
-			t.Fatalf("row %v: bad hit%% %q", row, row[4])
-		}
-		// The cache holds a quarter of the keyspace under zipf 1.2: hit
-		// rates must sit well above the uniform floor for every impl.
-		if hit < 40 {
-			t.Fatalf("row %v: hit%% %v suspiciously low", row, hit)
-		}
-	}
-	bad := workload.CacheScenario{Name: "bad", Keys: 0, Capacity: 1, GetPct: 100}
-	if _, err := RunCacheScenario(&bad, Quick); err == nil {
-		t.Fatal("invalid scenario accepted")
 	}
 }

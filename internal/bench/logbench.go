@@ -11,7 +11,7 @@ import (
 	"wflocks/internal/workload"
 )
 
-// Log workload runner: drives a workload.LogScenario against the wflog
+// Log family: drives a workload.LogScenario against the wflog
 // subsystem (sweeping the shard count) and against two baselines — a
 // mutex-guarded slice log with per-consumer positions and a
 // channel-fan-out broadcaster — in the raw and holder-stall regimes.
@@ -40,10 +40,6 @@ import (
 // producer's entries gaplessly in per-producer order (keyed appends
 // pin a producer to one shard, so the order is a delivery guarantee,
 // not a scheduling accident).
-
-// logShardCounts is the wflog shard sweep; aggregate capacity is held
-// constant while per-shard contention shrinks.
-var logShardCounts = []int{1, 2, 4, 8}
 
 // laggardEvery/laggardNap is the lagging-consumer schedule: a laggard
 // sleeps for laggardNap every laggardEvery reads, stretching retention
@@ -226,21 +222,20 @@ func (l *ChanFanLog) Close() {
 	<-l.done
 }
 
-// newWfLog builds a Log sized for the scenario at the given shard
-// count, with a consumer-slot pool matching the scenario topology. Like
-// the queue tier it runs the unknown-bounds adaptive-delay variant: the
-// per-shard point contention is far below the goroutine count.
-func newWfLog(sc *workload.LogScenario, shards, procs int, sp *StallPoint) (*wflocks.Log[uint64], *wflocks.Manager, error) {
+// NewWfLog builds a Log sized for the scenario at the given shard count
+// (aggregate capacity is held constant while per-shard contention
+// shrinks), values drawing from sp, with a consumer-slot pool matching
+// the scenario topology. Like the queue tier it runs the
+// unknown-bounds adaptive-delay variant: the per-shard point
+// contention is far below the goroutine count. procs bounds the
+// goroutines that will contend (see NewManager).
+func NewWfLog(sc *workload.LogScenario, shards, procs int, sp *StallPoint, extra ...wflocks.Option) (*wflocks.Log[uint64], *wflocks.Manager, error) {
 	budget := wflocks.LogCriticalSteps(1, 1, sc.Consumers, sc.Segment)
-	m, err := AdaptiveManager(procs, 2, budget, wflocks.WithMetrics())
+	m, err := NewManager(VariantAdaptive, procs, 2, budget, extra...)
 	if err != nil {
 		return nil, nil, err
 	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = StallValueCodec(sp)
-	}
-	lg, err := wflocks.NewLogOf[uint64](m, vc,
+	lg, err := wflocks.NewLogOf[uint64](m, valueCodec(sp),
 		wflocks.WithLogShards(shards), wflocks.WithLogCapacity(sc.Capacity),
 		wflocks.WithLogSegment(sc.Segment), wflocks.WithLogBatch(1),
 		wflocks.WithLogConsumers(sc.Consumers))
@@ -256,53 +251,101 @@ type logImpl struct {
 	// entries is visible to every reader (the channel baseline's
 	// broadcaster is asynchronous).
 	settle func(total int)
-	// atPeak, when non-nil, samples retention at the moment the
-	// producers finish — the lagmax column's high-water mark.
-	atPeak func()
-	// finish, when non-nil, fills the implementation-specific columns
-	// from post-run stats.
-	finish func(row []string)
 	// close, when non-nil, releases the implementation's resources.
 	close func()
+	// wf, when non-nil, is the wflog behind the implementation: its
+	// stats fill the retention and attempt cells.
+	wf *wflocks.Log[uint64]
+	// lagPeak is wf's attached-cursor backlog sampled by atPeak.
+	lagPeak int
 }
 
-// RunLogScenario drives sc against the wflog shard sweep and the
-// mutex+slice and channel-fan-out baselines, in the raw and
-// holder-stall regimes, and tabulates delivered throughput, retention
-// and contention.
-func RunLogScenario(sc *workload.LogScenario, scale Scale) (*Table, error) {
+// atPeak samples retention at the moment the producers finish — the
+// lagmax column's high-water mark.
+func (im *logImpl) atPeak() {
+	if im.wf != nil {
+		im.lagPeak = im.wf.Stats().MaxLag
+	}
+}
+
+// logFamily compares the wflog shard sweep with the mutex+slice and
+// channel-fan-out baselines, raw and stalled: delivered throughput,
+// retention and contention.
+func logFamily(sc *workload.LogScenario, scale Scale) (*family, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	itemsPer := 200
-	if scale == Full {
-		itemsPer = 2000
-	}
-	if sc.Replay && sc.Producers*itemsPer > sc.Capacity {
-		return nil, fmt.Errorf("%s: replay prefill %d exceeds capacity %d",
-			sc.Name, sc.Producers*itemsPer, sc.Capacity)
+	itemsPer := scale.pick(200, 2000)
+	total := sc.Producers * itemsPer
+	if sc.Replay && total > sc.Capacity {
+		return nil, fmt.Errorf("%s: replay prefill %d exceeds capacity %d", sc.Name, total, sc.Capacity)
 	}
 	shape := "live"
 	if sc.Replay {
 		shape = "replay"
 	}
-	t := &Table{
-		Title: fmt.Sprintf("%s: %d producers × %d items broadcast to %d consumers (%d lagging), cap %d, segment %d, %s",
+	f := &family{
+		title: fmt.Sprintf("%s: %d producers × %d items broadcast to %d consumers (%d lagging), cap %d, segment %d, %s",
 			sc.Name, sc.Producers, itemsPer, sc.Consumers, sc.Laggards, sc.Capacity, sc.Segment, shape),
-		Header: append(append([]string{"impl", "shards", "stall", "deliv/sec"}, LogColsHeader...),
-			append([]string{"success", "attempts/op"}, ObsHeader...)...),
+		header: append([]string{"impl", "shards", "stall", "deliv/sec", "trimmed", "lagmax", "success", "attempts/op"}, obsHeader...),
+		notes: []string{
+			"deliv/sec counts consumer-side deliveries (every consumer reads the whole stream); every run audits gapless per-producer delivery order",
+			"raw regime: the mutex+slice and channel fan-out win on constant factors — every wflog attempt pays the adaptive variant's padded delays",
+			"stall regime: appenders and readers stall mid-value-touch (" + fmt.Sprintf("%v every %d touches", StallDur, StallPeriod) + "); a stalled mutex-log holder — appender or subscriber — blocks everyone, a stalled chanfan broadcaster head-of-line blocks the fan-out, a stalled wflog section is helped past and disturbs one shard",
+			"trimmed counts entries reclaimed in-append behind the slowest cursor; lagmax samples the largest cursor backlog at producer completion",
+		},
+		stall: true,
+		obs:   true,
+	}
+	// logInstance is what every log row shares: a replay scenario's
+	// prefill (unmeasured and unstalled — sweep arms the stall point
+	// afterwards), then the role-based loop over im.
+	logInstance := func(im *logImpl, mgrs ...*wflocks.Manager) *instance {
+		produce := func(w int) {
+			for i := 0; i < itemsPer; i++ {
+				v := uint64(w)<<32 | uint64(i+1)
+				for !im.append(uint64(w), v) {
+					runtime.Gosched()
+				}
+			}
+		}
+		if sc.Replay {
+			for w := 0; w < sc.Producers; w++ {
+				produce(w)
+			}
+			if im.settle != nil {
+				im.settle(total)
+			}
+			im.atPeak()
+		}
+		in := &instance{
+			mgrs: mgrs,
+			run:  func() error { return runBroadcast(sc, im, itemsPer, produce) },
+			cols: func(r measured) []string {
+				trimmed, lagmax, success, attemptsPer := "-", "-", "-", "-"
+				if im.wf != nil {
+					st := im.wf.Stats()
+					trimmed, lagmax = fmt.Sprint(st.Trimmed), fmt.Sprint(im.lagPeak)
+					// The run's ops: every cursor read, plus the appends
+					// unless a replay made them before the run.
+					ops := st.Reads
+					if !sc.Replay {
+						ops += uint64(total)
+					}
+					success, attemptsPer = r.attemptCols(ops)
+				}
+				return []string{r.perSec(sc.Consumers * total), trimmed, lagmax, success, attemptsPer}
+			},
+		}
+		if im.close != nil {
+			in.close = func() error { im.close(); return nil }
+		}
+		return in
 	}
 	procs := sc.Producers + sc.Consumers + 4
-	for _, stalled := range []bool{false, true} {
-		label := "none"
-		newSP := func() *StallPoint { return nil }
-		if stalled {
-			label = fmt.Sprintf("%v/%d", StallDur, StallPeriod)
-			newSP = func() *StallPoint { return NewStallPoint(StallPeriod, StallDur) }
-		}
-		for _, shards := range logShardCounts {
-			sp := newSP()
-			lg, m, err := newWfLog(sc, shards, procs, sp)
+	for _, shards := range shardSweep {
+		f.add(func(sp *StallPoint) (*instance, error) {
+			lg, m, err := NewWfLog(sc, shards, procs, sp, wflocks.WithMetrics())
 			if err != nil {
 				return nil, err
 			}
@@ -312,7 +355,7 @@ func RunLogScenario(sc *workload.LogScenario, scale Scale) (*Table, error) {
 				return nil, fmt.Errorf("%s: replay prefill %d per producer exceeds per-shard capacity %d at %d shards",
 					sc.Name, itemsPer, lg.Cap()/shards, shards)
 			}
-			im := &logImpl{append: lg.TryAppendKeyed}
+			im := &logImpl{append: lg.TryAppendKeyed, wf: lg}
 			for c := 0; c < sc.Consumers; c++ {
 				cur, err := lg.NewCursor()
 				if err != nil {
@@ -320,101 +363,42 @@ func RunLogScenario(sc *workload.LogScenario, scale Scale) (*Table, error) {
 				}
 				im.read = append(im.read, cur.TryNext)
 			}
-			var lagPeak int
-			im.atPeak = func() { lagPeak = lg.Stats().MaxLag }
-			im.finish = func(row []string) {
-				st := lg.Stats()
-				var attempts, wins uint64
-				for _, sh := range st.Shards {
-					attempts += sh.Lock.Attempts
-					wins += sh.Lock.Wins
-				}
-				fillLogCols(row, st.Trimmed, lagPeak)
-				ops := uint64(sc.Producers*itemsPer) + st.Reads
-				if attempts > 0 && ops > 0 {
-					row[6] = fmt.Sprintf("%.3f", float64(wins)/float64(attempts))
-					row[7] = fmt.Sprintf("%.2f", float64(attempts)/float64(ops))
-				}
-				fillObsCols(row, []*wflocks.Manager{m})
-			}
-			row, err := runLogImpl(sc, "wflog", fmt.Sprint(shards), label, sp, itemsPer, im)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		{
-			sp := newSP()
-			ml := NewMutexSliceLog(sc.Capacity, sp)
-			im := &logImpl{append: ml.TryAppend}
-			for c := 0; c < sc.Consumers; c++ {
-				im.read = append(im.read, ml.NewReader().TryNext)
-			}
-			row, err := runLogImpl(sc, "mutexslice", "1", label, sp, itemsPer, im)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		{
-			sp := newSP()
-			cf := NewChanFanLog(sc.Capacity, sc.Consumers, sp)
-			im := &logImpl{append: cf.TryAppend, close: cf.Close}
-			for c := 0; c < sc.Consumers; c++ {
-				im.read = append(im.read, cf.Reader(c))
-			}
-			im.settle = func(total int) {
-				for cf.Distributed() < uint64(total) {
-					runtime.Gosched()
-				}
-			}
-			row, err := runLogImpl(sc, "chanfan", "-", label, sp, itemsPer, im)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
+			return logInstance(im, m), nil
+		}, "wflog", fmt.Sprint(shards))
 	}
-	t.Notes = append(t.Notes,
-		"deliv/sec counts consumer-side deliveries (every consumer reads the whole stream); every run audits gapless per-producer delivery order",
-		"raw regime: the mutex+slice and channel fan-out win on constant factors — every wflog attempt pays the adaptive variant's padded delays",
-		"stall regime: appenders and readers stall mid-value-touch ("+fmt.Sprintf("%v every %d touches", StallDur, StallPeriod)+"); a stalled mutex-log holder — appender or subscriber — blocks everyone, a stalled chanfan broadcaster head-of-line blocks the fan-out, a stalled wflog section is helped past and disturbs one shard",
-		"trimmed counts entries reclaimed in-append behind the slowest cursor; lagmax samples the largest cursor backlog at producer completion")
-	return t, nil
-}
-
-// runLogImpl measures one implementation under one regime: producers
-// append keyed by their id, every consumer reads the whole stream
-// through its own reader, and each delivery is audited for gapless
-// per-producer order. Replay runs prefill the whole stream unmeasured
-// and unstall(ed), then time only the concurrent drain.
-func runLogImpl(sc *workload.LogScenario, impl, shards, stallLabel string, sp *StallPoint,
-	itemsPer int, im *logImpl) ([]string, error) {
-	total := sc.Producers * itemsPer
-	produce := func(w int) {
-		for i := 0; i < itemsPer; i++ {
-			v := uint64(w)<<32 | uint64(i+1)
-			for !im.append(uint64(w), v) {
+	f.add(func(sp *StallPoint) (*instance, error) {
+		ml := NewMutexSliceLog(sc.Capacity, sp)
+		im := &logImpl{append: ml.TryAppend}
+		for c := 0; c < sc.Consumers; c++ {
+			im.read = append(im.read, ml.NewReader().TryNext)
+		}
+		return logInstance(im), nil
+	}, "mutexslice", "1")
+	f.add(func(sp *StallPoint) (*instance, error) {
+		cf := NewChanFanLog(sc.Capacity, sc.Consumers, sp)
+		im := &logImpl{append: cf.TryAppend, close: cf.Close}
+		for c := 0; c < sc.Consumers; c++ {
+			im.read = append(im.read, cf.Reader(c))
+		}
+		im.settle = func(total int) {
+			for cf.Distributed() < uint64(total) {
 				runtime.Gosched()
 			}
 		}
-	}
-	if sc.Replay {
-		for w := 0; w < sc.Producers; w++ {
-			produce(w)
-		}
-		if im.settle != nil {
-			im.settle(total)
-		}
-		if im.atPeak != nil {
-			im.atPeak()
-		}
-	}
-	sp.Arm()
+		return logInstance(im), nil
+	}, "chanfan", "-")
+	return f, nil
+}
+
+// runBroadcast is the log family's role-based loop: producers append
+// keyed by their id (a replay scenario's were appended before the
+// run), every consumer reads the whole stream through its own reader,
+// and each delivery is audited for gapless per-producer order.
+func runBroadcast(sc *workload.LogScenario, im *logImpl, itemsPer int, produce func(w int)) error {
+	total := sc.Producers * itemsPer
 	var auditMu sync.Mutex
 	var auditErr error
 	var pwg, cwg sync.WaitGroup
-	start := time.Now()
 	if !sc.Replay {
 		for w := 0; w < sc.Producers; w++ {
 			pwg.Add(1)
@@ -441,8 +425,8 @@ func runLogImpl(sc *workload.LogScenario, impl, shards, stallLabel string, sp *S
 				if pid >= sc.Producers || seq != last[pid]+1 {
 					auditMu.Lock()
 					if auditErr == nil {
-						auditErr = fmt.Errorf("%s %s consumer %d: entry %d/%d breaks prefix order (want seq %d)",
-							sc.Name, impl, c, pid, seq, last[pid]+1)
+						auditErr = fmt.Errorf("%s consumer %d: entry %d/%d breaks prefix order (want seq %d)",
+							sc.Name, c, pid, seq, last[pid]+1)
 					}
 					auditMu.Unlock()
 					return
@@ -457,28 +441,8 @@ func runLogImpl(sc *workload.LogScenario, impl, shards, stallLabel string, sp *S
 	}
 	if !sc.Replay {
 		pwg.Wait()
-		if im.atPeak != nil {
-			im.atPeak()
-		}
+		im.atPeak()
 	}
 	cwg.Wait()
-	elapsed := time.Since(start)
-	if auditErr != nil {
-		return nil, auditErr
-	}
-	delivered := sc.Consumers * total
-	row := []string{
-		impl,
-		shards,
-		stallLabel,
-		fmt.Sprintf("%.0f", float64(delivered)/elapsed.Seconds()),
-		"-", "-", "-", "-", "-", "-", "-",
-	}
-	if im.finish != nil {
-		im.finish(row)
-	}
-	if im.close != nil {
-		im.close()
-	}
-	return row, nil
+	return auditErr
 }

@@ -2,10 +2,7 @@ package bench
 
 import (
 	"runtime"
-	"strconv"
 	"testing"
-
-	"wflocks/internal/workload"
 )
 
 func TestMutexSliceLogBasic(t *testing.T) {
@@ -63,48 +60,5 @@ func TestChanFanLogBasic(t *testing.T) {
 		if _, ok := r(); ok {
 			t.Fatal("read past the broadcast tail succeeded")
 		}
-	}
-}
-
-// TestRunLogScenario runs the quick-scale log tables end to end —
-// fanout for the live topology, replay for the prefilled one — and
-// sanity-checks their shape. The stall regime sleeps for real, so this
-// is skipped in -short.
-func TestRunLogScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stall-regime rows sleep for real; skip in -short")
-	}
-	for _, name := range []string{"log:fanout", "log:replay"} {
-		sc := workload.LookupLogScenario(name)
-		if sc == nil {
-			t.Fatalf("%s missing", name)
-		}
-		tab, err := RunLogScenario(sc, Quick)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// 4 wflog shard counts + mutexslice + chanfan, in 2 regimes.
-		if len(tab.Rows) != 12 {
-			t.Fatalf("%s: table has %d rows, want 12", name, len(tab.Rows))
-		}
-		for _, row := range tab.Rows {
-			ops, err := strconv.ParseFloat(row[3], 64)
-			if err != nil || ops <= 0 {
-				t.Fatalf("%s row %v: bad deliv/sec %q", name, row, row[3])
-			}
-			if row[0] == "wflog" {
-				succ, err := strconv.ParseFloat(row[6], 64)
-				if err != nil || succ <= 0 || succ > 1 {
-					t.Fatalf("%s row %v: bad success %q", name, row, row[6])
-				}
-				if _, err := strconv.ParseUint(row[4], 10, 64); err != nil {
-					t.Fatalf("%s row %v: bad trimmed %q", name, row, row[4])
-				}
-			}
-		}
-	}
-	bad := workload.LogScenario{Name: "bad", Producers: 1, Consumers: 1, Capacity: 0, Segment: 1}
-	if _, err := RunLogScenario(&bad, Quick); err == nil {
-		t.Fatal("invalid scenario accepted")
 	}
 }

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
 
 	"wflocks"
 	"wflocks/internal/env"
@@ -12,16 +10,13 @@ import (
 	"wflocks/internal/workload"
 )
 
-// Map workload runner: drives a workload.MapScenario against the wfmap
+// Map family: drives a workload.MapScenario against the wfmap
 // subsystem and against a sync.Mutex-sharded baseline, sweeping the
 // shard count. Two effects make wfmap throughput scale with shards:
 // per-lock contention drops (higher per-attempt success probability),
 // and the per-shard bucket region shrinks, which shortens the
 // worst-case critical section T and with it the attempts' fixed
 // O(κ²L²T) delays.
-
-// mapShardCounts is the shard sweep of the map benchmarks.
-var mapShardCounts = []int{1, 2, 4, 8}
 
 // MutexMap is the blocking baseline: a sync.Mutex-sharded map with the
 // same shard-selection hash as wfmap. It makes no wait-freedom or
@@ -100,181 +95,150 @@ func (mm *MutexMap) Len() int {
 	return n
 }
 
-// mapWorkers picks the driver goroutine count: the host's parallelism,
-// but at least 4 so there is contention to measure on small machines.
-func mapWorkers() int {
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		return p
+// KV is the surface the map and cache operation mixes drive; the
+// wait-free structures and their blocking baselines all provide it.
+type KV interface {
+	Get(k uint64) (uint64, bool)
+	Put(k, v uint64)
+	Delete(k uint64) bool
+}
+
+// WfMap is a wflocks.Map as a KV and as a TxnMap.
+type WfMap struct {
+	*wflocks.Map[uint64, uint64]
+}
+
+// Put stores v for k. ErrMapFull is impossible by construction
+// (capacity 2× the keyspace) short of extreme hash skew; it is treated
+// as a dropped op rather than failing the run.
+func (m WfMap) Put(k, v uint64) { _ = m.Map.Put(k, v) }
+
+// NewWfMap builds a wfmap over a keyspace of keys at the given shard
+// count, on its own manager under delay variant v sized for l-key
+// transactions (WithMaxLocks(l), T = MapAtomicSteps(cap, 1, 1, l) —
+// which at l = 1 is the single-key MapCriticalSteps), values drawing
+// from sp. Total capacity is fixed at 2× the keyspace, split across
+// shards, so a shard sweep holds the aggregate structure constant
+// while the per-shard region (and hence T) shrinks as shards grow.
+// procs bounds the goroutines that will contend (see NewManager).
+func NewWfMap(v Variant, procs, keys, shards, l int, sp *StallPoint, extra ...wflocks.Option) (WfMap, *wflocks.Manager, error) {
+	capPerShard := nextPow2(2 * keys / shards)
+	m, err := NewManager(v, procs, l, wflocks.MapAtomicSteps(capPerShard, 1, 1, l), extra...)
+	if err != nil {
+		return WfMap{}, nil, err
 	}
-	return 4
+	mp, err := wflocks.NewMapOf[uint64, uint64](m, wflocks.IntegerCodec[uint64](), valueCodec(sp),
+		wflocks.WithShards(shards), wflocks.WithShardCapacity(capPerShard))
+	return WfMap{mp}, m, err
 }
 
-// RunMapScenario drives sc against wfmap (under both delay variants)
-// and the mutex baseline across the shard sweep and tabulates
-// throughput, per-attempt success rate and shard balance.
-func RunMapScenario(sc *workload.MapScenario, scale Scale) (*Table, error) {
-	return RunMapScenarioVariants(sc, scale, AllVariants)
+// PrefillMap stores the lower half of the scenario's keyspace, so a
+// uniform read hits half the time, and checks that every key took.
+func PrefillMap(sc *workload.MapScenario, kv KV) error {
+	for k := uint64(0); k < uint64(sc.Keys/2); k++ {
+		kv.Put(k, k)
+		if _, ok := kv.Get(k); !ok {
+			return fmt.Errorf("%s: prefill lost key %d", sc.Name, k)
+		}
+	}
+	return nil
 }
 
-// RunMapScenarioVariants is RunMapScenario restricted to the given
-// delay variants (the -variant flag).
-func RunMapScenarioVariants(sc *workload.MapScenario, scale Scale, variants []Variant) (*Table, error) {
+// MapWorker returns goroutine w's operation over kv: each call draws
+// one op from the scenario's mix and applies it; i is the caller's
+// iteration count, the value a put stores.
+func MapWorker(sc *workload.MapScenario, kv KV, w int) func(i int) error {
+	st := workload.NewMapOpStream(sc, workerSeed(w))
+	return func(i int) error {
+		kind, key := st.Next()
+		k := uint64(key)
+		switch kind {
+		case workload.MapGet:
+			kv.Get(k)
+		case workload.MapPut:
+			kv.Put(k, uint64(i))
+		case workload.MapDelete:
+			kv.Delete(k)
+		}
+		return nil
+	}
+}
+
+// mapFamily compares wfmap (under each delay variant) with the mutex
+// baseline across the shard sweep: throughput, per-attempt success
+// rate and shard balance. Raw regime only — map values are plain
+// words, with no codec to plant a stall in.
+func mapFamily(sc *workload.MapScenario, scale Scale, variants []Variant) (*family, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	workers := mapWorkers()
-	opsPer := 200
-	if scale == Full {
-		opsPer = 2000
-	}
-	t := &Table{
-		Title: fmt.Sprintf("%s: %d%%/%d%%/%d%% get/put/delete, %d keys, skew %.1f, %d workers × %d ops",
+	workers := workersAtLeast(4)
+	opsPer := scale.pick(200, 2000)
+	ops := workers * opsPer
+	f := &family{
+		title: fmt.Sprintf("%s: %d%%/%d%%/%d%% get/put/delete, %d keys, skew %.1f, %d workers × %d ops",
 			sc.Name, sc.GetPct, sc.PutPct, sc.DeletePct, sc.Keys, sc.Skew, workers, opsPer),
-		Header: append([]string{"impl", "shards", "ops/sec", "success", "attempts/op", "balance", "max/mean"}, ObsHeader...),
+		header: append([]string{"impl", "shards", "ops/sec", "success", "attempts/op", "balance", "max/mean"}, obsHeader...),
+		notes: []string{
+			"adaptive rows use WithUnknownBounds: delays track point contention (the recommended default); known rows pay the fixed c·κ²L²T delays",
+			"uncontended attempts skip delays entirely via the fast path in both regimes; sharding shrinks both κ per lock and T",
+			"balance is Jain's index over per-shard lock attempts (1.0 = even traffic)",
+		},
+		obs: true,
 	}
 	for _, v := range variants {
-		for _, shards := range mapShardCounts {
-			row, err := runWfmapScenario(sc, v, shards, workers, opsPer)
-			if err != nil {
+		for _, shards := range shardSweep {
+			f.add(func(*StallPoint) (*instance, error) {
+				mp, m, err := NewWfMap(v, workers, sc.Keys, shards, 1, nil, wflocks.WithMetrics())
+				if err == nil {
+					err = PrefillMap(sc, mp)
+				}
+				if err != nil {
+					return nil, err
+				}
+				return &instance{
+					mgrs: []*wflocks.Manager{m},
+					run: func() error {
+						return runWorkers(workers, opsPer, func(w int) func(int) error { return MapWorker(sc, mp, w) })
+					},
+					cols: func(r measured) []string {
+						success, attemptsPer := r.attemptCols(uint64(ops))
+						ms := mp.Stats()
+						return []string{r.perSec(ops), success, attemptsPer,
+							fmt.Sprintf("%.3f", ms.Balance), fmt.Sprintf("%.2f", ms.MaxOverMean)}
+					},
+				}, nil
+			}, "wfmap/"+string(v), fmt.Sprint(shards))
+		}
+	}
+	for _, shards := range shardSweep {
+		f.add(func(*StallPoint) (*instance, error) {
+			mm := NewMutexMap(shards)
+			if err := PrefillMap(sc, mm); err != nil {
 				return nil, err
 			}
-			t.Rows = append(t.Rows, row)
-		}
+			return &instance{
+				run: func() error {
+					return runWorkers(workers, opsPer, func(w int) func(int) error { return MapWorker(sc, mm, w) })
+				},
+				cols: func(r measured) []string {
+					// sync.Mutex keeps no contention counters, so the
+					// baseline's balance columns describe the shard traffic
+					// its workers issued: replay their op streams.
+					counts := make([]uint64, len(mm.shards))
+					for w := 0; w < workers; w++ {
+						st := workload.NewMapOpStream(sc, workerSeed(w))
+						for i := 0; i < opsPer; i++ {
+							_, key := st.Next()
+							counts[mm.shardIndex(uint64(key))]++
+						}
+					}
+					d := stats.NewShardDist(counts)
+					return []string{r.perSec(ops), "-", "-",
+						fmt.Sprintf("%.3f", d.Jain), fmt.Sprintf("%.2f", d.MaxOverMean)}
+				},
+			}, nil
+		}, "mutex", fmt.Sprint(shards))
 	}
-	for _, shards := range mapShardCounts {
-		t.Rows = append(t.Rows, runMutexScenario(sc, shards, workers, opsPer))
-	}
-	t.Notes = append(t.Notes,
-		"adaptive rows use WithUnknownBounds: delays track point contention (the recommended default); known rows pay the fixed c·κ²L²T delays",
-		"uncontended attempts skip delays entirely via the fast path in both regimes; sharding shrinks both κ per lock and T",
-		"balance is Jain's index over per-shard lock attempts (1.0 = even traffic)")
-	return t, nil
-}
-
-// runWfmapScenario measures one wfmap configuration under one delay
-// variant.
-func runWfmapScenario(sc *workload.MapScenario, v Variant, shards, workers, opsPer int) ([]string, error) {
-	// Fixed total capacity 2× the keyspace, split across shards, so the
-	// sweep holds the aggregate structure constant while the per-shard
-	// region (and hence T) shrinks as shards grow.
-	capPerShard := nextPow2(2 * sc.Keys / shards)
-	m, err := NewManager(v, workers, 1, wflocks.MapCriticalSteps(capPerShard, 1, 1), wflocks.WithMetrics())
-	if err != nil {
-		return nil, err
-	}
-	mp, err := wflocks.NewMap[uint64, uint64](m,
-		wflocks.WithShards(shards), wflocks.WithShardCapacity(capPerShard))
-	if err != nil {
-		return nil, err
-	}
-	for k := 0; k < sc.Keys/2; k++ {
-		if err := mp.Put(uint64(k), uint64(k)); err != nil {
-			return nil, err
-		}
-	}
-	base := m.Stats()
-	obsBase := m.Observe()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := workload.NewMapOpStream(sc, uint64(w)*0x9e3779b97f4a7c15+1)
-			for i := 0; i < opsPer; i++ {
-				kind, key := st.Next()
-				k := uint64(key)
-				switch kind {
-				case workload.MapGet:
-					mp.Get(k)
-				case workload.MapPut:
-					// ErrMapFull is impossible by construction (capacity
-					// 2× keyspace) short of extreme hash skew; treat it
-					// as a dropped op rather than failing the run.
-					_ = mp.Put(k, uint64(i))
-				case workload.MapDelete:
-					mp.Delete(k)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	delta := m.Stats().Sub(base)
-	totalOps := workers * opsPer
-	ms := mp.Stats()
-	opsPerSec := float64(totalOps) / elapsed.Seconds()
-	return append([]string{
-		"wfmap/" + string(v),
-		fmt.Sprint(shards),
-		fmt.Sprintf("%.0f", opsPerSec),
-		fmt.Sprintf("%.3f", delta.SuccessRate()),
-		fmt.Sprintf("%.2f", float64(delta.Attempts)/float64(totalOps)),
-		fmt.Sprintf("%.3f", ms.Balance),
-		fmt.Sprintf("%.2f", ms.MaxOverMean),
-	}, ObsCols(m, delta, obsBase)...), nil
-}
-
-// runMutexScenario measures one baseline configuration. Per-shard
-// contention counters do not exist for sync.Mutex, so balance columns
-// are blank.
-func runMutexScenario(sc *workload.MapScenario, shards, workers, opsPer int) []string {
-	mm := NewMutexMap(shards)
-	for k := 0; k < sc.Keys/2; k++ {
-		mm.Put(uint64(k), uint64(k))
-	}
-	perShardOps := make([][]uint64, workers)
-	for w := range perShardOps {
-		perShardOps[w] = make([]uint64, len(mm.shards))
-	}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := workload.NewMapOpStream(sc, uint64(w)*0x9e3779b97f4a7c15+1)
-			for i := 0; i < opsPer; i++ {
-				kind, key := st.Next()
-				k := uint64(key)
-				perShardOps[w][mm.shardIndex(k)]++
-				switch kind {
-				case workload.MapGet:
-					mm.Get(k)
-				case workload.MapPut:
-					mm.Put(k, uint64(i))
-				case workload.MapDelete:
-					mm.Delete(k)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	totalOps := workers * opsPer
-	counts := make([]uint64, len(mm.shards))
-	for _, per := range perShardOps {
-		for s, c := range per {
-			counts[s] += c
-		}
-	}
-	d := stats.NewShardDist(counts)
-	return append([]string{
-		"mutex",
-		fmt.Sprint(shards),
-		fmt.Sprintf("%.0f", float64(totalOps)/elapsed.Seconds()),
-		"-",
-		"-",
-		fmt.Sprintf("%.3f", d.Jain),
-		fmt.Sprintf("%.2f", d.MaxOverMean),
-	}, ObsBlank()...)
-}
-
-// nextPow2 rounds n up to a power of two, minimum 1.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
+	return f, nil
 }

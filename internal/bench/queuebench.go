@@ -5,13 +5,12 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"wflocks"
 	"wflocks/internal/workload"
 )
 
-// Queue workload runner: drives a workload.QueueScenario against the
+// Queue family: drives a workload.QueueScenario against the
 // wfqueue subsystem (the single-ring Queue and the sharded WorkPool,
 // sweeping the shard count) and against two baselines — a buffered Go
 // channel and a mutex+ring — in the raw and holder-stall regimes.
@@ -34,20 +33,6 @@ import (
 //
 // Every run audits conservation: the sum of consumed values must
 // equal the sum produced, whatever the interleaving.
-
-// queueShardCounts is the WorkPool shard sweep.
-var queueShardCounts = []int{1, 2, 4, 8}
-
-// queueWorkers picks the driver goroutine count: the host's
-// parallelism, but at least 8 so the mpmc scenario has real
-// many-to-many contention (and enough runnable competitors to help
-// stalled winners) even on small machines.
-func queueWorkers() int {
-	if p := runtime.GOMAXPROCS(0); p > 8 {
-		return p
-	}
-	return 8
-}
 
 // benchQueue is the uniform surface the queue drivers need; all four
 // implementations provide it.
@@ -155,202 +140,134 @@ func (q *MutexRing) Len() int {
 // pad-to-power-of-two delays track the actual contention instead of
 // the worst-case fixed κ²L²T — the paper's own answer (Theorem 6.10,
 // reproduced by E5/E11) to exactly this gap, at the price of a log
-// factor in the success bound. The map/cache/txn runners keep the
-// known-bounds variant, so both modes stay covered end to end.
+// factor in the success bound.
 
-// newWfQueue builds a single-ring Queue sized for the scenario,
-// returning the manager alongside for the run's observability columns.
-func newWfQueue(sc *workload.QueueScenario, workers int, sp *StallPoint) (*wflocks.Queue[uint64], *wflocks.Manager, error) {
-	m, err := AdaptiveManager(workers+2, 1, wflocks.QueueCriticalSteps(1, 1), wflocks.WithMetrics())
+// NewWfQueue builds a single-ring Queue of the given capacity, values
+// drawing from sp, returning the manager alongside for the run's
+// observability columns. procs bounds the goroutines that will contend
+// (see NewManager).
+func NewWfQueue(capacity, procs int, sp *StallPoint, extra ...wflocks.Option) (*wflocks.Queue[uint64], *wflocks.Manager, error) {
+	m, err := NewManager(VariantAdaptive, procs, 1, wflocks.QueueCriticalSteps(1, 1), extra...)
 	if err != nil {
 		return nil, nil, err
 	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = StallValueCodec(sp)
-	}
-	q, err := wflocks.NewQueueOf[uint64](m, vc,
-		wflocks.WithQueueCapacity(sc.Capacity), wflocks.WithQueueBatch(1))
+	q, err := wflocks.NewQueueOf[uint64](m, valueCodec(sp),
+		wflocks.WithQueueCapacity(capacity), wflocks.WithQueueBatch(1))
 	return q, m, err
 }
 
-// newWfPool builds a WorkPool with the given shard count; the
-// scenario's capacity is the pool total, so the sweep holds aggregate
-// capacity constant while per-shard contention shrinks.
-func newWfPool(sc *workload.QueueScenario, shards, workers int, sp *StallPoint) (*wflocks.WorkPool[uint64], *wflocks.Manager, error) {
-	m, err := AdaptiveManager(workers+2, 2, wflocks.WorkPoolCriticalSteps(1, 1), wflocks.WithMetrics())
+// NewWfPool builds a WorkPool with the given shard count; capacity is
+// the pool total, so a shard sweep holds aggregate capacity constant
+// while per-shard contention shrinks.
+func NewWfPool(capacity, shards, procs int, sp *StallPoint, extra ...wflocks.Option) (*wflocks.WorkPool[uint64], *wflocks.Manager, error) {
+	m, err := NewManager(VariantAdaptive, procs, 2, wflocks.WorkPoolCriticalSteps(1, 1), extra...)
 	if err != nil {
 		return nil, nil, err
 	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = StallValueCodec(sp)
-	}
-	wp, err := wflocks.NewWorkPoolOf[uint64](m, vc,
-		wflocks.WithPoolShards(shards), wflocks.WithPoolCapacity(sc.Capacity),
+	wp, err := wflocks.NewWorkPoolOf[uint64](m, valueCodec(sp),
+		wflocks.WithPoolShards(shards), wflocks.WithPoolCapacity(capacity),
 		wflocks.WithPoolBatch(1))
 	return wp, m, err
 }
 
-// RunQueueScenario drives sc against wfqueue, the WorkPool shard
-// sweep, and the channel and mutex+ring baselines, in the raw and
-// holder-stall regimes, and tabulates throughput, steal traffic and
-// contention.
-func RunQueueScenario(sc *workload.QueueScenario, scale Scale) (*Table, error) {
+// queueFamily compares wfqueue, the WorkPool shard sweep, and the
+// channel and mutex+ring baselines, raw and stalled: throughput, steal
+// traffic and contention.
+func queueFamily(sc *workload.QueueScenario, scale Scale) (*family, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	workers := queueWorkers()
+	// At least 8 workers, so the mpmc scenario has real many-to-many
+	// contention (and enough runnable competitors to help stalled
+	// winners) even on small machines.
+	workers := workersAtLeast(8)
 	producers, consumers, moversPer := sc.Split(workers)
-	itemsPer := 200
-	if scale == Full {
-		itemsPer = 2000
-	}
-	t := &Table{
-		Title: fmt.Sprintf("%s: %d stage(s), cap %d, %d producers × %d items, %d consumers",
+	itemsPer := scale.pick(200, 2000)
+	items := producers * itemsPer
+	f := &family{
+		title: fmt.Sprintf("%s: %d stage(s), cap %d, %d producers × %d items, %d consumers",
 			sc.Name, sc.Stages, sc.Capacity, producers, itemsPer, consumers),
-		Header: append([]string{"impl", "shards", "stall", "items/sec", "steals", "success", "attempts/item", "balance"}, ObsHeader...),
+		header: append([]string{"impl", "shards", "stall", "items/sec", "steals", "success", "attempts/item", "balance"}, obsHeader...),
+		notes: []string{
+			"raw regime: the channel and mutex+ring win on constant factors — every wfqueue attempt pays the adaptive variant's padded delays (unknown-bounds mode, Theorem 6.10; contention-proportional rather than fixed κ²L²T)",
+			"stall regime: producers/consumers stall mid-operation (" + fmt.Sprintf("%v every %d value writes", StallDur, StallPeriod) + "); helpers absorb wfqueue's stalls, the mutex+ring serializes them",
+			"the channel draws its stalls outside the channel op (no user-held lock exists): channels are inherently stall-tolerant, so the stall rows isolate wfqueue vs mutex+ring",
+			"success is wins/attempts over the wait-free lock attempts; steals counts elements WorkPool consumers migrated from other shards",
+		},
+		stall: true,
+		obs:   true,
 	}
-	for _, stalled := range []bool{false, true} {
-		// Each run gets its own stall point so the regime's rows do not
-		// share a stall schedule.
-		label := "none"
-		newSP := func() *StallPoint { return nil }
-		if stalled {
-			label = fmt.Sprintf("%v/%d", StallDur, StallPeriod)
-			newSP = func() *StallPoint { return NewStallPoint(StallPeriod, StallDur) }
-		}
-		{
-			sp := newSP()
-			var qs []*wflocks.Queue[uint64]
-			var mgrs []*wflocks.Manager
-			row, err := runQueueImpl(sc, "wfqueue", "1", label, sp, producers, consumers, moversPer, itemsPer,
-				func() (benchQueue, error) {
-					q, m, err := newWfQueue(sc, workers, sp)
-					if err != nil {
-						return nil, err
-					}
-					qs = append(qs, q)
-					mgrs = append(mgrs, m)
-					return q, nil
-				},
-				func(row []string) {
-					var attempts, wins uint64
-					for _, q := range qs {
-						s := q.Stats()
-						attempts += s.Lock.Attempts
-						wins += s.Lock.Wins
-					}
-					fillAttemptCols(row, attempts, wins, uint64(producers*itemsPer))
-					fillObsCols(row, mgrs)
-				})
-			if err != nil {
-				return nil, err
+	// queueRow is one implementation's row: a pipeline of sc.Stages
+	// queues from mk (each wait-free stage on its own fresh manager),
+	// run by the role-based loop.
+	queueRow := func(name, param string, mk func(sp *StallPoint) (benchQueue, *wflocks.Manager, error)) {
+		f.add(func(sp *StallPoint) (*instance, error) {
+			in := &instance{}
+			queues := make([]benchQueue, sc.Stages)
+			for i := range queues {
+				q, m, err := mk(sp)
+				if err != nil {
+					return nil, err
+				}
+				queues[i] = q
+				if m != nil {
+					in.mgrs = append(in.mgrs, m)
+				}
 			}
-			t.Rows = append(t.Rows, row)
-		}
-		for _, shards := range queueShardCounts {
-			sp := newSP()
-			var pools []*wflocks.WorkPool[uint64]
-			var mgrs []*wflocks.Manager
-			row, err := runQueueImpl(sc, "workpool", fmt.Sprint(shards), label, sp, producers, consumers, moversPer, itemsPer,
-				func() (benchQueue, error) {
-					wp, m, err := newWfPool(sc, shards, workers, sp)
-					if err != nil {
-						return nil, err
-					}
-					pools = append(pools, wp)
-					mgrs = append(mgrs, m)
-					return wp, nil
-				},
-				func(row []string) {
-					var steals, attempts, wins uint64
-					balance := 1.0
-					for _, wp := range pools {
+			in.run = func() error { return runPipeline(sc, queues, producers, consumers, moversPer, itemsPer) }
+			in.cols = func(r measured) []string {
+				// Pools report steals summed, and the worst balance,
+				// over the stages.
+				steals, balance := "-", "-"
+				var stolen uint64
+				worst := 1.0
+				for _, q := range queues {
+					if wp, ok := q.(*wflocks.WorkPool[uint64]); ok {
 						s := wp.Stats()
-						steals += s.Steals
-						for _, sh := range s.Shards {
-							attempts += sh.Lock.Attempts
-							wins += sh.Lock.Wins
-						}
-						if s.Balance < balance {
-							balance = s.Balance
-						}
+						stolen += s.Steals
+						worst = min(worst, s.Balance)
+						steals, balance = fmt.Sprint(stolen), fmt.Sprintf("%.3f", worst)
 					}
-					row[4] = fmt.Sprint(steals)
-					fillAttemptCols(row, attempts, wins, uint64(producers*itemsPer))
-					row[7] = fmt.Sprintf("%.3f", balance)
-					fillObsCols(row, mgrs)
-				})
-			if err != nil {
-				return nil, err
+				}
+				// An item is one enqueue plus one dequeue (plus any
+				// full/empty probes and, for pools, steal raids), so the
+				// uncontended floor for attempts/item is 2 per traversed
+				// stage.
+				success, attemptsPer := r.attemptCols(uint64(items))
+				return []string{r.perSec(items), steals, success, attemptsPer, balance}
 			}
-			t.Rows = append(t.Rows, row)
-		}
-		{
-			sp := newSP()
-			row, err := runQueueImpl(sc, "channel", "-", label, sp, producers, consumers, moversPer, itemsPer,
-				func() (benchQueue, error) { return NewChanQueue(sc.Capacity, sp), nil }, nil)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		{
-			sp := newSP()
-			row, err := runQueueImpl(sc, "mutexring", "1", label, sp, producers, consumers, moversPer, itemsPer,
-				func() (benchQueue, error) { return NewMutexRing(sc.Capacity, sp), nil }, nil)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
+			return in, nil
+		}, name, param)
 	}
-	t.Notes = append(t.Notes,
-		"raw regime: the channel and mutex+ring win on constant factors — every wfqueue attempt pays the adaptive variant's padded delays (unknown-bounds mode, Theorem 6.10; contention-proportional rather than fixed κ²L²T)",
-		"stall regime: producers/consumers stall mid-operation ("+fmt.Sprintf("%v every %d value writes", StallDur, StallPeriod)+"); helpers absorb wfqueue's stalls, the mutex+ring serializes them",
-		"the channel draws its stalls outside the channel op (no user-held lock exists): channels are inherently stall-tolerant, so the stall rows isolate wfqueue vs mutex+ring",
-		"success is wins/attempts over the wait-free lock attempts; steals counts elements WorkPool consumers migrated from other shards")
-	return t, nil
+	queueRow("wfqueue", "1", func(sp *StallPoint) (benchQueue, *wflocks.Manager, error) {
+		return NewWfQueue(sc.Capacity, workers+2, sp, wflocks.WithMetrics())
+	})
+	for _, shards := range shardSweep {
+		queueRow("workpool", fmt.Sprint(shards), func(sp *StallPoint) (benchQueue, *wflocks.Manager, error) {
+			return NewWfPool(sc.Capacity, shards, workers+2, sp, wflocks.WithMetrics())
+		})
+	}
+	queueRow("channel", "-", func(sp *StallPoint) (benchQueue, *wflocks.Manager, error) {
+		return NewChanQueue(sc.Capacity, sp), nil, nil
+	})
+	queueRow("mutexring", "1", func(sp *StallPoint) (benchQueue, *wflocks.Manager, error) {
+		return NewMutexRing(sc.Capacity, sp), nil, nil
+	})
+	return f, nil
 }
 
-// fillAttemptCols fills the success and attempts/item columns from
-// summed lock counters. An item is one enqueue plus one dequeue (plus
-// any full/empty probes and, for pools, steal raids), so the
-// uncontended floor for attempts/item is 2 per traversed stage.
-func fillAttemptCols(row []string, attempts, wins, items uint64) {
-	if attempts == 0 || items == 0 {
-		return
-	}
-	row[5] = fmt.Sprintf("%.3f", float64(wins)/float64(attempts))
-	row[6] = fmt.Sprintf("%.2f", float64(attempts)/float64(items))
-}
-
-// runQueueImpl measures one implementation under one regime: a
-// pipeline of sc.Stages queues built by mk, producers feeding the
-// first, movers shuttling across each boundary, consumers draining
-// the last, with a conservation audit. finish, when non-nil, fills the
-// implementation-specific columns from post-run stats.
-func runQueueImpl(sc *workload.QueueScenario, impl, shards, stallLabel string, sp *StallPoint,
-	producers, consumers, moversPer, itemsPer int,
-	mk func() (benchQueue, error), finish func(row []string)) ([]string, error) {
-	queues := make([]benchQueue, sc.Stages)
-	for i := range queues {
-		q, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		queues[i] = q
-	}
+// runPipeline is the queue family's role-based loop: producers feed
+// the first queue, movers shuttle across each stage boundary,
+// consumers drain the last, and the sum consumed must equal the sum
+// produced, whatever the interleaving.
+func runPipeline(sc *workload.QueueScenario, queues []benchQueue, producers, consumers, moversPer, itemsPer int) error {
 	total := producers * itemsPer
 	var wantSum atomic.Uint64
 	var gotSum atomic.Uint64
 	// moved[i] counts items that have left queue i; stage workers stop
 	// when their upstream total is through.
 	moved := make([]atomic.Uint64, sc.Stages)
-	sp.Arm()
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < producers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -404,20 +321,9 @@ func runQueueImpl(sc *workload.QueueScenario, impl, shards, stallLabel string, s
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 	if gotSum.Load() != wantSum.Load() {
-		return nil, fmt.Errorf("%s %s: conservation violated: consumed sum %d, produced sum %d",
-			sc.Name, impl, gotSum.Load(), wantSum.Load())
+		return fmt.Errorf("%s: conservation violated: consumed sum %d, produced sum %d",
+			sc.Name, gotSum.Load(), wantSum.Load())
 	}
-	row := []string{
-		impl,
-		shards,
-		stallLabel,
-		fmt.Sprintf("%.0f", float64(total)/elapsed.Seconds()),
-		"-", "-", "-", "-", "-", "-", "-",
-	}
-	if finish != nil {
-		finish(row)
-	}
-	return row, nil
+	return nil
 }

@@ -1,11 +1,6 @@
 package bench
 
-import (
-	"strconv"
-	"testing"
-
-	"wflocks/internal/workload"
-)
+import "testing"
 
 func TestMutexRingBasic(t *testing.T) {
 	q := NewMutexRing(4, nil)
@@ -28,46 +23,5 @@ func TestMutexRingBasic(t *testing.T) {
 		if !ok || got != v {
 			t.Fatalf("dequeue = (%d, %v), want (%d, true)", got, ok, v)
 		}
-	}
-}
-
-// TestRunQueueScenario runs the quick-scale queue tables end to end —
-// spsc for the single-queue topology and pipeline for the staged one —
-// and sanity-checks their shape. The stall regime sleeps for real, so
-// this is skipped in -short.
-func TestRunQueueScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stall-regime rows sleep for real; skip in -short")
-	}
-	for _, name := range []string{"queue:spsc", "queue:pipeline"} {
-		sc := workload.LookupQueueScenario(name)
-		if sc == nil {
-			t.Fatalf("%s missing", name)
-		}
-		tab, err := RunQueueScenario(sc, Quick)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// 1 wfqueue + 4 workpool shard counts + channel + mutexring, in 2
-		// regimes.
-		if len(tab.Rows) != 14 {
-			t.Fatalf("%s: table has %d rows, want 14", name, len(tab.Rows))
-		}
-		for _, row := range tab.Rows {
-			ops, err := strconv.ParseFloat(row[3], 64)
-			if err != nil || ops <= 0 {
-				t.Fatalf("%s row %v: bad items/sec %q", name, row, row[3])
-			}
-			if row[0] == "wfqueue" || row[0] == "workpool" {
-				succ, err := strconv.ParseFloat(row[5], 64)
-				if err != nil || succ <= 0 || succ > 1 {
-					t.Fatalf("%s row %v: bad success %q", name, row, row[5])
-				}
-			}
-		}
-	}
-	bad := workload.QueueScenario{Name: "bad", Capacity: 0, Stages: 1}
-	if _, err := RunQueueScenario(&bad, Quick); err == nil {
-		t.Fatal("invalid scenario accepted")
 	}
 }

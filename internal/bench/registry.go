@@ -8,7 +8,7 @@ type Experiment struct {
 }
 
 // Experiments lists every experiment in order. Each reproduces one
-// quantitative claim of the paper (see DESIGN.md §6).
+// quantitative claim of the paper; `wfbench -list` prints this list.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"E1", "step bound O(κ²L²T) per attempt (Theorem 6.1)", E1StepBound},

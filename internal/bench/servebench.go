@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"wflocks/internal/serve"
@@ -11,7 +10,7 @@ import (
 	"wflocks/internal/workload"
 )
 
-// Service workload runner: drives a workload.ServiceScenario through
+// Service family: drives a workload.ServiceScenario through
 // the full wfserve path — protocol parse, shard-by-key WorkPool
 // dispatch, backend execution, ordered pipelined responses — over the
 // in-process loopback transport, against the scenario's wait-free
@@ -29,26 +28,10 @@ import (
 // while a stalled wait-free winner is helped past, and the p99.9
 // column is where that difference lives.
 
-// serviceWorkers picks the server-side worker count: the host's
-// parallelism, floored at 4 so stalled winners always have runnable
-// helpers.
-func serviceWorkers() int {
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		return p
-	}
-	return 4
-}
-
-// serviceImpls lists the backends a scenario compares: its wait-free
-// backend and the conventional sharded-mutex design.
-func serviceImpls(sc *workload.ServiceScenario) []string {
-	return []string{sc.Backend, serve.BackendMutex}
-}
-
-// RunServiceScenario drives sc against its wait-free backend and the
-// mutex baseline, raw and stalled, and tabulates open-loop latency
-// percentiles.
-func RunServiceScenario(sc *workload.ServiceScenario, scale Scale) (*Table, error) {
+// serviceFamily compares the scenario's wait-free backend with the
+// conventional sharded-mutex design, raw and stalled, on open-loop
+// latency percentiles.
+func serviceFamily(sc *workload.ServiceScenario, scale Scale) (*family, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -60,50 +43,34 @@ func RunServiceScenario(sc *workload.ServiceScenario, scale Scale) (*Table, erro
 	if scale == Quick {
 		duration = sc.Duration / 8
 	}
-	workers := serviceWorkers()
-	t := &Table{
-		Title: fmt.Sprintf("%s: %.0f ops/s open-loop for %v, %d conns, %d workers, %d%%/%d%%/%d%% get/set/del, %d keys, skew %.1f",
+	workers := workersAtLeast(4)
+	f := &family{
+		title: fmt.Sprintf("%s: %.0f ops/s open-loop for %v, %d conns, %d workers, %d%%/%d%%/%d%% get/set/del, %d keys, skew %.1f",
 			sc.Name, sc.Rate, duration, sc.Conns, workers, sc.GetPct, sc.SetPct, sc.DelPct, sc.Keys, sc.Skew),
-		Header: []string{"impl", "stall", "sent", "done", "errs", "p50", "p99", "p99.9", "max", "ops/sec"},
+		header: []string{"impl", "stall", "sent", "done", "errs", "p50", "p99", "p99.9", "max", "ops/sec"},
+		notes: []string{
+			"open-loop, coordinated-omission-safe: latency is measured from each request's scheduled send time, so queueing delay behind a stalled server is in the percentiles",
+			"raw regime: the mutex baseline's constant factors usually win — every wait-free op pays the adaptive variant's padded delays",
+			fmt.Sprintf("stall regime: every %dth backend value write sleeps %v while its lock is held; a stalled mutex holder backs up its shard, a stalled wait-free winner is helped past", StallPeriod, StallDur),
+		},
+		stall: true,
 	}
-	for _, stalled := range []bool{false, true} {
-		label := "none"
-		if stalled {
-			label = fmt.Sprintf("%v/%d", StallDur, StallPeriod)
+	for _, backend := range []string{sc.Backend, serve.BackendMutex} {
+		label := "wf-" + backend
+		if backend == serve.BackendMutex {
+			label = "mutex-shard"
 		}
-		for _, impl := range serviceImpls(sc) {
-			res, err := runServiceOnce(sc, impl, stalled, duration, workers)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s stall=%v: %w", sc.Name, impl, stalled, err)
-			}
-			t.AddRow(implLabel(impl), label,
-				res.Total.Sent, res.Total.Done, res.Total.Errors,
-				res.Quantile(0.50).Round(time.Microsecond),
-				res.Quantile(0.99).Round(time.Microsecond),
-				res.Quantile(0.999).Round(time.Microsecond),
-				time.Duration(res.Total.Hist.Max()).Round(time.Microsecond),
-				fmt.Sprintf("%.0f", res.AchievedRate))
-		}
+		f.add(func(sp *StallPoint) (*instance, error) {
+			return serviceInstance(sc, backend, sp, duration, workers)
+		}, label)
 	}
-	t.Notes = append(t.Notes,
-		"open-loop, coordinated-omission-safe: latency is measured from each request's scheduled send time, so queueing delay behind a stalled server is in the percentiles",
-		"raw regime: the mutex baseline's constant factors usually win — every wait-free op pays the adaptive variant's padded delays",
-		fmt.Sprintf("stall regime: every %dth backend value write sleeps %v while its lock is held; a stalled mutex holder backs up its shard, a stalled wait-free winner is helped past", StallPeriod, StallDur))
-	return t, nil
+	return f, nil
 }
 
-// implLabel names a backend for the table.
-func implLabel(impl string) string {
-	if impl == serve.BackendMutex {
-		return "mutex-shard"
-	}
-	return "wf-" + impl
-}
-
-// runServiceOnce runs one impl × regime cell: build the server over a
-// loopback listener, prefill, arm the stall schedule, run the
-// open-loop load, drain.
-func runServiceOnce(sc *workload.ServiceScenario, impl string, stalled bool, duration time.Duration, workers int) (*loadgen.Result, error) {
+// serviceInstance builds one backend's server over a loopback
+// listener, prefilled; its run is the open-loop load and its close the
+// drain.
+func serviceInstance(sc *workload.ServiceScenario, backend string, sp *StallPoint, duration time.Duration, workers int) (*instance, error) {
 	// Size the server to the scenario rather than taking the roomy
 	// defaults: the wait-free manager's per-acquisition delays scale
 	// with the critical-step bound T, and T is linear in per-shard
@@ -119,19 +86,16 @@ func runServiceOnce(sc *workload.ServiceScenario, impl string, stalled bool, dur
 	if capacity < 256 {
 		capacity = 256
 	}
-	var sp *StallPoint
 	cfg := serve.Config{
-		Backend:     impl,
+		Backend:     backend,
 		Workers:     workers,
 		Shards:      8,
 		Capacity:    capacity,
 		MaxConns:    sc.Conns + 2,
 		MaxKeyBytes: 16,
 		MaxValBytes: sc.ValBytes,
-		NewManager:  AdaptiveManager,
 	}
-	if stalled {
-		sp = NewStallPoint(StallPeriod, StallDur)
+	if sp != nil {
 		cfg.Stall = sp.Hit
 	}
 	s, err := serve.NewServer(cfg)
@@ -141,45 +105,62 @@ func runServiceOnce(sc *workload.ServiceScenario, impl string, stalled bool, dur
 	lis := serve.NewLoopback()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- s.Serve(lis) }()
+	drain := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			return fmt.Errorf("shutdown: %w", err)
+		}
+		if err := <-serveDone; err != nil {
+			return fmt.Errorf("serve: %w", err)
+		}
+		return nil
+	}
 
 	// Prefill through the backend directly (not the wire) so the stall
-	// schedule, armed below, belongs entirely to the measured run.
+	// schedule, armed after build, belongs entirely to the measured run.
 	if sc.Prefill {
 		val := loadgen.Val(sc.ValBytes)
 		for k := 0; k < sc.Keys; k++ {
 			if err := s.Backend().Set(loadgen.Key(k), val, 0); err != nil {
+				_ = drain() // the prefill failure is the error to report
 				return nil, fmt.Errorf("prefill key %d: %w", k, err)
 			}
 		}
 	}
-	sp.Arm()
 
-	ctx, cancel := context.WithTimeout(context.Background(), duration+60*time.Second)
-	defer cancel()
-	res, runErr := loadgen.Run(ctx, lis.Dial, loadgen.Config{
-		Rate:      sc.Rate,
-		Duration:  duration,
-		Conns:     sc.Conns,
-		Keys:      sc.Keys,
-		Skew:      sc.Skew,
-		GetPct:    sc.GetPct,
-		SetPct:    sc.SetPct,
-		DelPct:    sc.DelPct,
-		ValBytes:  sc.ValBytes,
-		SlowConns: sc.SlowConns,
-		SlowDelay: sc.SlowDelay,
-	})
-
-	sdCtx, sdCancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer sdCancel()
-	if err := s.Shutdown(sdCtx); err != nil {
-		return nil, fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-serveDone; err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return res, nil
+	var res *loadgen.Result
+	return &instance{
+		run: func() error {
+			ctx, cancel := context.WithTimeout(context.Background(), duration+60*time.Second)
+			defer cancel()
+			var err error
+			res, err = loadgen.Run(ctx, lis.Dial, loadgen.Config{
+				Rate:      sc.Rate,
+				Duration:  duration,
+				Conns:     sc.Conns,
+				Keys:      sc.Keys,
+				Skew:      sc.Skew,
+				GetPct:    sc.GetPct,
+				SetPct:    sc.SetPct,
+				DelPct:    sc.DelPct,
+				ValBytes:  sc.ValBytes,
+				SlowConns: sc.SlowConns,
+				SlowDelay: sc.SlowDelay,
+			})
+			return err
+		},
+		// The latency cells come from the generator's own clock: it
+		// times each request from its scheduled send, not from the run.
+		cols: func(measured) []string {
+			us := func(d time.Duration) string { return d.Round(time.Microsecond).String() }
+			return []string{
+				fmt.Sprint(res.Total.Sent), fmt.Sprint(res.Total.Done), fmt.Sprint(res.Total.Errors),
+				us(res.Quantile(0.50)), us(res.Quantile(0.99)), us(res.Quantile(0.999)),
+				us(time.Duration(res.Total.Hist.Max())),
+				fmt.Sprintf("%.0f", res.AchievedRate),
+			}
+		},
+		close: drain,
+	}, nil
 }

@@ -3,17 +3,14 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"wflocks"
 	"wflocks/internal/env"
 	"wflocks/internal/workload"
 )
 
-// Transaction workload runner: drives a workload.TxnScenario against
-// wfmap's multi-key Atomic path and against a sorted-multi-mutex
-// baseline, sweeping the keys-per-transaction count L. This is the
+// Transaction family: drives a workload.TxnScenario against wfmap's
+// multi-key Atomic path and against a sorted-multi-mutex baseline, sweeping the keys-per-transaction count L. This is the
 // benchmark where the paper's L-dependence is visible end to end: every
 // wfmap attempt pays fixed delays proportional to κ²L²T (and T itself
 // grows with L, since the transaction budget is L single-shard
@@ -29,9 +26,9 @@ import (
 //     wfmap transaction is helped — competitors re-execute its body
 //     and move on — so stalls overlap instead of serializing.
 //
-// Every run double-checks conservation: transfers move value between
-// keys, so the keyspace sum must be exactly what prefill deposited, on
-// both implementations, or the run fails.
+// Every run audits conservation: transfers move value between keys, so
+// the keyspace sum must be exactly what prefill deposited, on both
+// implementations, or the run fails.
 
 // txnLCounts is the keys-per-transaction sweep.
 var txnLCounts = []int{1, 2, 4, 8}
@@ -134,222 +131,171 @@ func (mm *MultiMutexMap) Atomic(keys []uint64, fn func(get func(uint64) (uint64,
 	}
 }
 
-// RunTxnScenario drives sc against wfmap Atomic (under both delay
-// variants) and the sorted multi-mutex baseline across the L sweep, in
-// the raw and holder-stall regimes, and tabulates throughput,
-// per-attempt success rate and the conservation audit.
-func RunTxnScenario(sc *workload.TxnScenario, scale Scale) (*Table, error) {
-	return RunTxnScenarioVariants(sc, scale, AllVariants)
+// TxnShards is the shard count of both implementations in the sweep
+// (fixed so L, not the shard layout, is the swept variable).
+const TxnShards = 8
+
+// TxnBody is a transaction body over direct get/put access to the
+// locked keys. keys is the transaction's own key list: a body must
+// iterate it, never a buffer its caller reuses, because a straggling
+// wait-free helper may re-execute the body after the caller has moved
+// on to its next transaction.
+type TxnBody func(keys []uint64, get func(uint64) (uint64, bool), put func(k, v uint64))
+
+// TxnMap is the surface the transaction mix drives: a map that runs
+// bodies atomically over key sets, with a single-key Put for prefill
+// and a quiescent Sum for the conservation audit. WfMap and
+// MutexTxnMap provide it.
+type TxnMap interface {
+	Atomic(keys []uint64, body TxnBody) error
+	Put(k, v uint64)
+	Sum() uint64
 }
 
-// RunTxnScenarioVariants is RunTxnScenario restricted to the given
-// delay variants (the -variant flag).
-func RunTxnScenarioVariants(sc *workload.TxnScenario, scale Scale, variants []Variant) (*Table, error) {
+// Atomic runs body in one multi-lock critical section over keys.
+func (m WfMap) Atomic(keys []uint64, body TxnBody) error {
+	return m.Map.Atomic(keys, func(tx *wflocks.MapTxn[uint64, uint64]) {
+		// The keys are prefilled and never deleted, so a put overwrites
+		// in place and cannot report ErrMapFull.
+		body(tx.Keys(), tx.Get, func(k, v uint64) { _ = tx.Put(k, v) })
+	})
+}
+
+// Sum reads the whole map (quiescent; conservation audits).
+func (m WfMap) Sum() uint64 {
+	total := uint64(0)
+	for _, v := range m.All() {
+		total += v
+	}
+	return total
+}
+
+// MutexTxnMap is a MultiMutexMap as a TxnMap.
+type MutexTxnMap struct {
+	*MultiMutexMap
+}
+
+// Atomic runs body holding the keys' shard mutexes.
+func (m MutexTxnMap) Atomic(keys []uint64, body TxnBody) error {
+	m.MultiMutexMap.Atomic(keys, func(get func(uint64) (uint64, bool), put func(uint64, uint64)) {
+		body(keys, get, put)
+	})
+	return nil
+}
+
+// PrefillTxn deposits txnInitial on every key of the scenario.
+func PrefillTxn(sc *workload.TxnScenario, m TxnMap) {
+	for k := 0; k < sc.Keys; k++ {
+		m.Put(uint64(k), txnInitial)
+	}
+}
+
+// transfer moves one unit from each of keys[1:] that has one to
+// keys[0]. The credit write is unconditional so every L — including 1
+// — writes at least one value per transaction (and draws the stall
+// schedule).
+func transfer(keys []uint64, get func(uint64) (uint64, bool), put func(k, v uint64)) {
+	gained := uint64(0)
+	for _, k := range keys[1:] {
+		if v, ok := get(k); ok && v > 0 {
+			put(k, v-1)
+			gained++
+		}
+	}
+	v, _ := get(keys[0])
+	put(keys[0], v+gained)
+}
+
+// readAll reads every key of the transaction.
+func readAll(keys []uint64, get func(uint64) (uint64, bool), _ func(k, v uint64)) {
+	for _, k := range keys {
+		get(k)
+	}
+}
+
+// TxnWorker returns goroutine w's operation over m: each call draws one
+// transaction of l keys from the scenario's mix and runs it.
+func TxnWorker(sc *workload.TxnScenario, m TxnMap, l, w int) func(i int) error {
+	st := workload.NewTxnOpStream(sc, l, workerSeed(w))
+	keys := make([]uint64, l)
+	return func(int) error {
+		kind, drawn := st.Next()
+		for j, k := range drawn {
+			keys[j] = uint64(k)
+		}
+		if kind == workload.TxnTransfer {
+			return m.Atomic(keys, transfer)
+		}
+		return m.Atomic(keys, readAll)
+	}
+}
+
+// AuditTxn checks the transfer invariant at quiescence: the keyspace
+// sum must equal what prefill deposited.
+func AuditTxn(sc *workload.TxnScenario, m TxnMap) error {
+	if got, want := m.Sum(), uint64(sc.Keys)*txnInitial; got != want {
+		return fmt.Errorf("%s: conservation violated: sum %d, want %d", sc.Name, got, want)
+	}
+	return nil
+}
+
+// txnFamily compares wfmap Atomic (under each delay variant) with the
+// sorted multi-mutex baseline across the L sweep, raw and stalled:
+// throughput, per-attempt success rate and the conservation audit.
+func txnFamily(sc *workload.TxnScenario, scale Scale, variants []Variant) (*family, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	opsPer := 50
-	if scale == Full {
-		opsPer = 400
-	}
-	t := &Table{
-		Title: fmt.Sprintf("%s: %d%%/%d%% transfer/read, %d keys, skew %.1f, %d workers × %d txns, L swept",
+	opsPer := scale.pick(50, 400)
+	f := &family{
+		title: fmt.Sprintf("%s: %d%%/%d%% transfer/read, %d keys, skew %.1f, %d workers × %d txns, L swept",
 			sc.Name, sc.TransferPct, 100-sc.TransferPct, sc.Keys, sc.Skew, txnWorkers, opsPer),
-		Header: append([]string{"impl", "L", "stall", "txns/sec", "success", "attempts/txn", "conserved"}, ObsHeader...),
+		header: append([]string{"impl", "L", "stall", "txns/sec", "success", "attempts/txn", "conserved"}, obsHeader...),
+		notes: []string{
+			"each wfmap row runs its own manager sized for its L: WithMaxLocks(L), T = MapAtomicSteps(cap, 1, 1, L)",
+			"adaptive rows use WithUnknownBounds delays that track point contention (the recommended default); known rows pay the fixed delays",
+			"raw regime: the known-bounds delays grow as κ²L²·T(L) — the documented price of wait-freedom, steepest at L=8",
+			"stall regime: holders stall mid-transaction (" + fmt.Sprintf("%v every %d value writes", StallDur, StallPeriod) + "); wfmap helpers absorb stalls, the sorted-mutex baseline serializes them across every held shard",
+			"conserved audits the transfer invariant: the keyspace sum must equal the prefill exactly",
+		},
+		stall: true,
+		obs:   true,
 	}
-	for _, stalled := range []bool{false, true} {
-		label := "none"
-		newSP := func() *StallPoint { return nil }
-		if stalled {
-			label = fmt.Sprintf("%v/%d", StallDur, StallPeriod)
-			newSP = func() *StallPoint { return NewStallPoint(StallPeriod, StallDur) }
-		}
-		for _, v := range variants {
-			for _, l := range txnLCounts {
-				row, err := runWfmapTxn(sc, v, l, opsPer, label, newSP())
+	for _, v := range variants {
+		for _, l := range txnLCounts {
+			f.add(func(sp *StallPoint) (*instance, error) {
+				mp, m, err := NewWfMap(v, txnWorkers, sc.Keys, TxnShards, l, sp, wflocks.WithMetrics())
 				if err != nil {
 					return nil, err
 				}
-				t.Rows = append(t.Rows, row)
-			}
-		}
-		for _, l := range txnLCounts {
-			t.Rows = append(t.Rows, runMultiMutexTxn(sc, l, opsPer, label, newSP()))
+				return txnInstance(sc, mp, l, opsPer, m), nil
+			}, "wfmap/"+string(v), fmt.Sprint(l))
 		}
 	}
-	t.Notes = append(t.Notes,
-		"each wfmap row runs its own manager sized for its L: WithMaxLocks(L), T = MapAtomicSteps(cap, 1, 1, L)",
-		"adaptive rows use WithUnknownBounds delays that track point contention (the recommended default); known rows pay the fixed delays",
-		"raw regime: the known-bounds delays grow as κ²L²·T(L) — the documented price of wait-freedom, steepest at L=8",
-		"stall regime: holders stall mid-transaction ("+fmt.Sprintf("%v every %d value writes", StallDur, StallPeriod)+"); wfmap helpers absorb stalls, the sorted-mutex baseline serializes them across every held shard",
-		"conserved audits the transfer invariant: the keyspace sum must equal the prefill exactly")
-	return t, nil
+	for _, l := range txnLCounts {
+		f.add(func(sp *StallPoint) (*instance, error) {
+			return txnInstance(sc, MutexTxnMap{NewMultiMutexMap(TxnShards, sp)}, l, opsPer), nil
+		}, "multimutex", fmt.Sprint(l))
+	}
+	return f, nil
 }
 
-// txnMapShards is the shard count of both implementations in the sweep
-// (fixed so L, not the shard layout, is the swept variable).
-const txnMapShards = 8
-
-// runWfmapTxn measures one wfmap configuration at keys-per-txn l under
-// one delay variant.
-func runWfmapTxn(sc *workload.TxnScenario, v Variant, l, opsPer int, stallLabel string, sp *StallPoint) ([]string, error) {
-	capPerShard := nextPow2(2 * sc.Keys / txnMapShards)
-	m, err := NewManager(v, txnWorkers, l, wflocks.MapAtomicSteps(capPerShard, 1, 1, l), wflocks.WithMetrics())
-	if err != nil {
-		return nil, err
+// txnInstance is what every transaction row shares: the prefill, then
+// txnWorkers symmetric workers each running opsPer transactions of l
+// keys over m, then the conservation audit.
+func txnInstance(sc *workload.TxnScenario, m TxnMap, l, opsPer int, mgrs ...*wflocks.Manager) *instance {
+	PrefillTxn(sc, m)
+	ops := txnWorkers * opsPer
+	return &instance{
+		mgrs: mgrs,
+		run: func() error {
+			return runWorkers(txnWorkers, opsPer, func(w int) func(int) error { return TxnWorker(sc, m, l, w) })
+		},
+		audit: func() error { return AuditTxn(sc, m) },
+		cols: func(r measured) []string {
+			success, attemptsPer := r.attemptCols(uint64(ops))
+			// The audit has passed, or sweep would have failed the run.
+			return []string{r.perSec(ops), success, attemptsPer, "yes"}
+		},
 	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = StallValueCodec(sp)
-	}
-	mp, err := wflocks.NewMapOf[uint64, uint64](m, wflocks.IntegerCodec[uint64](), vc,
-		wflocks.WithShards(txnMapShards), wflocks.WithShardCapacity(capPerShard))
-	if err != nil {
-		return nil, err
-	}
-	for k := 0; k < sc.Keys; k++ {
-		if err := mp.Put(uint64(k), txnInitial); err != nil {
-			return nil, err
-		}
-	}
-	sp.Arm()
-	base := m.Stats()
-	obsBase := m.Observe()
-	var wg sync.WaitGroup
-	errc := make(chan error, txnWorkers)
-	start := time.Now()
-	for w := 0; w < txnWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := workload.NewTxnOpStream(sc, l, uint64(w)*0x9e3779b97f4a7c15+1)
-			keys := make([]uint64, l)
-			for i := 0; i < opsPer; i++ {
-				kind, drawn := st.Next()
-				for j, k := range drawn {
-					keys[j] = uint64(k)
-				}
-				// Bodies iterate tx.Keys(), never the reused keys buffer: a
-				// straggling helper may re-execute a body after this worker
-				// has refilled the buffer for its next transaction.
-				var err error
-				switch kind {
-				case workload.TxnTransfer:
-					err = mp.Atomic(keys, func(tx *wflocks.MapTxn[uint64, uint64]) {
-						ks := tx.Keys()
-						gained := uint64(0)
-						for _, k := range ks[1:] {
-							if v, ok := tx.Get(k); ok && v > 0 {
-								tx.Put(k, v-1)
-								gained++
-							}
-						}
-						// The credit write is unconditional so every L —
-						// including 1 — writes at least one value per
-						// transaction (and draws the stall schedule).
-						v, _ := tx.Get(ks[0])
-						tx.Put(ks[0], v+gained)
-					})
-				case workload.TxnRead:
-					err = mp.Atomic(keys, func(tx *wflocks.MapTxn[uint64, uint64]) {
-						for _, k := range tx.Keys() {
-							tx.Get(k)
-						}
-					})
-				}
-				if err != nil {
-					errc <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errc:
-		return nil, err
-	default:
-	}
-	total := uint64(0)
-	for _, v := range mp.All() {
-		total += v
-	}
-	conserved := "yes"
-	if total != uint64(sc.Keys)*txnInitial {
-		return nil, fmt.Errorf("wfmap L=%d: conservation violated: sum %d, want %d",
-			l, total, sc.Keys*txnInitial)
-	}
-	delta := m.Stats().Sub(base)
-	totalOps := txnWorkers * opsPer
-	return append([]string{
-		"wfmap/" + string(v),
-		fmt.Sprint(l),
-		stallLabel,
-		fmt.Sprintf("%.0f", float64(totalOps)/elapsed.Seconds()),
-		fmt.Sprintf("%.3f", delta.SuccessRate()),
-		fmt.Sprintf("%.2f", float64(delta.Attempts)/float64(totalOps)),
-		conserved,
-	}, ObsCols(m, delta, obsBase)...), nil
-}
-
-// runMultiMutexTxn measures the baseline at keys-per-txn l.
-func runMultiMutexTxn(sc *workload.TxnScenario, l, opsPer int, stallLabel string, sp *StallPoint) []string {
-	mm := NewMultiMutexMap(txnMapShards, sp)
-	for k := 0; k < sc.Keys; k++ {
-		mm.Put(uint64(k), txnInitial)
-	}
-	sp.Arm()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < txnWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := workload.NewTxnOpStream(sc, l, uint64(w)*0x9e3779b97f4a7c15+1)
-			keys := make([]uint64, l)
-			for i := 0; i < opsPer; i++ {
-				kind, drawn := st.Next()
-				for j, k := range drawn {
-					keys[j] = uint64(k)
-				}
-				switch kind {
-				case workload.TxnTransfer:
-					mm.Atomic(keys, func(get func(uint64) (uint64, bool), put func(uint64, uint64)) {
-						gained := uint64(0)
-						for _, k := range keys[1:] {
-							if v, ok := get(k); ok && v > 0 {
-								put(k, v-1)
-								gained++
-							}
-						}
-						v, _ := get(keys[0])
-						put(keys[0], v+gained)
-					})
-				case workload.TxnRead:
-					mm.Atomic(keys, func(get func(uint64) (uint64, bool), put func(uint64, uint64)) {
-						for _, k := range keys {
-							get(k)
-						}
-					})
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	conserved := "yes"
-	if mm.Sum() != uint64(sc.Keys)*txnInitial {
-		conserved = "NO"
-	}
-	totalOps := txnWorkers * opsPer
-	return append([]string{
-		"multimutex",
-		fmt.Sprint(l),
-		stallLabel,
-		fmt.Sprintf("%.0f", float64(totalOps)/elapsed.Seconds()),
-		"-",
-		"-",
-		conserved,
-	}, ObsBlank()...)
 }

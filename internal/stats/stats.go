@@ -1,10 +1,9 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: summaries, percentiles, histograms, success-rate
-// estimation, and Jain's fairness index.
+// experiment harness: summaries, percentiles, Jain's fairness index,
+// and (loghist.go) the log-bucketed latency histogram.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -85,30 +84,6 @@ func SummarizeUint64(xs []uint64) Summary {
 	return Summarize(fs)
 }
 
-// Rate holds a Bernoulli success-rate estimate with a normal-
-// approximation 95% confidence half-width.
-type Rate struct {
-	Successes int
-	Trials    int
-	P         float64
-	CI95      float64
-}
-
-// NewRate estimates a success probability from counts.
-func NewRate(successes, trials int) Rate {
-	if trials == 0 {
-		return Rate{}
-	}
-	p := float64(successes) / float64(trials)
-	ci := 1.96 * math.Sqrt(p*(1-p)/float64(trials))
-	return Rate{Successes: successes, Trials: trials, P: p, CI95: ci}
-}
-
-// String renders the rate as "0.512 ±0.010 (n=10000)".
-func (r Rate) String() string {
-	return fmt.Sprintf("%.4f ±%.4f (n=%d)", r.P, r.CI95, r.Trials)
-}
-
 // JainIndex computes Jain's fairness index of a non-negative allocation
 // vector: (Σx)² / (n·Σx²). It is 1 for perfectly equal allocations and
 // approaches 1/n under maximal skew.
@@ -125,49 +100,6 @@ func JainIndex(xs []float64) float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(xs)) * sq)
-}
-
-// Histogram is a fixed-bucket histogram over [Lo, Hi) with uniform
-// bucket widths plus overflow/underflow buckets.
-type Histogram struct {
-	Lo, Hi    float64
-	Buckets   []int
-	Underflow int
-	Overflow  int
-}
-
-// NewHistogram creates a histogram with n uniform buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-		if i >= len(h.Buckets) {
-			i = len(h.Buckets) - 1
-		}
-		h.Buckets[i]++
-	}
-}
-
-// Total reports the number of observations recorded, including
-// overflow and underflow.
-func (h *Histogram) Total() int {
-	n := h.Underflow + h.Overflow
-	for _, b := range h.Buckets {
-		n += b
-	}
-	return n
 }
 
 // Mean of a float64 slice; 0 for an empty slice.

@@ -81,22 +81,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestRate(t *testing.T) {
-	r := NewRate(50, 100)
-	if r.P != 0.5 {
-		t.Fatalf("p = %v, want 0.5", r.P)
-	}
-	if r.CI95 <= 0 || r.CI95 > 0.2 {
-		t.Fatalf("ci = %v out of sane range", r.CI95)
-	}
-	if NewRate(0, 0).Trials != 0 {
-		t.Fatal("zero-trial rate should be zero value")
-	}
-	if s := r.String(); s == "" {
-		t.Fatal("empty String()")
-	}
-}
-
 func TestJainIndex(t *testing.T) {
 	if got := JainIndex([]float64{1, 1, 1, 1}); !almostEqual(got, 1, 1e-12) {
 		t.Fatalf("equal allocation index = %v, want 1", got)
@@ -123,34 +107,6 @@ func TestJainIndexRange(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.9, 10, 100} {
-		h.Add(x)
-	}
-	if h.Underflow != 1 || h.Overflow != 2 {
-		t.Fatalf("under/over = %d/%d, want 1/2", h.Underflow, h.Overflow)
-	}
-	if h.Buckets[0] != 2 { // 0, 1.9
-		t.Fatalf("bucket 0 = %d, want 2", h.Buckets[0])
-	}
-	if h.Buckets[1] != 1 || h.Buckets[4] != 1 {
-		t.Fatalf("buckets = %v", h.Buckets)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d, want 7", h.Total())
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for hi <= lo")
-		}
-	}()
-	NewHistogram(5, 5, 3)
 }
 
 func TestMeanAndMax(t *testing.T) {
