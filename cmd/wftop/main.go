@@ -162,6 +162,7 @@ func render(w io.Writer, src string, now time.Time, s sample, ops, help float64,
 	if s.SlabCap > 0 {
 		fmt.Fprintf(w, "%-12s %9d/%d\n", "slab-free", s.SlabFree, s.SlabCap)
 	}
+	fmt.Fprintf(w, "%-12s %12d\n", "parked", s.Parked)
 	if len(s.Table) > 0 {
 		fmt.Fprintf(w, "\nshard occupancy (size/cap):\n")
 		for i, sh := range s.Table {

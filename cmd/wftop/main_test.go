@@ -15,6 +15,8 @@ wfserve_sets_total 40
 wfserve_dels_total 10
 wfserve_slab_free 120
 wfserve_slab_cap 128
+wfserve_workers 4
+wfserve_workers_parked 3
 wflocks_attempts_total 500
 wflocks_wins_total 480
 wflocks_helps_total 25
@@ -52,6 +54,9 @@ func TestParseMetrics(t *testing.T) {
 	if s.SlabFree != 120 || s.SlabCap != 128 {
 		t.Errorf("slab = %d/%d", s.SlabFree, s.SlabCap)
 	}
+	if s.Parked != 3 {
+		t.Errorf("Parked = %d, want 3", s.Parked)
+	}
 	if len(s.Table) != 2 || s.Table[0] != (shardOcc{17, 4096}) || s.Table[1] != (shardOcc{9, 4096}) {
 		t.Errorf("Table = %+v", s.Table)
 	}
@@ -82,6 +87,8 @@ sets:40
 slab_cap:128
 slab_free:120
 stall_alerts:7
+workers:4
+workers_parked:3
 `
 
 func TestParseStats(t *testing.T) {
@@ -100,6 +107,9 @@ func TestParseStats(t *testing.T) {
 	}
 	if s.SlabFree != 120 || s.SlabCap != 128 {
 		t.Errorf("slab = %d/%d", s.SlabFree, s.SlabCap)
+	}
+	if s.Parked != 3 {
+		t.Errorf("Parked = %d, want 3", s.Parked)
 	}
 	if len(s.PoolLens) != 2 || s.PoolLens[0] != 3 || s.PoolLens[1] != 0 {
 		t.Errorf("PoolLens = %v", s.PoolLens)

@@ -27,6 +27,7 @@ type sample struct {
 	StallAlerts uint64  // watchdog firings
 
 	SlabFree, SlabCap int
+	Parked            int // dispatch workers asleep on an empty queue
 
 	Table    []shardOcc // backend table occupancy per shard (metrics only)
 	PoolLens []int      // dispatch queue depth per shard
@@ -76,6 +77,8 @@ func parseMetrics(text string) (sample, error) {
 			s.SlabFree = int(f)
 		case "wfserve_slab_cap":
 			s.SlabCap = int(f)
+		case "wfserve_workers_parked":
+			s.Parked = int(f)
 		case "wfserve_table_shard_size":
 			tableAt(table, label).Size = int(f)
 		case "wfserve_table_shard_capacity":
@@ -201,6 +204,8 @@ func parseStats(text string) (sample, error) {
 			s.SlabFree = int(f)
 		case "slab_cap":
 			s.SlabCap = int(f)
+		case "workers_parked":
+			s.Parked = int(f)
 		}
 	}
 	if !seen {

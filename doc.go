@@ -144,10 +144,18 @@
 // index surgery is re-executed by helpers without double-applying,
 // and a stalled producer or consumer never wedges the queue.
 // TryEnqueue/TryDequeue fail fast on full/empty; Enqueue/Dequeue wait
-// under the manager's RetryPolicy with context cancellation; and
-// EnqueueBatch/DequeueBatch move chunks of up to WithQueueBatch
-// elements per critical section, amortizing acquisitions the way the
-// map's batches amortize shard locks.
+// with context cancellation; and EnqueueBatch/DequeueBatch move chunks
+// of up to WithQueueBatch elements per critical section, amortizing
+// acquisitions the way the map's batches amortize shard locks. The two
+// sides wait differently. A full queue is retried under the manager's
+// RetryPolicy. An empty one is retried under it for a small constant
+// number of passes, and then the consumer parks: it sleeps until an
+// enqueue wakes it, so waiting for input costs no lock attempts at all
+// (the paper prices attempts, and says nothing for making them when
+// there is no operation to perform). A parked consumer helps nobody —
+// an element becomes visible when its enqueue section completes, run
+// by its producer or by anyone helping on that shard's lock, and the
+// wake follows it; WorkPoolStats.Parked counts the sleepers.
 //
 // Queue is not a separate implementation: it is the one-shard
 // WorkPool. One ring means no round-robin spread and nothing to steal

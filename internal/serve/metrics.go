@@ -125,6 +125,7 @@ func (s *Server) metricsText() string {
 	// Dispatch pool: queue depth and the steal path's rebalancing.
 	ps := s.pool.Stats()
 	fmt.Fprintf(&b, "wfserve_pool_len %d\n", ps.Len)
+	fmt.Fprintf(&b, "wfserve_workers_parked %d\n", ps.Parked)
 	fmt.Fprintf(&b, "wfserve_pool_steals_total %d\n", ps.Steals)
 	fmt.Fprintf(&b, "wfserve_pool_enqueues_total %d\n", ps.Enqueues)
 	fmt.Fprintf(&b, "wfserve_pool_dequeues_total %d\n", ps.Dequeues)

@@ -82,6 +82,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`(?m)^wfserve_op_ns\{op="get",quantile="0\.99"\} [1-9]\d*$`,
 		`(?m)^wfserve_op_ns_count\{op="set"\} [1-9]\d*$`,
 		`(?m)^wfserve_pool_enqueues_total [1-9]\d*$`,
+		`(?m)^wfserve_workers_parked [0-4]$`,
 		`(?m)^wfserve_pool_shard_len\{shard="0"\} \d+$`,
 		// Default backend is the wf map, which exposes table shape.
 		`(?m)^wfserve_table_shard_size\{shard="0"\} [1-9]\d*$`,

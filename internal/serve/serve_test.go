@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -63,6 +64,135 @@ func (c *client) do(t *testing.T, args ...string) serve.Reply {
 		t.Fatalf("read reply to %v: %v", args, err)
 	}
 	return r
+}
+
+// parkedWorkers reads the workers_parked gauge from STATS. STATS is
+// answered inline by the connection's reader, so asking does not wake a
+// worker or make a lock attempt.
+func parkedWorkers(t *testing.T, c *client) int {
+	t.Helper()
+	r := c.do(t, "STATS")
+	_, rest, ok := strings.Cut(r.Str, "workers_parked:")
+	if !ok {
+		t.Fatalf("STATS carries no workers_parked line:\n%s", r.Str)
+	}
+	line, _, _ := strings.Cut(rest, "\n")
+	n, err := strconv.Atoi(line)
+	if err != nil {
+		t.Fatalf("workers_parked:%s: %v", line, err)
+	}
+	return n
+}
+
+// awaitParked waits until exactly n dispatch workers are parked.
+func awaitParked(t *testing.T, c *client, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for got := parkedWorkers(t, c); got != n; got = parkedWorkers(t, c) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers parked, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// liveFrames counts occurrences of frame in the dump of all goroutines.
+// Pass a call frame with its opening parenthesis ("handleConn("): that
+// matches a goroutine running the function, not the "created by"
+// ancestry line of its children.
+func liveFrames(frame string) int {
+	stacks := make([]byte, 1<<20)
+	stacks = stacks[:runtime.Stack(stacks, true)]
+	return strings.Count(string(stacks), frame)
+}
+
+// workerGoroutines counts live dispatch-worker goroutines.
+func workerGoroutines() int { return liveFrames("(*Server).worker(") }
+
+// TestServeIdleIsQuiet: a server with no traffic makes no lock attempts.
+// Its workers spend their few start-up passes on the empty dispatch pool
+// and park; from then on the attempt counter stands still and, with
+// every attempt traced, the lock-level flight recorder gains no event.
+func TestServeIdleIsQuiet(t *testing.T) {
+	const workers = 4
+	s, lis := startServer(t, serve.Config{Backend: serve.BackendCache, Workers: workers, TraceSample: 1})
+	c := dial(t, lis)
+	awaitParked(t, c, workers)
+	attempts := s.Manager().Stats().Attempts
+	if attempts > 8*workers {
+		t.Errorf("%d lock attempts before any request, want a few per worker", attempts)
+	}
+	events := s.Manager().Observe().Events
+	time.Sleep(200 * time.Millisecond)
+	if got := s.Manager().Stats().Attempts; got != attempts {
+		t.Errorf("%d lock attempts during 200ms without traffic", got-attempts)
+	}
+	after := s.Manager().Observe().Events
+	if len(after) != len(events) || (len(after) > 0 && after[len(after)-1].Seq != events[len(events)-1].Seq) {
+		t.Errorf("flight recorder grew from %d to %d events while idle", len(events), len(after))
+	}
+	if n := parkedWorkers(t, c); n != workers {
+		t.Errorf("%d of %d workers parked after the idle window", n, workers)
+	}
+	// The parked workers still serve: one request wakes one of them.
+	if r := c.do(t, "SET", "k", "v"); r.Str != "OK" {
+		t.Fatalf("SET after idling = %+v", r)
+	}
+	if r := c.do(t, "GET", "k"); r.Kind != serve.ReplyBulk || r.Str != "v" {
+		t.Fatalf("GET after idling = %+v", r)
+	}
+}
+
+// TestServeShutdownParkedWorkers: Shutdown must get every worker out of
+// its park, on the graceful path and on the ctx-expiry path alike, and
+// no worker goroutine may outlive the call.
+func TestServeShutdownParkedWorkers(t *testing.T) {
+	const workers = 4
+	for _, tc := range []struct {
+		name    string
+		expired bool
+		want    error
+	}{
+		{"graceful", false, nil},
+		{"expired", true, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Workers of earlier tests' servers exit on their own
+			// schedule; start counting from none.
+			for deadline := time.Now().Add(5 * time.Second); workerGoroutines() != 0; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d worker goroutines of earlier servers still running", workerGoroutines())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			s, lis := startServer(t, serve.Config{Backend: serve.BackendCache, Workers: workers})
+			c := dial(t, lis)
+			if r := c.do(t, "SET", "k", "v"); r.Str != "OK" {
+				t.Fatalf("SET = %+v", r)
+			}
+			awaitParked(t, c, workers)
+			if got := workerGoroutines(); got != workers {
+				t.Fatalf("%d worker goroutines running, want %d", got, workers)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if tc.expired {
+				cancel()
+			}
+			if err := s.Shutdown(ctx); err != tc.want {
+				t.Fatalf("Shutdown with %d parked workers = %v, want %v", workers, err, tc.want)
+			}
+			// The graceful path waits for the workers; the expiry path
+			// cancels them and returns, so give the wake-ups a moment.
+			deadline := time.Now().Add(5 * time.Second)
+			for workerGoroutines() != 0 {
+				if !tc.expired || time.Now().After(deadline) {
+					t.Fatalf("%d worker goroutines outlived Shutdown", workerGoroutines())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
 }
 
 func TestServeEndToEnd(t *testing.T) {
@@ -317,11 +447,7 @@ func TestServeForcedShutdownSaturated(t *testing.T) {
 	// (the gate is still closed); poll the goroutine dump for it.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		stacks := make([]byte, 1<<20)
-		stacks = stacks[:runtime.Stack(stacks, true)]
-		// Match a live handleConn frame ("handleConn(0x..."), not the
-		// writer goroutine's "created by ...handleConn" ancestry line.
-		if !strings.Contains(string(stacks), "handleConn(") {
+		if liveFrames("handleConn(") == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

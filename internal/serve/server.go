@@ -81,11 +81,7 @@ type Config struct {
 	Metrics     bool
 	TraceSample int
 	// TraceRing is the lock-level flight recorder's event capacity
-	// (default 65536 here, not the library's 4096: the server shares
-	// one manager between the backend and the dispatch pool, and idle
-	// workers polling empty queue shards append fast-path attempts
-	// continuously — a small ring would evict the interesting backend
-	// events within milliseconds of a burst).
+	// (default 4096, the library's).
 	TraceRing int
 	// SpanRing is the capacity of the request-span flight recorder
 	// (default 2048). Spans are recorded whenever TraceSample > 0: every
@@ -156,7 +152,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.SpanRing = 2048
 	}
 	if cfg.TraceRing <= 0 {
-		cfg.TraceRing = 65536
+		cfg.TraceRing = 4096
 	}
 	return cfg
 }
@@ -818,7 +814,7 @@ func (s *Server) statsText() string {
 		)
 	}
 	ps := s.pool.Stats()
-	lines = append(lines, fmt.Sprintf("pool_steals:%d", ps.Steals))
+	lines = append(lines, fmt.Sprintf("pool_steals:%d", ps.Steals), fmt.Sprintf("workers_parked:%d", ps.Parked))
 	for i, sh := range ps.Shards {
 		lines = append(lines, fmt.Sprintf("pool_shard%d:len=%d steals=%d enq=%d deq=%d", i, sh.Len, sh.Steals, sh.Enqueues, sh.Dequeues))
 	}

@@ -34,12 +34,12 @@ type jsonTraceDoc struct {
 // interval overlaps a helped-descriptor slice on the same lock id —
 // the causal join the whole export exists for.
 //
-// The lock-level flight recorder is a fixed recent window, and idle
-// workers polling the dispatch pool's (empty) queue shards keep
-// appending fast-path attempts to it, so a help event only survives in
-// the ring for a few milliseconds. The test therefore fetches the
-// export immediately after each contended burst and retries the join
-// on fresh rounds rather than expecting one fetch to win the race.
+// The lock-level flight recorder is a fixed recent window (4096 events,
+// a few bursts' worth; idle workers are parked and add nothing to it),
+// and whether a burst produces a help at all is up to the scheduler. The
+// test therefore fetches the export right after each contended burst
+// and retries the join on fresh rounds rather than expecting the first
+// one to show it.
 func TestTraceLiveOverlap(t *testing.T) {
 	srv, lis := startServer(t, serve.Config{
 		Backend:         serve.BackendCache,

@@ -502,7 +502,7 @@ func (l *Log[T]) TryAppendKeyed(key uint64, v T) bool {
 func (l *Log[T]) Append(ctx context.Context, v T) error {
 	p := l.m.Acquire()
 	defer l.m.Release(p)
-	return l.m.await(ctx, "log", "full", func() bool { return l.tryAppendFrom(p, l.rr.Add(1)-1, v) })
+	return l.m.await(ctx, "log", "full", func() bool { return l.tryAppendFrom(p, l.rr.Add(1)-1, v) }, nil)
 }
 
 // AppendKeyed appends v with TryAppendKeyed's strict shard affinity,
@@ -511,7 +511,7 @@ func (l *Log[T]) AppendKeyed(ctx context.Context, key uint64, v T) error {
 	p := l.m.Acquire()
 	defer l.m.Release(p)
 	s := int(key & l.shardMask)
-	return l.m.await(ctx, "log shard", "full", func() bool { return l.tryAppendShard(p, s, v) })
+	return l.m.await(ctx, "log shard", "full", func() bool { return l.tryAppendShard(p, s, v) }, nil)
 }
 
 // AppendBatch appends vs, amortizing lock acquisitions: entries are
@@ -542,7 +542,7 @@ func (l *Log[T]) AppendBatch(ctx context.Context, vs []T) (int, error) {
 			}
 			done += moved
 			return moved > 0
-		})
+		}, nil)
 		if err != nil {
 			return done, fmt.Errorf("%d of %d appended: %w", done, len(items), err)
 		}
@@ -767,7 +767,7 @@ func (c *Cursor[T]) Next(ctx context.Context) (T, error) {
 		}
 		v, ok = c.tryNextWith(p)
 		return ok
-	})
+	}, nil)
 	if closed {
 		return v, ErrCursorClosed
 	}
@@ -810,7 +810,7 @@ func (c *Cursor[T]) NextBatch(ctx context.Context, max int) ([]T, error) {
 			}
 		}
 		return len(got) > 0
-	})
+	}, nil)
 	if closed {
 		return got, ErrCursorClosed
 	}

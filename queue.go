@@ -21,8 +21,9 @@ import (
 // The queue has fixed capacity (rounded up to a power of two): growing
 // the ring would make the worst-case critical section unbounded,
 // voiding the T bound, so size it with WithQueueCapacity. TryEnqueue
-// and TryDequeue fail fast on full/empty; Enqueue and Dequeue retry
-// under the manager's RetryPolicy until space/an element appears or
+// and TryDequeue fail fast on full/empty; Enqueue retries under the
+// manager's RetryPolicy until space appears, Dequeue makes a few passes
+// under it and then parks until an enqueue wakes it, and both end once
 // their context is done. A one-shard pool never runs the two-lock steal
 // section, so the queue needs neither WithMaxLocks(2) nor the steal
 // term of WorkPoolCriticalSteps: QueueCriticalSteps is its whole
@@ -154,8 +155,14 @@ func (q *Queue[T]) TryDequeue() (T, bool) { return q.pool.TryDequeue() }
 // enqueued exactly once.
 func (q *Queue[T]) Enqueue(ctx context.Context, v T) error { return q.pool.Enqueue(ctx, v) }
 
-// Dequeue pops the oldest element, waiting while the queue is empty
-// under the same retry/cancellation contract as Enqueue.
+// Dequeue pops the oldest element, waiting while the queue is empty:
+// a small constant number of failed passes under the manager's
+// RetryPolicy, then parked — asleep, making no lock attempts — until an
+// enqueue wakes it or ctx is done (an error wrapping ErrCanceled). A
+// parked consumer helps nobody: an element whose producer stalls inside
+// the enqueue section becomes visible when that section completes, run
+// by the producer or by another producer helping on the queue's lock,
+// and the wake follows it.
 func (q *Queue[T]) Dequeue(ctx context.Context) (T, error) { return q.pool.Dequeue(ctx) }
 
 // EnqueueBatch appends vs in order, amortizing lock acquisitions: the
@@ -173,8 +180,9 @@ func (q *Queue[T]) EnqueueBatch(ctx context.Context, vs []T) (int, error) {
 // until the first element is available: once anything has been
 // dequeued, it drains (in WithQueueBatch-sized atomic chunks) until a
 // chunk comes up short — the queue was empty at that instant — or max
-// is reached, and returns without further waiting. It returns an error
-// wrapping ErrCanceled once ctx is done while still empty-handed.
+// is reached, and returns without further waiting. While empty-handed
+// it waits as Dequeue does (a few passes, then parked until an enqueue
+// wakes it) and returns an error wrapping ErrCanceled once ctx is done.
 func (q *Queue[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 	return q.pool.DequeueBatch(ctx, max)
 }

@@ -290,7 +290,17 @@ func (m *Manager) run(ctx context.Context, p *Process, locks []*Lock, maxOps int
 // it returns an error wrapping ErrCanceled and ctx's error that names
 // the structure and the state waited on (noun and state, e.g. "queue"
 // "full") and the failed pass count.
-func (m *Manager) await(ctx context.Context, noun, state string, try func() bool) error {
+//
+// A waiter whose wake-up somebody will signal passes park: after every
+// parkAfter consecutive failed passes await calls it instead of the
+// policy, and park blocks until the awaited state may have changed or
+// ctx is done (WorkPool.park, the empty side of Dequeue). A parked
+// waiter makes no attempts, so waiting for input costs nothing; the
+// policy's count restarts after each park, so a backoff policy does not
+// sleep through the wake that follows it. With a nil park await is the
+// plain retry loop.
+func (m *Manager) await(ctx context.Context, noun, state string, try func() bool, park func()) error {
+	failed := 0 // passes since the last park
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("%w: %s %s after %d attempts: %w", ErrCanceled, noun, state, attempt-1, err)
@@ -298,9 +308,23 @@ func (m *Manager) await(ctx context.Context, noun, state string, try func() bool
 		if try() {
 			return nil
 		}
-		m.retry.Wait(ctx, attempt)
+		failed++
+		if park != nil && failed == parkAfter {
+			park()
+			failed = 0
+		} else {
+			m.retry.Wait(ctx, failed)
+		}
 	}
 }
+
+// parkAfter is the number of failed passes a parkable waiter makes under
+// the RetryPolicy before it parks. It is a constant, not an option: it
+// has to be large enough that a saturated consumer (the next element is
+// one producer critical section away) never reaches it, and small enough
+// that an idle one costs a handful of attempts per wake-up; 4 holds both
+// on the serve workloads.
+const parkAfter = 4
 
 // validateCall audits an acquisition's arguments against the manager's
 // configured bounds.

@@ -57,6 +57,14 @@ type WorkPool[T any] struct {
 	// traffic, so they need no critical-section atomicity.
 	rr atomic.Uint64
 	dq atomic.Uint64
+
+	// sleepers counts the consumers registered in park; wake carries at
+	// most one pending wake-up for them. Every enqueue form that moved an
+	// element loads sleepers and, only if it is non-zero, sends on wake
+	// without blocking; one token is enough because whoever it wakes
+	// hands the wake on while elements and sleepers remain (wakeMore).
+	sleepers atomic.Int32
+	wake     chan struct{}
 }
 
 // stealBatch is the number of elements a steal migrates from the
@@ -187,6 +195,7 @@ func newPool[T any](m *Manager, vc Codec[T], cfg poolConfig, noun string) *WorkP
 		opBudget:    QueueCriticalSteps(vc.Words(), 1),
 		batchBudget: QueueCriticalSteps(vc.Words(), cfg.batch),
 		stealBudget: QueueCriticalSteps(vc.Words(), 1+2*stealBatch),
+		wake:        make(chan struct{}, 1),
 	}
 	for s := range wp.rings {
 		wp.rings[s] = newQring(vc, perShard)
@@ -225,10 +234,63 @@ func (wp *WorkPool[T]) tryEnqueueFrom(p *Process, start uint64, v T) bool {
 			}
 		}))
 		if ok.Get(p) {
+			wp.wakeSleeper()
 			return true
 		}
 	}
 	return false
+}
+
+// wakeSleeper is what a completed enqueue owes the consumers: one
+// atomic load, and a non-blocking wake when somebody is parked. A full
+// slot means a wake is already pending, which is as good.
+func (wp *WorkPool[T]) wakeSleeper() {
+	if wp.sleepers.Load() > 0 {
+		select {
+		case wp.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// wakeMore is wakeSleeper for a consumer leaving a blocking form, with
+// elements or cancelled: producers send at most one pending wake however
+// many elements they add, so a consumer leaving elements behind while
+// others sleep wakes the next one. Two elements therefore never wait
+// behind one consumer, even one that stalls right after its dequeue,
+// and none waits behind a consumer whose ctx ended as the wake reached it.
+func (wp *WorkPool[T]) wakeMore(p *Process) {
+	if wp.sleepers.Load() > 0 && !wp.readsEmpty(p) {
+		wp.wakeSleeper()
+	}
+}
+
+// readsEmpty reports whether every shard's lock-free occupancy reads zero.
+func (wp *WorkPool[T]) readsEmpty(p *Process) bool {
+	for s := range wp.rings {
+		if wp.rings[s].lenWith(p) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// park is the empty side of await: it blocks the consumer until an
+// enqueue signals wake or ctx is done. The consumer registers as a
+// sleeper first and re-reads every shard's occupancy after that, while
+// an enqueue completes its section first and loads sleepers after
+// that, so one of the two sees the other: an element that is visible
+// is never left with every consumer asleep.
+func (wp *WorkPool[T]) park(ctx context.Context, p *Process) {
+	wp.sleepers.Add(1)
+	defer wp.sleepers.Add(-1)
+	if !wp.readsEmpty(p) {
+		return
+	}
+	select {
+	case <-wp.wake:
+	case <-ctx.Done():
+	}
 }
 
 // TryDequeue pops an element, reporting false when the pool has none
@@ -330,7 +392,7 @@ func (wp *WorkPool[T]) TryEnqueueKeyed(key uint64, v T) bool {
 func (wp *WorkPool[T]) EnqueueKeyed(ctx context.Context, key uint64, v T) error {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
-	return wp.m.await(ctx, wp.noun, "full", func() bool { return wp.tryEnqueueFrom(p, key, v) })
+	return wp.m.await(ctx, wp.noun, "full", func() bool { return wp.tryEnqueueFrom(p, key, v) }, nil)
 }
 
 // Enqueue submits v, waiting while every shard is full: failed passes
@@ -340,20 +402,38 @@ func (wp *WorkPool[T]) EnqueueKeyed(ctx context.Context, key uint64, v T) error 
 func (wp *WorkPool[T]) Enqueue(ctx context.Context, v T) error {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
-	return wp.m.await(ctx, wp.noun, "full", func() bool { return wp.tryEnqueueFrom(p, wp.rr.Add(1)-1, v) })
+	return wp.m.await(ctx, wp.noun, "full", func() bool { return wp.tryEnqueueFrom(p, wp.rr.Add(1)-1, v) }, nil)
 }
 
-// Dequeue pops an element, waiting while the pool is empty under the
-// same retry/cancellation contract as Enqueue.
+// Dequeue pops an element, waiting while the pool is empty. The
+// manager's RetryPolicy governs a small constant number of failed
+// passes; after them the consumer parks — it sleeps, making no lock
+// attempts at all, until an enqueue wakes it or ctx is done — so an
+// idle consumer costs nothing. A parked consumer helps nobody: an
+// element whose producer stalls inside the enqueue section becomes
+// visible when that section completes, run by the producer or by anyone
+// helping on that shard's lock, and the wake follows it. The wait ends
+// with an error wrapping ErrCanceled once ctx is done, parked or not.
 func (wp *WorkPool[T]) Dequeue(ctx context.Context) (T, error) {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
 	var v T
-	err := wp.m.await(ctx, wp.noun, "empty", func() (ok bool) {
+	err := wp.awaitWork(ctx, p, func() (ok bool) {
 		v, ok = wp.tryDequeueWith(p)
 		return ok
 	})
 	return v, err
+}
+
+// awaitWork is the consumer side of the blocking forms: await with the
+// pool's park as its idle step, and the wake handed on however the wait
+// ended. A consumer whose ctx is done may have received the one pending
+// wake in park and leaves without looking at the rings, so it owes the
+// hand-on as much as one that took an element does.
+func (wp *WorkPool[T]) awaitWork(ctx context.Context, p *Process, try func() bool) error {
+	err := wp.m.await(ctx, wp.noun, "empty", try, func() { wp.park(ctx, p) })
+	wp.wakeMore(p)
+	return err
 }
 
 // EnqueueBatch submits vs, amortizing lock acquisitions: elements are
@@ -382,7 +462,7 @@ func (wp *WorkPool[T]) EnqueueBatch(ctx context.Context, vs []T) (int, error) {
 			}
 			done += moved
 			return moved > 0
-		})
+		}, nil)
 		if err != nil {
 			return done, fmt.Errorf("%d of %d enqueued: %w", done, len(items), err)
 		}
@@ -406,7 +486,11 @@ func (wp *WorkPool[T]) enqueueChunk(p *Process, si int, chunk []T) int {
 		}
 		Put(tx, n, k)
 	}))
-	return int(n.Get(p))
+	moved := int(n.Get(p))
+	if moved > 0 {
+		wp.wakeSleeper()
+	}
+	return moved
 }
 
 // DequeueBatch pops up to max elements, waiting only until the first
@@ -416,8 +500,10 @@ func (wp *WorkPool[T]) enqueueChunk(p *Process, si int, chunk []T) int {
 // empty at those instants, so the drain ends without re-probing. The
 // scan visits every shard, so the batch path needs no steal. Elements
 // within one chunk preserve their shard's FIFO order; chunks from
-// different shards interleave (relaxed FIFO). It returns an error
-// wrapping ErrCanceled once ctx is done while still empty-handed.
+// different shards interleave (relaxed FIFO). While empty-handed it
+// waits as Dequeue does — a few passes under the RetryPolicy, then
+// parked until an enqueue wakes it — and it returns an error wrapping
+// ErrCanceled once ctx is done while still empty-handed.
 func (wp *WorkPool[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 	if max <= 0 {
 		return nil, nil
@@ -425,7 +511,7 @@ func (wp *WorkPool[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
 	var got []T
-	err := wp.m.await(ctx, wp.noun, "empty", func() bool {
+	err := wp.awaitWork(ctx, p, func() bool {
 		for len(got) < max {
 			fullChunk := false
 			start := wp.dq.Add(1) - 1
@@ -513,6 +599,9 @@ type WorkPoolStats struct {
 	Enqueues, Dequeues, Steals, FullRejects, EmptyRejects uint64
 	// Len is the summed occupancy.
 	Len int
+	// Parked is the number of consumers currently parked in a blocking
+	// Dequeue or DequeueBatch on the empty pool.
+	Parked int
 	// Balance is Jain's fairness index over per-shard enqueue counts:
 	// 1.0 when round-robin spread submissions evenly, approaching
 	// 1/shards under maximal skew.
@@ -525,7 +614,10 @@ type WorkPoolStats struct {
 func (wp *WorkPool[T]) Stats() WorkPoolStats {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
-	ps := WorkPoolStats{Shards: make([]WorkPoolShardStats, len(wp.rings))}
+	ps := WorkPoolStats{
+		Shards: make([]WorkPoolShardStats, len(wp.rings)),
+		Parked: int(wp.sleepers.Load()),
+	}
 	enqs := make([]uint64, len(wp.rings))
 	for s := range wp.rings {
 		ring := &wp.rings[s]

@@ -3,7 +3,10 @@ package wflocks
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -337,5 +340,411 @@ func TestWorkPoolEnqueueKeyedCanceled(t *testing.T) {
 	err = wp.EnqueueKeyed(ctx, 0, 2)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("EnqueueKeyed on a full pool = %v, want ErrCanceled", err)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test with what() after
+// bound: the tests below assert on events (the Parked gauge, delivery
+// counts), never on a sleep having been long enough.
+func waitFor(t *testing.T, bound time.Duration, cond func() bool, what func() string) {
+	t.Helper()
+	deadline := time.Now().Add(bound)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal(what())
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// TestWorkPoolParkNoLostWakeup: more consumers than producers, all in
+// the blocking Dequeue, so most of them are parked most of the time.
+// Producers submit short bursts through every enqueue form with random
+// pauses; after each burst everything submitted so far must be
+// delivered within a bound — a consumer left parked while an element
+// waits would hold the round up forever, since nothing else is coming —
+// and at the end every element was delivered exactly once.
+func TestWorkPoolParkNoLostWakeup(t *testing.T) {
+	const (
+		producers = 2
+		consumers = 5
+	)
+	rounds := 200
+	if testing.Short() {
+		rounds = 60
+	}
+	m := poolManager(t, producers+consumers+1, 2)
+	wp, err := NewWorkPool[uint64](m, WithPoolShards(4), WithPoolCapacity(64), WithPoolBatch(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	const maxPerRound = producers * 3
+	seen := make([]atomic.Int32, rounds*maxPerRound+1)
+	var delivered atomic.Int64
+	var cwg sync.WaitGroup
+	for c := 0; c < consumers; c++ {
+		cwg.Add(1)
+		go func(c int) {
+			defer cwg.Done()
+			rng := rand.New(rand.NewSource(int64(c) + 1))
+			for {
+				var vs []uint64
+				if c == 0 {
+					// One consumer drains in batches: the same park,
+					// reached through DequeueBatch.
+					got, err := wp.DequeueBatch(ctx, 2)
+					if err != nil {
+						return
+					}
+					vs = got
+				} else {
+					v, err := wp.Dequeue(ctx)
+					if err != nil {
+						return
+					}
+					vs = []uint64{v}
+				}
+				for _, v := range vs {
+					seen[v].Add(1)
+					delivered.Add(1)
+				}
+				if rng.Intn(4) == 0 {
+					time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+				}
+			}
+		}(c)
+	}
+
+	rng := rand.New(rand.NewSource(99))
+	next, sent := uint64(1), int64(0)
+	for r := 0; r < rounds; r++ {
+		// Half the rounds start from "every consumer asleep", the rest
+		// from whatever mix of spinning and parked the last round left.
+		if r%2 == 0 {
+			waitFor(t, 10*time.Second, func() bool { return wp.Stats().Parked == consumers }, func() string {
+				return fmt.Sprintf("round %d: %d of %d consumers parked on an empty pool", r, wp.Stats().Parked, consumers)
+			})
+		}
+		var pwg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			k := 1 + rng.Intn(3)
+			vs := make([]uint64, k)
+			for i := range vs {
+				vs[i] = next
+				next++
+			}
+			sent += int64(k)
+			form, pause := rng.Intn(4), time.Duration(rng.Intn(300))*time.Microsecond
+			pwg.Add(1)
+			go func() {
+				defer pwg.Done()
+				time.Sleep(pause)
+				switch form {
+				case 0:
+					if n, err := wp.EnqueueBatch(ctx, vs); err != nil || n != len(vs) {
+						t.Errorf("EnqueueBatch = %d, %v", n, err)
+					}
+				case 1:
+					for _, v := range vs {
+						if !wp.TryEnqueue(v) {
+							t.Errorf("TryEnqueue(%d) found the pool full", v)
+						}
+					}
+				case 2:
+					for _, v := range vs {
+						if err := wp.EnqueueKeyed(ctx, v, v); err != nil {
+							t.Error(err)
+						}
+					}
+				default:
+					for _, v := range vs {
+						if err := wp.Enqueue(ctx, v); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+			}()
+		}
+		pwg.Wait()
+		waitFor(t, 10*time.Second, func() bool { return delivered.Load() == sent }, func() string {
+			return fmt.Sprintf("round %d: %d of %d delivered with Len=%d and %d consumers parked: a wake-up was lost",
+				r, delivered.Load(), sent, wp.Len(), wp.Stats().Parked)
+		})
+	}
+	cancel()
+	cwg.Wait()
+	for v := uint64(1); v < next; v++ {
+		if n := seen[v].Load(); n != 1 {
+			t.Fatalf("element %d delivered %d times", v, n)
+		}
+	}
+	if s := wp.Stats(); s.Parked != 0 || s.Len != 0 || s.Enqueues != uint64(sent) || s.Dequeues != uint64(sent) {
+		t.Fatalf("quiescent stats = parked %d len %d enq %d deq %d, want 0/0/%d/%d",
+			s.Parked, s.Len, s.Enqueues, s.Dequeues, sent, sent)
+	}
+}
+
+// blockFirstCodec is a one-word codec (not a ScalarCodec, so every cell
+// write inside a critical section calls Encode) whose first Encode
+// blocks until gate closes: a producer stalled inside its enqueue body.
+type blockFirstCodec struct {
+	first   *atomic.Bool
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (c blockFirstCodec) Words() int { return 1 }
+func (c blockFirstCodec) Encode(v uint64, dst []uint64) {
+	if c.first.CompareAndSwap(false, true) {
+		close(c.entered)
+		<-c.gate
+	}
+	dst[0] = v
+}
+func (c blockFirstCodec) Decode(src []uint64) uint64 { return src[0] }
+
+// TestWorkPoolParkedStalledProducer: with every consumer parked, a
+// producer stalls inside its enqueue section. Nobody is attempting, so
+// nobody helps it — until a second producer arrives on the same shard
+// lock, completes the stalled section on its way to its own, and wakes a
+// consumer. Both elements must then be consumed (the first consumer
+// hands the wake on) while the stalled producer is still stalled.
+func TestWorkPoolParkedStalledProducer(t *testing.T) {
+	m := poolManager(t, 4, 1)
+	vc := blockFirstCodec{first: new(atomic.Bool), entered: make(chan struct{}), gate: make(chan struct{})}
+	wp, err := NewWorkPoolOf[uint64](m, vc, WithPoolShards(1), WithPoolCapacity(8), WithPoolBatch(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	got := make(chan uint64, 2)
+	for c := 0; c < 2; c++ {
+		go func() {
+			v, err := wp.Dequeue(ctx)
+			if err != nil {
+				t.Error(err)
+			}
+			got <- v
+		}()
+	}
+	waitFor(t, 10*time.Second, func() bool { return wp.Stats().Parked == 2 }, func() string {
+		return fmt.Sprintf("%d of 2 consumers parked", wp.Stats().Parked)
+	})
+
+	stalled := make(chan error, 1)
+	go func() { stalled <- wp.Enqueue(ctx, 1) }()
+	<-vc.entered
+	if err := wp.Enqueue(ctx, 2); err != nil {
+		t.Fatalf("second producer behind a stalled one: %v", err)
+	}
+	sum := uint64(0)
+	for i := 0; i < 2; i++ {
+		select {
+		case v := <-got:
+			sum += v
+		case err := <-stalled:
+			t.Fatalf("stalled producer returned (%v) before its gate opened", err)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of 2 elements consumed with the producer still stalled (Len=%d, parked=%d)",
+				i, wp.Len(), wp.Stats().Parked)
+		}
+	}
+	if sum != 3 {
+		t.Fatalf("consumed elements sum to %d, want 1+2", sum)
+	}
+	close(vc.gate)
+	if err := <-stalled; err != nil {
+		t.Fatalf("stalled producer's Enqueue = %v", err)
+	}
+	if s := wp.Stats(); s.Enqueues != 2 || s.Dequeues != 2 || s.Len != 0 {
+		t.Fatalf("stats = %d enq, %d deq, len %d; want 2/2/0", s.Enqueues, s.Dequeues, s.Len)
+	}
+}
+
+// TestWorkPoolParkedCancel: a consumer parked on an empty pool returns
+// promptly once its context is canceled, with the error the retry loop
+// has always returned — ErrCanceled and ctx's error wrapped around the
+// structure, the state and the failed pass count, which for a consumer
+// that parked once and was never woken is exactly parkAfter.
+func TestWorkPoolParkedCancel(t *testing.T) {
+	m := poolManager(t, 2, 2)
+	wp, err := NewWorkPool[uint64](m, WithPoolShards(2), WithPoolCapacity(8), WithPoolBatch(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQueue[uint64](m, WithQueueCapacity(4), WithQueueBatch(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		parked func() int
+		wait   func(context.Context) error
+	}{
+		{"pool/Dequeue", func() int { return wp.Stats().Parked },
+			func(ctx context.Context) error { _, err := wp.Dequeue(ctx); return err }},
+		{"pool/DequeueBatch", func() int { return wp.Stats().Parked },
+			func(ctx context.Context) error { _, err := wp.DequeueBatch(ctx, 3); return err }},
+		{"queue/Dequeue", func() int { return q.pool.Stats().Parked },
+			func(ctx context.Context) error { _, err := q.Dequeue(ctx); return err }},
+		{"queue/DequeueBatch", func() int { return q.pool.Stats().Parked },
+			func(ctx context.Context) error { _, err := q.DequeueBatch(ctx, 3); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- tc.wait(ctx) }()
+			waitFor(t, 10*time.Second, func() bool { return tc.parked() == 1 }, func() string {
+				return "consumer never parked on the empty structure"
+			})
+			t0 := time.Now()
+			cancel()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("parked consumer ignored cancel()")
+			}
+			if d := time.Since(t0); d > 500*time.Millisecond {
+				t.Errorf("returned %v after cancel(), want a few ms", d)
+			}
+			if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("error %v does not wrap ErrCanceled and context.Canceled", err)
+			}
+			noun, _, _ := strings.Cut(tc.name, "/")
+			if want := fmt.Sprintf("%s empty after %d attempts", noun, parkAfter); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not contain %q", err, want)
+			}
+			if n := tc.parked(); n != 0 {
+				t.Fatalf("%d consumers still registered as parked after return", n)
+			}
+		})
+	}
+}
+
+// TestWorkPoolParkHandoffRace aims enqueues at the instant a consumer
+// parks: one consumer, one producer, and each round the producer waits a
+// random few microseconds after the previous delivery — the time the
+// consumer needs for its passes before parking — so that over many
+// rounds some enqueue completes between the consumer's last look at the
+// rings and its block. The register-then-re-check order in park is what
+// makes that harmless; every round must deliver within a bound.
+func TestWorkPoolParkHandoffRace(t *testing.T) {
+	rounds := 20000
+	if testing.Short() {
+		rounds = 4000
+	}
+	m := poolManager(t, 2, 1)
+	wp, err := NewWorkPool[uint64](m, WithPoolShards(2), WithPoolCapacity(8), WithPoolBatch(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got := make(chan uint64)
+	go func() {
+		for {
+			v, err := wp.Dequeue(ctx)
+			if err != nil {
+				return
+			}
+			got <- v
+		}
+	}()
+	rng := rand.New(rand.NewSource(7))
+	timeout := time.NewTimer(time.Hour)
+	defer timeout.Stop()
+	for r := 1; r <= rounds; r++ {
+		for t0, d := time.Now(), time.Duration(rng.Intn(60_000)); time.Since(t0) < d; {
+		}
+		if !wp.TryEnqueue(uint64(r)) {
+			t.Fatalf("round %d: pool full", r)
+		}
+		timeout.Reset(10 * time.Second)
+		select {
+		case v := <-got:
+			if v != uint64(r) {
+				t.Fatalf("round %d delivered %d", r, v)
+			}
+		case <-timeout.C:
+			t.Fatalf("round %d: element undelivered with Len=%d and %d consumers parked: a wake-up was lost",
+				r, wp.Len(), wp.Stats().Parked)
+		}
+	}
+}
+
+// TestWorkPoolParkCancelHandsWakeOn parks two consumers on different
+// contexts — a long-lived worker and a caller with a per-call deadline —
+// and cancels the second one's context at the instant an element is
+// enqueued. The cancelled consumer may be the one the single wake token
+// reaches; it leaves with ErrCanceled without looking at the rings, so
+// it has to hand the wake on, or the element waits behind a worker that
+// stays parked until some later enqueue. Every round must deliver
+// within a bound, to either consumer.
+func TestWorkPoolParkCancelHandsWakeOn(t *testing.T) {
+	rounds := 2000
+	if testing.Short() {
+		rounds = 400
+	}
+	m := poolManager(t, 3, 1)
+	wp, err := NewWorkPool[uint64](m, WithPoolShards(2), WithPoolCapacity(8), WithPoolBatch(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg, stop := context.WithCancel(context.Background())
+	defer stop()
+	got := make(chan uint64, 1)
+	go func() {
+		for {
+			v, err := wp.Dequeue(bg)
+			if err != nil {
+				return
+			}
+			got <- v
+		}
+	}()
+	type result struct {
+		v   uint64
+		err error
+	}
+	timeout := time.NewTimer(time.Hour)
+	defer timeout.Stop()
+	for r := 1; r <= rounds; r++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		short := make(chan result, 1)
+		go func() {
+			v, err := wp.Dequeue(ctx)
+			short <- result{v, err}
+		}()
+		waitFor(t, 10*time.Second, func() bool { return wp.Stats().Parked == 2 }, func() string {
+			return fmt.Sprintf("round %d: %d of 2 consumers parked", r, wp.Stats().Parked)
+		})
+		go cancel()
+		if !wp.TryEnqueue(uint64(r)) {
+			t.Fatalf("round %d: pool full", r)
+		}
+		res := <-short
+		delivered := res.err == nil
+		if !delivered && !errors.Is(res.err, ErrCanceled) {
+			t.Fatalf("round %d: %v", r, res.err)
+		}
+		if !delivered {
+			timeout.Reset(10 * time.Second)
+			select {
+			case res.v = <-got:
+			case <-timeout.C:
+				t.Fatalf("round %d: element stranded with Len=%d and %d consumers parked: the cancelled consumer kept the wake",
+					r, wp.Len(), wp.Stats().Parked)
+			}
+		}
+		if res.v != uint64(r) {
+			t.Fatalf("round %d delivered %d", r, res.v)
+		}
 	}
 }
