@@ -296,6 +296,32 @@ func BenchmarkCache(b *testing.B) {
 	// The raw regime for the headline pair, for scale.
 	b.Run("nostall/cache:zipf/wfcache/shards=8", wfcache(zipf, bench.VariantAdaptive, 8, false))
 	b.Run("nostall/cache:zipf/mutexlru", mutexlru(zipf, false))
+	// The read path alone, beside the mixed row above: every Get hits a
+	// prefilled key, so this prices one lock-free probe and nothing else.
+	b.Run("nostall/cache:zipf/wfcache/shards=8/get-hit", func(b *testing.B) {
+		c, _, err := bench.NewWfCache(zipf, bench.VariantAdaptive, 8, workers, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bench.PrefillCache(zipf, c)
+		var resident []uint64 // prefilling an uneven shard displaces a few keys
+		for k := uint64(0); k < uint64(zipf.Capacity); k++ {
+			if _, ok := c.Get(k); ok {
+				resident = append(resident, k)
+			}
+		}
+		b.SetParallelism(par)
+		b.ReportAllocs()
+		benchWorkers(b, func(w int) func(int) error {
+			return func(i int) error {
+				k := resident[(w*7+i)%len(resident)]
+				if _, ok := c.Get(k); !ok {
+					return fmt.Errorf("Get(%d) missed a resident key", k)
+				}
+				return nil
+			}
+		})
+	})
 }
 
 // benchCacheWorkers pins the worker-goroutine count: the stall regime
@@ -491,8 +517,9 @@ func BenchmarkQueue(b *testing.B) {
 // one GET every 500µs and waits for its reply, so the server is idle
 // nine tenths of the time. B/op is process-wide and attempts/req is the
 // manager's attempt counter over the run, so both include whatever the
-// dispatch workers do between requests — three acquisitions per request
-// (enqueue, dequeue, backend op) plus their passes before parking.
+// dispatch workers do between requests — two acquisitions per request
+// (enqueue, dequeue; a served GET takes no lock, and neither do the
+// workers' empty passes before parking).
 func BenchmarkServe(b *testing.B) {
 	for _, backend := range []string{"cache", "map", "mutex"} {
 		b.Run("backend="+backend, func(b *testing.B) { benchServe(b, backend, 0) })

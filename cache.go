@@ -13,32 +13,38 @@ import (
 	"wflocks/internal/table"
 )
 
-// Cache is a generic sharded LRU cache with optional TTL, built on the
-// manager's wait-free locks and the shared shard-table engine
-// (internal/table). Keys hash to one of a power-of-two number of
-// shards; each shard owns one Lock guarding an engine bucket region
-// plus an intrusive doubly-linked LRU list stored entirely in typed
-// cells (prev/next bucket indices, head/tail anchors, expiry
-// deadlines). Because the list lives in cells and every access goes
-// through the idempotence layer, the recency reordering and eviction
-// surgery inside a critical section can be re-executed by helpers
-// without double-applying — this is the subsystem whose critical
-// sections do real pointer surgery rather than flat bucket writes.
+// Cache is a generic sharded cache with CLOCK (second-chance) eviction
+// and optional TTL, built on the manager's wait-free locks and the
+// shared shard-table engine (internal/table). Keys hash to one of a
+// power-of-two number of shards; each shard owns one Lock guarding an
+// engine bucket region plus, in typed cells, a CLOCK hand and the
+// entries' expiry deadlines, so a stalled writer's section — an
+// eviction included — is finished by whoever needs the shard next. A
+// shard's bucket count is fixed (no rehashing), which keeps the
+// worst-case critical section T bounded; see CacheCriticalSteps.
 //
-// Eviction happens inside the critical section: a Put into a full shard
-// unlinks the LRU tail, tombstones its bucket and reuses it, all in the
-// same atomic step as the insert, so the cache never exceeds its
-// capacity and a stalled evictor can never wedge the shard — helpers
-// finish the surgery. Each shard holds a fixed power-of-two number of
-// buckets (its capacity share); there is no rehashing, which is what
-// keeps the worst-case critical section T bounded (CacheCriticalSteps
-// computes the bound a hosting Manager needs).
+// Reads make no lock attempt. Get and Contains probe under the shard's
+// seqlock, as Map.Get does: a bracket that loads key, deadline and
+// value between two equal, even reads of the shard version saw the
+// shard at one instant, where the read linearizes. A mutation holds the
+// version odd while it applies, so readers of a shard whose writer is
+// stalled mid-section find no stable bracket; after a bounded number of
+// tries they take the locked path instead of spinning, and that
+// acquisition helps the stalled section through. A Get that finds its
+// entry expired locks too: expiry is lazy, and removing the entry
+// (counted as an expiration and a miss) is a mutation.
 //
-// With WithTTL, every entry carries an absolute expiry deadline.
-// Expiry is lazy: a Get that finds an expired entry removes it (counted
-// as an expiration and a miss) instead of returning it. The deadline is
-// sampled once, outside the critical section, so the section body stays
-// deterministic and helpers re-executing it see the same cutoff.
+// Recency is one reference bit per entry: a hit sets it with a plain
+// atomic outside any section, and a Put into a full shard sweeps from
+// the hand, passing over (granting a second chance to) entries whose
+// bit is set and evicting the first whose bit is clear, in the same
+// section as its insert. That is CLOCK, not strict LRU — the victim is
+// unreferenced since the hand last passed it, not necessarily the least
+// recently used — because reordering a list on every hit is a mutation
+// and would put every read back under the lock. What a section body
+// decides on besides cell reads — the TTL clock, the reference bits it
+// sweeps over — is sampled before the section, so helpers re-executing
+// the body repeat it exactly.
 //
 // Construct with NewCache (integer keys and values) or NewCacheOf
 // (explicit codecs). All methods are safe for concurrent use.
@@ -47,18 +53,17 @@ type Cache[K comparable, V any] struct {
 	eng *table.Table[K, V]
 	vc  Codec[V] // result-cell codec
 
-	// locks[s] guards eng.Shards[s] and lru[s] together; locks[s:s+1] is
-	// shard s's single-lock set for the runner.
+	// locks[s] guards eng.Shards[s] and the cells of clock[s] together;
+	// locks[s:s+1] is shard s's single-lock set for the runner.
 	locks []*Lock
-	lru   []lruShard
+	clock []clockShard
 
 	ttl      uint64 // nanoseconds; 0 = entries never expire by default
 	opBudget int
 
-	// expiring records that at least one entry was ever stored with a
-	// deadline (always true under WithTTL; flipped by PutTTL otherwise),
-	// so reads on a TTL-less cache skip the clock until the first
-	// per-entry TTL appears.
+	// expiring records that some entry was ever stored with a deadline
+	// (always true under WithTTL; flipped by PutTTL otherwise): until
+	// then reads on a TTL-less cache skip the clock.
 	expiring atomic.Bool
 
 	// now is the nanosecond clock sampled outside critical sections for
@@ -66,28 +71,63 @@ type Cache[K comparable, V any] struct {
 	now func() uint64
 }
 
-// lruShard is one shard's recency state: the intrusive LRU list
-// threading the shard's full buckets (head = most recent, tail =
-// least), expiry deadlines, and the per-shard counters. All of it lives
-// in cells, updated inside critical sections, so it is exact at
-// quiescence and idempotent under helping. lruNil terminates the list.
-type lruShard struct {
-	head *Cell[uint64]
-	tail *Cell[uint64]
-
-	hits        *Cell[uint64]
-	misses      *Cell[uint64]
+// clockShard is what one shard keeps beside its engine region. The
+// cells change only inside critical sections: idempotent under helping,
+// exact at quiescence. The reference bits and hit/miss counts are plain
+// atomics no section body touches; callers update them once their
+// operation's outcome is known.
+type clockShard struct {
+	hand        *Cell[uint64] // bucket the next sweep starts at
 	evictions   *Cell[uint64]
 	expirations *Cell[uint64]
+	exp         []*Cell[uint64] // absolute expiry deadline in nanos; 0 = none
 
-	prev []*Cell[uint64] // LRU links: bucket indices, lruNil-terminated
-	next []*Cell[uint64]
-	exp  []*Cell[uint64] // absolute expiry deadline in nanos; 0 = none
+	ref          []atomic.Uint64 // bucket i's reference bit: bit i&63 of word i>>6
+	hits, misses atomic.Uint64
+
+	// Each shard's counters are bumped by its own readers: pad the 88
+	// bytes above to 128, as table.Shard does.
+	_ [40]byte
 }
 
-// lruNil terminates the intrusive LRU list (no valid bucket index is
-// all-ones).
-const lruNil = ^uint64(0)
+// touch sets bucket i's reference bit; loading first keeps a hot
+// entry's hits from writing the shared word at all.
+func (sh *clockShard) touch(i int) {
+	w, bit := &sh.ref[i>>6], uint64(1)<<(i&63)
+	if w.Load()&bit == 0 {
+		w.Or(bit)
+	}
+}
+
+// clockVictim sweeps n buckets from hand over refs, a snapshot of the
+// reference bits (none when empty): it passes over buckets whose bit is
+// set and stops at the first clear one, or back at hand if all were set.
+func clockVictim(refs []uint64, hand, n int) (victim, passed int) {
+	for ; passed < n; passed++ {
+		i := (hand + passed) & (n - 1)
+		if len(refs) == 0 || refs[i>>6]&(1<<(i&63)) == 0 {
+			return i, passed
+		}
+	}
+	return hand, n
+}
+
+// settle applies the word a storing section published: the bucket it
+// wrote in the low half and, in the high half, how many bits ending
+// there to clear — a placed entry's own and those of the entries an
+// eviction sweep passed over, their second chance used — or zero to
+// mark an existing entry referenced. Clearing is the half of the sweep
+// that must not run inside a re-executable body.
+func (sh *clockShard) settle(at uint64, n int) {
+	bucket, clear := int(uint32(at)), int(at>>32)
+	if clear == 0 {
+		sh.touch(bucket)
+	}
+	for j := 0; j < clear; j++ {
+		i := (bucket - j) & (n - 1)
+		sh.ref[i>>6].And(^(uint64(1) << (i & 63)))
+	}
+}
 
 // Default cache shape: 8 shards, 1024 entries total.
 const (
@@ -122,9 +162,9 @@ func WithCacheShards(n int) CacheOption {
 // WithCapacity sets the total entry capacity (default 1024). It is
 // split evenly across shards and each shard's share is rounded up to a
 // power of two, so the effective capacity — reported by Capacity — may
-// exceed the request. When a shard is full, Put evicts that shard's
-// least-recently-used entry; the LRU order is per shard, the price of
-// there being no global lock.
+// exceed the request. When a shard is full, Put evicts an entry of that
+// shard its CLOCK sweep finds unreferenced; recency is per shard, the
+// price of there being no global lock.
 func WithCapacity(n int) CacheOption {
 	return func(c *cacheConfig) error {
 		if n <= 0 {
@@ -154,15 +194,12 @@ func WithTTL(d time.Duration) CacheOption {
 // to a power of two, as the constructor rounds) with the given key and
 // value codec widths in words. It covers the worst case of any cache
 // operation: a full-region probe (perShard × (1 + keyWords) ops), plus
-// the LRU unlink/relink surgery, the tail eviction, the insert writes,
-// the counter updates and the result-cell writes. It is the shared
-// engine formula (table.Budget) with three value accesses and 32
-// bookkeeping words: the LRU list adds a constant number of single-word
-// cell operations per op — pointer surgery is bounded-degree, so the
-// budget stays linear in the region size exactly as MapCriticalSteps
-// is.
+// the eviction, the insert, the deadline, hand and counter updates and
+// the result-cell write: the shared engine formula (table.Budget) with
+// two value accesses and 16 bookkeeping words. The CLOCK sweep reads a
+// snapshot, not cells, so the budget stays linear in the region size.
 func CacheCriticalSteps(perShard, keyWords, valueWords int) int {
-	return table.Budget(perShard, keyWords, valueWords, 3, 32)
+	return table.Budget(perShard, keyWords, valueWords, 2, 16)
 }
 
 // NewCache creates a cache with integer keys and values, the common
@@ -201,24 +238,18 @@ func NewCacheOf[K comparable, V any](m *Manager, kc Codec[K], vc Codec[V], opts 
 		now:      func() uint64 { return uint64(time.Now().UnixNano()) },
 	}
 	c.locks = make([]*Lock, c.eng.ShardCount())
-	c.lru = make([]lruShard, c.eng.ShardCount())
-	for s := range c.lru {
+	c.clock = make([]clockShard, c.eng.ShardCount())
+	for s := range c.clock {
 		c.locks[s] = m.NewLock()
-		sh := &c.lru[s]
-		sh.head = NewCell(lruNil)
-		sh.tail = NewCell(lruNil)
-		sh.hits = NewCell(uint64(0))
-		sh.misses = NewCell(uint64(0))
+		sh := &c.clock[s]
+		sh.hand = NewCell(uint64(0))
 		sh.evictions = NewCell(uint64(0))
 		sh.expirations = NewCell(uint64(0))
-		sh.prev = make([]*Cell[uint64], perShard)
-		sh.next = make([]*Cell[uint64], perShard)
 		sh.exp = make([]*Cell[uint64], perShard)
-		for i := 0; i < perShard; i++ {
-			sh.prev[i] = NewCell(lruNil)
-			sh.next[i] = NewCell(lruNil)
+		for i := range sh.exp {
 			sh.exp[i] = NewCell(uint64(0))
 		}
+		sh.ref = make([]atomic.Uint64, (perShard+63)/64)
 	}
 	return c, nil
 }
@@ -233,10 +264,8 @@ func (c *Cache[K, V]) Capacity() int { return c.eng.ShardCount() * c.eng.Capacit
 // TTL reports the configured time-to-live (zero: entries never expire).
 func (c *Cache[K, V]) TTL() time.Duration { return time.Duration(c.ttl) }
 
-// deadline samples the expiry deadline for an entry stored now. It is
-// called outside critical sections so that the section bodies capture
-// the result as a constant — helpers re-executing a body must see the
-// same cutoff, or the execution would not be idempotent.
+// deadline samples the expiry deadline for an entry stored now, outside
+// the critical section that captures it as a constant.
 func (c *Cache[K, V]) deadline() uint64 {
 	if c.ttl == 0 {
 		return 0
@@ -244,11 +273,9 @@ func (c *Cache[K, V]) deadline() uint64 {
 	return c.now() + c.ttl
 }
 
-// cutoff samples the expiry comparison instant for a read, outside
-// critical sections, for the same determinism reason as deadline. A
-// cache that has never held a deadline skips the clock read entirely;
-// the first PutTTL on a TTL-less cache flips expiring so reads start
-// checking.
+// cutoff samples the instant a read compares deadlines against, outside
+// critical sections as deadline is. A cache that has never held a
+// deadline skips the clock read (see expiring).
 func (c *Cache[K, V]) cutoff() uint64 {
 	if c.ttl == 0 && !c.expiring.Load() {
 		return 0
@@ -256,167 +283,117 @@ func (c *Cache[K, V]) cutoff() uint64 {
 	return c.now()
 }
 
-// moveToFront makes bucket i the most-recently-used entry of its
-// shard's LRU list. All pointer reads happen before any write, so
-// helpers re-executing the surgery replay the identical operation
-// sequence.
-func moveToFront(tx *Tx, sh *lruShard, i int) {
-	h := Get(tx, sh.head)
-	if h == uint64(i) {
-		return
-	}
-	// i is not the head, so it has a predecessor.
-	p := Get(tx, sh.prev[i])
-	n := Get(tx, sh.next[i])
-	Put(tx, sh.next[p], n)
-	if n != lruNil {
-		Put(tx, sh.prev[n], p)
-	} else {
-		Put(tx, sh.tail, p)
-	}
-	Put(tx, sh.prev[i], lruNil)
-	Put(tx, sh.next[i], h)
-	Put(tx, sh.prev[h], uint64(i))
-	Put(tx, sh.head, uint64(i))
-}
+// expired reports whether deadline d has passed at cutoff.
+func expired(d, cutoff uint64) bool { return d != 0 && d <= cutoff }
 
-// unlink removes bucket i from its shard's LRU list (the bucket's own
-// links are left stale; insertion rewrites them).
-func unlink(tx *Tx, sh *lruShard, i int) {
-	p := Get(tx, sh.prev[i])
-	n := Get(tx, sh.next[i])
-	if p != lruNil {
-		Put(tx, sh.next[p], n)
-	} else {
-		Put(tx, sh.head, n)
-	}
-	if n != lruNil {
-		Put(tx, sh.prev[n], p)
-	} else {
-		Put(tx, sh.tail, p)
-	}
-}
+// peekTries bounds the brackets a read tries, as Map.Get's are bounded.
+const peekTries = 4
 
-// removeLocked expires or deletes bucket i: unlink, tombstone, shrink.
-func (c *Cache[K, V]) removeLocked(tx *Tx, si, i int) {
-	unlink(tx, &c.lru[si], i)
-	c.eng.Remove(tx.run, &c.eng.Shards[si], i)
-}
-
-// installLocked inserts (k, v) into the shard inside a critical
-// section, evicting the LRU tail first when the region has no reusable
-// bucket, and links the new entry at the front of the LRU list. free is
-// the probe's first reusable bucket or -1. The eviction reuses the
-// tail's bucket directly: with no empty bucket left in the region, every
-// probe chain covers the whole region, so the freed bucket is reachable
-// for any key.
-func (c *Cache[K, V]) installLocked(tx *Tx, si int, h uint64, k K, v V, dl uint64, free int) {
-	sh := &c.lru[si]
+// peek probes shard si for k outside any critical section: key,
+// deadline and — when wantVal, for a live entry — value are loaded
+// inside one bracket of the shard's version, so with ok the result
+// describes the shard at one instant: live reports k present (at bucket
+// idx) and unexpired. ok is false when no bracket validated or k's
+// entry is expired: the caller takes the lock.
+func (c *Cache[K, V]) peek(p *Process, si int, h uint64, home int, k K, cutoff uint64, wantVal bool) (v V, idx int, live, ok bool) {
 	esh := &c.eng.Shards[si]
-	hd := Get(tx, sh.head)
-	if free < 0 {
-		// Region full of live entries: evict the least-recently-used.
-		t := Get(tx, sh.tail)
-		q := Get(tx, sh.prev[t])
-		if q != lruNil {
-			Put(tx, sh.next[q], lruNil)
+	for a := 0; a < peekTries; a++ {
+		v0 := esh.Ver.Load(p.env)
+		if v0&1 == 1 {
+			continue
 		}
-		Put(tx, sh.tail, q)
-		c.eng.Remove(tx.run, esh, int(t))
-		Put(tx, sh.evictions, Get(tx, sh.evictions)+1)
-		if hd == t {
-			hd = lruNil
+		var val V
+		i, found := c.eng.LoadFind(p.env, esh, h, home, k)
+		stale := found && expired(c.clock[si].exp[i].Get(p), cutoff)
+		live = found && !stale
+		if live && wantVal {
+			val = c.eng.LoadVal(p.env, esh, i)
 		}
-		free = int(t)
+		if esh.Ver.Load(p.env) == v0 {
+			return val, i, live, !stale
+		}
 	}
-	c.eng.Insert(tx.run, esh, free, h, k, v)
-	Put(tx, sh.exp[free], dl)
-	Put(tx, sh.prev[free], lruNil)
-	Put(tx, sh.next[free], hd)
-	if hd != lruNil {
-		Put(tx, sh.prev[hd], uint64(free))
-	} else {
-		Put(tx, sh.tail, uint64(free))
-	}
-	Put(tx, sh.head, uint64(free))
+	return v, 0, false, false
 }
 
-// Get reports the value cached for k and bumps its recency. A hit moves
-// the entry to the front of its shard's LRU list; an expired entry is
-// removed (counted as an expiration and a miss). Results are routed
-// through fresh cells, never closure captures, because a stalled
-// attempt's body may be re-executed by helpers concurrently.
+// Get reports the value cached for k and marks the entry referenced. A
+// hit or a miss under a stable version bracket makes no lock attempt;
+// an expired entry, or a version that keeps moving, takes the critical
+// section below. Its value is routed through a fresh cell, never a
+// closure capture, since helpers may re-execute a stalled attempt's
+// body; the found bucket rides an atomic every run stores identically.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
-	h := c.eng.Hash(k)
-	si, home := c.eng.ShardIndex(h), c.eng.Home(h)
-	esh := &c.eng.Shards[si]
-	sh := &c.lru[si]
-	cutoff := c.cutoff()
-	var zero V
-	val := newResultCell(c.vc)
-	found := NewBoolCell(false)
 	p := c.m.Acquire()
 	defer c.m.Release(p)
-	c.m.run(context.Background(), p, c.locks[si:si+1], c.opBudget, txFrame(func(tx *Tx) {
-		i, ok, _ := c.eng.Find(tx.run, esh, h, home, k)
-		if !ok {
-			Put(tx, sh.misses, Get(tx, sh.misses)+1)
-			return
+	h := c.eng.HashIn(p.env, k)
+	si, home := c.eng.ShardIndex(h), c.eng.Home(h)
+	esh := &c.eng.Shards[si]
+	sh := &c.clock[si]
+	cutoff := c.cutoff()
+	v, i, live, ok := c.peek(p, si, h, home, k, cutoff, true)
+	if !ok {
+		val := newResultCell(c.vc)
+		var hit atomic.Uint64 // found bucket + 1
+		c.m.run(context.Background(), p, c.locks[si:si+1], c.opBudget, txFrame(func(tx *Tx) {
+			b, found, _ := c.eng.Find(tx.run, esh, h, home, k)
+			if !found {
+				return
+			}
+			if expired(Get(tx, sh.exp[b]), cutoff) {
+				c.eng.BumpVer(tx.run, esh)
+				c.eng.Remove(tx.run, esh, b)
+				c.eng.BumpVer(tx.run, esh)
+				Put(tx, sh.expirations, Get(tx, sh.expirations)+1)
+				return
+			}
+			Put(tx, val, c.eng.Val(tx.run, esh, b))
+			hit.Store(uint64(b) + 1)
+		}))
+		if b := hit.Load(); b != 0 {
+			v, i, live = val.Get(p), int(b-1), true
 		}
-		if d := Get(tx, sh.exp[i]); d != 0 && d <= cutoff {
-			c.eng.BumpVer(tx.run, esh)
-			c.removeLocked(tx, si, i)
-			c.eng.BumpVer(tx.run, esh)
-			Put(tx, sh.expirations, Get(tx, sh.expirations)+1)
-			Put(tx, sh.misses, Get(tx, sh.misses)+1)
-			return
-		}
-		moveToFront(tx, sh, i)
-		Put(tx, val, c.eng.Val(tx.run, esh, i))
-		Put(tx, found, true)
-		Put(tx, sh.hits, Get(tx, sh.hits)+1)
-	}))
-	if !found.Get(p) {
-		return zero, false
 	}
-	return val.Get(p), true
+	if !live {
+		sh.misses.Add(1)
+		return v, false
+	}
+	sh.touch(i)
+	sh.hits.Add(1)
+	return v, true
 }
 
-// Contains reports whether k is cached and unexpired, without bumping
-// its recency, removing it on expiry, or touching the hit/miss
-// counters — a pure peek. An entry past its deadline reports false but
-// is left in place for the next Get to reclaim; Contains therefore
-// never mutates the cache, making it the cheapest existence check
-// (one probe in one critical section).
+// Contains reports whether k is cached and unexpired, without marking
+// it referenced, removing it on expiry, or touching the hit/miss
+// counters — a pure peek that never mutates the cache. An entry past
+// its deadline reports false but is left for the next Get to reclaim.
+// Like Get it locks only for such an entry or a version that keeps moving.
 func (c *Cache[K, V]) Contains(k K) bool {
-	h := c.eng.Hash(k)
-	si, home := c.eng.ShardIndex(h), c.eng.Home(h)
-	esh := &c.eng.Shards[si]
-	sh := &c.lru[si]
-	cutoff := c.cutoff()
-	found := NewBoolCell(false)
 	p := c.m.Acquire()
 	defer c.m.Release(p)
+	h := c.eng.HashIn(p.env, k)
+	si, home := c.eng.ShardIndex(h), c.eng.Home(h)
+	cutoff := c.cutoff()
+	if _, _, live, ok := c.peek(p, si, h, home, k, cutoff, false); ok {
+		return live
+	}
+	esh := &c.eng.Shards[si]
+	sh := &c.clock[si]
+	var live atomic.Bool
 	c.m.run(context.Background(), p, c.locks[si:si+1], c.opBudget, txFrame(func(tx *Tx) {
-		i, ok, _ := c.eng.Find(tx.run, esh, h, home, k)
-		if !ok {
-			return
+		if i, ok, _ := c.eng.Find(tx.run, esh, h, home, k); ok && !expired(Get(tx, sh.exp[i]), cutoff) {
+			live.Store(true)
 		}
-		if d := Get(tx, sh.exp[i]); d != 0 && d <= cutoff {
-			return
-		}
-		Put(tx, found, true)
 	}))
-	return found.Get(p)
+	return live.Load()
 }
 
-// Put stores v for k, inserting or overwriting, and makes the entry the
-// most recently used. When k's shard is at capacity the shard's LRU
-// tail is evicted in the same critical section, so Put never fails —
-// unlike Map.Put, which reports ErrMapFull rather than displace an
-// entry.
+// Put stores v for k, inserting or overwriting, and marks an
+// overwritten entry referenced. When k's shard is at capacity an entry
+// the CLOCK sweep finds unreferenced is evicted in the same critical
+// section, so Put never fails — unlike Map.Put, which reports
+// ErrMapFull rather than displace an entry.
 func (c *Cache[K, V]) Put(k K, v V) {
-	c.putWithDeadline(k, v, c.deadline())
+	c.store(k, v, c.deadline(), 0, nil)
 }
 
 // PutTTL stores v for k with an explicit time-to-live that overrides
@@ -431,57 +408,105 @@ func (c *Cache[K, V]) PutTTL(k K, v V, ttl time.Duration) {
 		dl = c.now() + uint64(ttl.Nanoseconds())
 		c.expiring.Store(true)
 	}
-	c.putWithDeadline(k, v, dl)
+	c.store(k, v, dl, 0, nil)
 }
 
-// putWithDeadline is Put's body with the expiry deadline already
-// sampled — outside the critical section, as idempotence requires.
-func (c *Cache[K, V]) putWithDeadline(k K, v V, dl uint64) {
-	h := c.eng.Hash(k)
-	si, home := c.eng.ShardIndex(h), c.eng.Home(h)
-	esh := &c.eng.Shards[si]
-	sh := &c.lru[si]
+// store is the one storing operation, its deadline already sampled.
+// With a nil adopt it is Put: k's entry is overwritten or inserted.
+// With adopt (GetOrCompute's install, adopt holding v) a live entry is
+// left alone and its value copied into adopt; an expired one is
+// replaced in place and counted.
+func (c *Cache[K, V]) store(k K, v V, dl, cutoff uint64, adopt *Cell[V]) {
 	p := c.m.Acquire()
 	defer c.m.Release(p)
-	c.m.run(context.Background(), p, c.locks[si:si+1], c.opBudget, txFrame(func(tx *Tx) {
+	h := c.eng.HashIn(p.env, k)
+	si := c.eng.ShardIndex(h)
+	body, at := c.storeSection(p, si, h, k, v, dl, cutoff, adopt)
+	c.m.run(context.Background(), p, c.locks[si:si+1], c.opBudget, body)
+	c.clock[si].settle(at.Load(), c.eng.Capacity())
+}
+
+// storeSection builds store's critical-section body and the word it
+// publishes for settle — through an atomic, every run computing the
+// same one. Only a shard that reads full can make the body evict, so
+// only then are the reference bits snapshotted for its sweep; a Put
+// that raced the shard full sweeps over nothing.
+func (c *Cache[K, V]) storeSection(p *Process, si int, h uint64, k K, v V, dl, cutoff uint64, adopt *Cell[V]) (txFrame, *atomic.Uint64) {
+	esh := &c.eng.Shards[si]
+	sh := &c.clock[si]
+	home, n := c.eng.Home(h), c.eng.Capacity()
+	var refs []uint64
+	if int(c.eng.LoadSize(p.env, esh)) == n {
+		refs = make([]uint64, len(sh.ref))
+		for w := range refs {
+			refs[w] = sh.ref[w].Load()
+		}
+	}
+	at := new(atomic.Uint64)
+	return func(tx *Tx) {
 		i, ok, free := c.eng.Find(tx.run, esh, h, home, k)
+		if ok && adopt != nil {
+			if !expired(Get(tx, sh.exp[i]), cutoff) {
+				// Raced: another goroutine installed first. Adopt its
+				// value so concurrent callers agree.
+				Put(tx, adopt, c.eng.Val(tx.run, esh, i))
+				at.Store(uint64(i))
+				return
+			}
+			Put(tx, sh.expirations, Get(tx, sh.expirations)+1)
+		}
 		c.eng.BumpVer(tx.run, esh)
 		if ok {
 			c.eng.SetVal(tx.run, esh, i, v)
 			Put(tx, sh.exp[i], dl)
-			moveToFront(tx, sh, i)
+			at.Store(uint64(i))
 		} else {
-			c.installLocked(tx, si, h, k, v, dl, free)
+			clear := 1
+			if free < 0 {
+				// Region full of live entries: evict the sweep's victim and
+				// reuse its bucket directly — with no empty bucket left,
+				// every probe chain covers the whole region, so the freed
+				// bucket is reachable for any key.
+				var passed int
+				free, passed = clockVictim(refs, int(Get(tx, sh.hand)), n)
+				clear = min(passed+1, n)
+				c.eng.Remove(tx.run, esh, free)
+				Put(tx, sh.evictions, Get(tx, sh.evictions)+1)
+				Put(tx, sh.hand, uint64((free+1)&(n-1)))
+			}
+			c.eng.Insert(tx.run, esh, free, h, k, v)
+			Put(tx, sh.exp[free], dl)
+			at.Store(uint64(clear)<<32 | uint64(free))
 		}
 		c.eng.BumpVer(tx.run, esh)
-	}))
+	}, at
 }
 
 // Delete removes k, reporting whether it was present. The bucket
 // becomes a tombstone so longer probe chains stay reachable.
 func (c *Cache[K, V]) Delete(k K) bool {
-	h := c.eng.Hash(k)
-	si, home := c.eng.ShardIndex(h), c.eng.Home(h)
-	esh := &c.eng.Shards[si]
-	removed := NewBoolCell(false)
 	p := c.m.Acquire()
 	defer c.m.Release(p)
+	h := c.eng.HashIn(p.env, k)
+	si, home := c.eng.ShardIndex(h), c.eng.Home(h)
+	esh := &c.eng.Shards[si]
+	var removed atomic.Bool
 	c.m.run(context.Background(), p, c.locks[si:si+1], c.opBudget, txFrame(func(tx *Tx) {
 		if i, ok, _ := c.eng.Find(tx.run, esh, h, home, k); ok {
 			c.eng.BumpVer(tx.run, esh)
-			c.removeLocked(tx, si, i)
+			c.eng.Remove(tx.run, esh, i)
 			c.eng.BumpVer(tx.run, esh)
-			Put(tx, removed, true)
+			removed.Store(true)
 		}
 	}))
-	return removed.Get(p)
+	return removed.Load()
 }
 
 // GetOrCompute returns the cached value for k, computing and installing
 // it on a miss. compute runs outside any critical section — it may be
 // arbitrarily slow (a backing-store fetch) without ever inflating the
-// critical-section bound T — and the result is installed in a second
-// critical section that re-probes first: when several goroutines miss
+// critical-section bound T — and the result is installed in a critical
+// section that re-probes first: when several goroutines miss
 // concurrently, each computes, the first install wins, and the losers
 // observe and return the winner's value, so every concurrent caller
 // returns the same value. One hit or one miss is counted, by the
@@ -491,39 +516,9 @@ func (c *Cache[K, V]) GetOrCompute(k K, compute func() V) V {
 		return v
 	}
 	v := compute()
-	h := c.eng.Hash(k)
-	si, home := c.eng.ShardIndex(h), c.eng.Home(h)
-	esh := &c.eng.Shards[si]
-	sh := &c.lru[si]
-	dl := c.deadline()
-	cutoff := c.cutoff()
 	res := NewCellOf(c.vc, v)
-	p := c.m.Acquire()
-	defer c.m.Release(p)
-	c.m.run(context.Background(), p, c.locks[si:si+1], c.opBudget, txFrame(func(tx *Tx) {
-		i, ok, free := c.eng.Find(tx.run, esh, h, home, k)
-		if ok {
-			if d := Get(tx, sh.exp[i]); d == 0 || d > cutoff {
-				// Raced: another goroutine installed first. Adopt its
-				// value so concurrent callers agree.
-				Put(tx, res, c.eng.Val(tx.run, esh, i))
-				moveToFront(tx, sh, i)
-				return
-			}
-			// The raced-in entry already expired: replace it in place.
-			c.eng.BumpVer(tx.run, esh)
-			c.eng.SetVal(tx.run, esh, i, v)
-			Put(tx, sh.exp[i], dl)
-			c.eng.BumpVer(tx.run, esh)
-			Put(tx, sh.expirations, Get(tx, sh.expirations)+1)
-			moveToFront(tx, sh, i)
-			return
-		}
-		c.eng.BumpVer(tx.run, esh)
-		c.installLocked(tx, si, h, k, v, dl, free)
-		c.eng.BumpVer(tx.run, esh)
-	}))
-	return res.Get(p)
+	c.store(k, v, c.deadline(), c.cutoff(), res)
+	return Load(c.m, res)
 }
 
 // Len reports the number of cached entries. It is the lock-free fast
@@ -561,7 +556,7 @@ func (c *Cache[K, V]) All() iter.Seq2[K, V] {
 		p := c.m.Acquire()
 		for s := range c.eng.Shards {
 			esh := &c.eng.Shards[s]
-			sh := &c.lru[s]
+			sh := &c.clock[s]
 			cutoff := c.cutoff()
 			c.eng.ReadStable(p.env, esh, runtime.Gosched, func() {
 				snap = snap[:0]
@@ -569,7 +564,7 @@ func (c *Cache[K, V]) All() iter.Seq2[K, V] {
 					if c.eng.LoadMeta(p.env, esh, i)&table.StateMask != table.Full {
 						continue
 					}
-					if d := sh.exp[i].Get(p); d != 0 && d <= cutoff {
+					if expired(sh.exp[i].Get(p), cutoff) {
 						continue
 					}
 					snap = append(snap, entry{c.eng.LoadKey(p.env, esh, i), c.eng.LoadVal(p.env, esh, i)})
@@ -597,8 +592,8 @@ type CacheShardStats struct {
 	// Hits and Misses count Get (and GetOrCompute) outcomes; an expired
 	// entry counts as an expiration and a miss.
 	Hits, Misses uint64
-	// Evictions counts LRU-tail displacements by Put into a full shard;
-	// Expirations counts TTL removals observed by reads.
+	// Evictions counts displacements by Put into a full shard (the CLOCK
+	// sweep's victims); Expirations counts TTL removals observed by reads.
 	Evictions, Expirations uint64
 	// Tombstones, MaxProbe and SumProbe describe the shard's
 	// open-addressed region, as in MapShardStats.
@@ -609,8 +604,8 @@ type CacheShardStats struct {
 
 // CacheStats is a point-in-time view of a cache's per-shard traffic,
 // occupancy and effectiveness, with the same weak-consistency caveat as
-// StatsSnapshot: counters are updated inside critical sections, so they
-// are exact at quiescence.
+// StatsSnapshot: sections count evictions and expirations, readers their
+// own hits and misses, so all of them are exact at quiescence.
 type CacheStats struct {
 	// Shards holds one entry per shard, in shard order.
 	Shards []CacheShardStats
@@ -647,14 +642,14 @@ func (c *Cache[K, V]) Stats() CacheStats {
 	cs := CacheStats{Shards: make([]CacheShardStats, c.eng.ShardCount())}
 	accesses := make([]uint64, c.eng.ShardCount())
 	for s := range c.eng.Shards {
-		sh := &c.lru[s]
+		sh := &c.clock[s]
 		a, w, hp := c.locks[s].inner.Counters()
 		ps := c.eng.ProbeStats(p.env, &c.eng.Shards[s])
 		st := CacheShardStats{
 			Lock:        LockStats{ID: c.locks[s].ID(), Attempts: a, Wins: w, Helps: hp},
 			Size:        int(c.eng.LoadSize(p.env, &c.eng.Shards[s])),
-			Hits:        sh.hits.Get(p),
-			Misses:      sh.misses.Get(p),
+			Hits:        sh.hits.Load(),
+			Misses:      sh.misses.Load(),
 			Evictions:   sh.evictions.Get(p),
 			Expirations: sh.expirations.Get(p),
 			Tombstones:  ps.Tombstones,

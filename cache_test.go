@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"wflocks/internal/idem"
 	"wflocks/internal/workload"
 )
 
@@ -112,10 +113,23 @@ func TestCacheOptionValidation(t *testing.T) {
 	}
 }
 
-// TestCacheLRUEviction pins the eviction order and the counters on a
-// single-shard cache where every step is deterministic: the acceptance
-// check that Stats' hit/miss/eviction numbers are exactly consistent
-// with the workload.
+// clockKeys reads a single-shard cache's bucket → key placement, so a
+// test can name the entry the hand points at.
+func clockKeys(c *Cache[uint64, uint64]) []uint64 {
+	p := c.m.Acquire()
+	defer c.m.Release(p)
+	keys := make([]uint64, c.eng.Capacity())
+	for b := range keys {
+		keys[b] = c.eng.LoadKey(p.env, &c.eng.Shards[0], b)
+	}
+	return keys
+}
+
+// TestCacheLRUEviction is the exact audit of the replacement policy —
+// CLOCK, the approximation of LRU that lets reads leave the lock — on a
+// single-shard cache where every step is deterministic: which bucket
+// each Put evicts, where the hand stops, whose second chance is used
+// up, and Stats' hit/miss/eviction numbers.
 func TestCacheLRUEviction(t *testing.T) {
 	m := cacheManager(t, 2, 4, 1, 1)
 	c, err := NewCache[uint64, uint64](m, WithCacheShards(1), WithCapacity(4))
@@ -125,52 +139,67 @@ func TestCacheLRUEviction(t *testing.T) {
 	for k := uint64(1); k <= 4; k++ {
 		c.Put(k, k*100)
 	}
-	// Recency now 4 > 3 > 2 > 1. Touch 1 so 2 becomes the LRU tail.
-	if _, ok := c.Get(1); !ok {
-		t.Fatal("Get(1) missed")
-	}
-	// Inserting a fifth key evicts the tail, which is 2.
-	c.Put(5, 500)
-	if _, ok := c.Get(2); ok {
-		t.Fatal("LRU key 2 survived the eviction")
-	}
-	for _, k := range []uint64{1, 3, 4, 5} {
-		if v, ok := c.Get(k); !ok || v != k*100 {
-			t.Fatalf("Get(%d) = (%d, %v), want (%d, true)", k, v, ok, k*100)
+	hits := uint64(0)
+	touch := func(keys ...uint64) {
+		t.Helper()
+		for _, k := range keys {
+			if v, ok := c.Get(k); !ok || v != k*100 {
+				t.Fatalf("Get(%d) = (%d, %v), want (%d, true)", k, v, ok, k*100)
+			}
+			hits++
 		}
 	}
+	// step puts a new key into the full shard and checks the sweep: the
+	// entry in bucket victim goes, the new key takes its bucket, and the
+	// hand stops one past it.
+	step := func(k uint64, victim int) {
+		t.Helper()
+		gone := clockKeys(c)[victim]
+		c.Put(k, k*100)
+		if c.Contains(gone) {
+			t.Fatalf("Put(%d): key %d in bucket %d survived, placement now %v", k, gone, victim, clockKeys(c))
+		}
+		if at := clockKeys(c)[victim]; at != k {
+			t.Fatalf("Put(%d): bucket %d holds %d", k, victim, at)
+		}
+		if hand := Load(m, c.clock[0].hand); hand != uint64(victim+1)%4 {
+			t.Fatalf("Put(%d): hand = %d, want %d", k, hand, (victim+1)%4)
+		}
+	}
+	at := clockKeys(c)
+	// Nothing referenced: the sweep takes the bucket under the hand.
+	step(5, 0)
+	// Buckets 1 and 2 referenced: the sweep passes over both and evicts 3.
+	touch(at[1], at[2])
+	step(6, 3)
+	// The hand wrapped to bucket 0, where 5 was placed unreferenced.
+	step(7, 0)
+	// Bucket 1's second chance was used by the sweep that passed it.
+	step(8, 1)
+	// Everything referenced: a full revolution clears every bit and the
+	// bucket under the hand (2) goes.
+	touch(clockKeys(c)...)
+	step(9, 2)
+	// ...so nothing is referenced any more and the next bucket is next.
+	step(10, 3)
 	if got := c.Len(); got != 4 {
 		t.Fatalf("Len = %d, want 4", got)
 	}
-	// Exact counter audit: hits = Get(1) + the four post-eviction hits;
-	// misses = Get(2); evictions = 1; no TTL, so no expirations.
+	if _, ok := c.Get(5); ok {
+		t.Fatal("evicted key 5 still hits")
+	}
 	st := c.Stats()
-	if st.Hits != 5 || st.Misses != 1 || st.Evictions != 1 || st.Expirations != 0 {
-		t.Fatalf("Stats = hits %d misses %d evictions %d expirations %d, want 5/1/1/0",
-			st.Hits, st.Misses, st.Evictions, st.Expirations)
+	if st.Hits != hits || st.Misses != 1 || st.Evictions != 6 || st.Expirations != 0 {
+		t.Fatalf("Stats = hits %d misses %d evictions %d expirations %d, want %d/1/6/0",
+			st.Hits, st.Misses, st.Evictions, st.Expirations, hits)
 	}
-	if st.HitRate != 5.0/6.0 {
-		t.Fatalf("HitRate = %v, want %v", st.HitRate, 5.0/6.0)
-	}
-	// Eviction proceeds strictly from the tail: filling a fresh cache
-	// and inserting N more keys evicts exactly the first N in order.
-	for k := uint64(6); k <= 9; k++ {
-		c.Put(k, k*100)
-	}
-	for _, k := range []uint64{1, 3, 4, 5} {
-		if _, ok := c.Get(k); ok {
-			t.Fatalf("key %d survived a full turnover", k)
-		}
-	}
-	for k := uint64(6); k <= 9; k++ {
-		if v, ok := c.Get(k); !ok || v != k*100 {
-			t.Fatalf("Get(%d) after turnover = (%d, %v)", k, v, ok)
-		}
+	if want := float64(hits) / float64(hits+1); st.HitRate != want {
+		t.Fatalf("HitRate = %v, want %v", st.HitRate, want)
 	}
 }
 
-// TestCacheCapacityOne exercises the degenerate single-entry LRU list,
-// where every insert both empties and refills the list.
+// TestCacheCapacityOne exercises the degenerate single-bucket shard,
+// where every insert of a new key evicts and the hand never moves.
 func TestCacheCapacityOne(t *testing.T) {
 	m := cacheManager(t, 2, 1, 1, 1)
 	c, err := NewCache[uint64, uint64](m, WithCacheShards(1), WithCapacity(1))
@@ -446,8 +475,8 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 // TestCacheMultiWordValues exercises multi-word struct values through
-// CodecFunc — the LRU surgery must stay consistent when value writes
-// span several idempotent words — plus TTL on the multi-word path.
+// CodecFunc — eviction and insert must stay consistent when value
+// writes span several idempotent words — plus TTL on the multi-word path.
 func TestCacheMultiWordValues(t *testing.T) {
 	type blob struct{ A, B, C uint64 }
 	blobCodec := CodecFunc(3,
@@ -482,8 +511,8 @@ func TestCacheMultiWordValues(t *testing.T) {
 	}
 }
 
-// TestCacheContains pins the peek contract: no recency bump, no expiry
-// reclaim, no hit/miss accounting.
+// TestCacheContains pins the peek contract: no reference mark, no
+// expiry reclaim, no hit/miss accounting.
 func TestCacheContains(t *testing.T) {
 	m := cacheManager(t, 2, 4, 1, 1)
 	c, err := NewCache[uint64, uint64](m, WithCacheShards(1), WithCapacity(4),
@@ -494,7 +523,6 @@ func TestCacheContains(t *testing.T) {
 	var clock atomic.Uint64
 	clock.Store(1)
 	c.now = clock.Load
-	// Fill the single shard to capacity: 1 is the LRU tail.
 	for k := uint64(1); k <= 4; k++ {
 		c.Put(k, k*10)
 	}
@@ -513,26 +541,35 @@ func TestCacheContains(t *testing.T) {
 		t.Fatalf("Contains moved counters: hits %d→%d misses %d→%d",
 			base.Hits, st.Hits, base.Misses, st.Misses)
 	}
-	// Contains must not bump recency: after peeking the tail (1), a Put
-	// into the full shard must still evict 1, not 2.
-	c.Contains(1)
-	c.Put(5, 50)
-	if c.Contains(1) {
-		t.Fatal("LRU tail survived eviction — Contains bumped recency")
+	// Contains must not mark an entry referenced: with every other entry
+	// referenced by a Get, a Put into the full shard must evict the one
+	// that was only peeked — which is not the one under the hand, so a
+	// sweep that found every bit set would take a different entry.
+	at := clockKeys(c)
+	peeked := at[2]
+	for _, k := range at {
+		if k != peeked {
+			c.Get(k)
+		}
 	}
-	if !c.Contains(2) {
-		t.Fatal("key 2 was evicted instead of the tail")
+	c.Contains(peeked)
+	c.Put(5, 50)
+	if c.Contains(peeked) {
+		t.Fatal("the only unreferenced entry survived eviction — Contains marked it referenced")
+	}
+	if !c.Contains(at[0]) {
+		t.Fatalf("key %d under the hand was evicted instead of the unreferenced one", at[0])
 	}
 	// An expired entry reports false but stays for a read to reclaim.
 	clock.Add(uint64(2 * time.Second.Nanoseconds()))
-	if c.Contains(2) {
+	if c.Contains(5) {
 		t.Fatal("Contains returned an expired entry")
 	}
 	if c.Len() != 4 {
 		t.Fatalf("Contains reclaimed expired entries: Len = %d, want 4", c.Len())
 	}
-	if _, ok := c.Get(2); ok {
-		t.Fatal("expired Get(2) hit")
+	if _, ok := c.Get(5); ok {
+		t.Fatal("expired Get(5) hit")
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Get did not reclaim: Len = %d, want 3", c.Len())
@@ -693,5 +730,236 @@ func TestCachePutTTLOverridesDefault(t *testing.T) {
 	}
 	if v, ok := c.Get(2); !ok || v != 200 {
 		t.Fatalf("long-TTL entry = (%d, %v), want (200, true)", v, ok)
+	}
+}
+
+// TestCacheReadsMakeNoAttempts: on a quiescent cache a hit, a miss and a
+// Contains are each a probe under the shard's version and nothing else —
+// the manager's attempt counter stands still across all of them, while
+// the hit/miss counters, bumped by the readers, stay exact.
+func TestCacheReadsMakeNoAttempts(t *testing.T) {
+	const n = 64
+	m := cacheManager(t, 2, 16, 1, 1)
+	c, err := NewCache[uint64, uint64](m, WithCacheShards(4), WithCapacity(64), WithTTL(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 32; k++ {
+		c.Put(k, k+1)
+	}
+	before, base := m.Stats().Attempts, c.Stats()
+	for i := uint64(0); i < n; i++ {
+		if v, ok := c.Get(i % 32); !ok || v != i%32+1 {
+			t.Fatalf("Get(%d) = (%d, %v)", i%32, v, ok)
+		}
+		if _, ok := c.Get(1000 + i); ok {
+			t.Fatalf("Get(%d) hit a key never stored", 1000+i)
+		}
+		if !c.Contains(i%32) || c.Contains(1000+i) {
+			t.Fatalf("Contains wrong at %d", i)
+		}
+	}
+	if got := m.Stats().Attempts; got != before {
+		t.Fatalf("%d hits, misses and Contains made %d lock attempts, want 0", n, got-before)
+	}
+	if st := c.Stats(); st.Hits-base.Hits != n || st.Misses-base.Misses != n {
+		t.Fatalf("counted %d hits and %d misses, want %d and %d", st.Hits-base.Hits, st.Misses-base.Misses, n, n)
+	}
+}
+
+// sealed is a value that says which key it was stored under, in which
+// round, and whether with a TTL, under a checksum: a reader can tell a
+// value no Put stored (torn words), a value paired with another key,
+// and a value returned past its deadline.
+type sealed struct{ key, gen, round, ttl, sum uint64 }
+
+func seal(key, gen, round, ttl uint64) sealed {
+	return sealed{key, gen, round, ttl, key*31 + gen*17 + round*7 + ttl + 1}
+}
+
+var sealedCodec = CodecFunc(5,
+	func(v sealed, dst []uint64) {
+		dst[0], dst[1], dst[2], dst[3], dst[4] = v.key, v.gen, v.round, v.ttl, v.sum
+	},
+	func(src []uint64) sealed { return sealed{src[0], src[1], src[2], src[3], src[4]} })
+
+// TestCacheReadersNeverTorn races lock-free readers against Put, PutTTL,
+// Delete and eviction on one small shard, so every bucket keeps changing
+// hands between immortal entries, entries that will expire, and entries
+// that already have. The clock only moves between rounds, at quiescence:
+// an entry stored with a TTL is live for the rest of its round and dead
+// in every later one. A hit must return a value some Put stored under
+// that key (checksum and key agree), and never a TTL'd value of an
+// earlier round — which is what a reader would return if it paired a
+// dead entry's value with the empty deadline of the entry that replaced
+// it. Run with -race.
+func TestCacheReadersNeverTorn(t *testing.T) {
+	const (
+		writers  = 2
+		readers  = 2
+		keyspace = 24
+		rounds   = 3
+		opsPer   = 150
+		roundNs  = 1000
+	)
+	m := cacheManager(t, writers+readers, 8, 1, 5)
+	c, err := NewCacheOf[uint64, sealed](m, IntegerCodec[uint64](), sealedCodec, WithCacheShards(1), WithCapacity(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var round atomic.Uint64
+	c.now = func() uint64 { return round.Load() * roundNs }
+	check := func(k uint64, v sealed, r uint64) {
+		if v != seal(v.key, v.gen, v.round, v.ttl) || v.key != k {
+			t.Errorf("round %d: Get(%d) = %+v: no Put stored that under this key", r, k, v)
+		}
+		if v.ttl == 1 && v.round < r {
+			t.Errorf("round %d: Get(%d) returned %+v, expired since round %d", r, k, v, v.round+1)
+		}
+	}
+	for r := uint64(1); r <= rounds; r++ {
+		round.Store(r)
+		var stop atomic.Bool
+		var wwg, rwg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wwg.Add(1)
+			go func(w int) {
+				defer wwg.Done()
+				for i := 0; i < opsPer; i++ {
+					k := uint64((w*7 + i*5) % keyspace)
+					switch i % 4 {
+					case 0, 1:
+						c.Put(k, seal(k, uint64(i), r, 0))
+					case 2:
+						c.PutTTL(k, seal(k, uint64(i), r, 1), roundNs/2)
+					case 3:
+						c.Delete(uint64((w*7 + i*11) % keyspace))
+					}
+				}
+			}(w)
+		}
+		for g := 0; g < readers; g++ {
+			rwg.Add(1)
+			go func(g int) {
+				defer rwg.Done()
+				for i := 0; !stop.Load(); i++ {
+					k := uint64((g*3 + i) % keyspace)
+					if v, ok := c.Get(k); ok {
+						check(k, v, r)
+					}
+					c.Contains(k)
+				}
+			}(g)
+		}
+		wwg.Wait()
+		stop.Store(true)
+		rwg.Wait()
+	}
+	if st := c.Stats(); st.Evictions == 0 || st.Len > 8 {
+		t.Fatalf("evictions %d, Len %d: the shard was never under pressure or overflowed", st.Evictions, st.Len)
+	}
+}
+
+// TestCacheStalledWriterIsHelped: a Put stalls inside its section with
+// the shard's version odd. A Get on that shard finds no stable bracket,
+// takes the locked path within its bounded tries, and on its way to its
+// own section finishes the stalled one — so it returns, the stalled
+// write is visible, and the version is even again, all while the writer
+// is still stalled.
+func TestCacheStalledWriterIsHelped(t *testing.T) {
+	m := cacheManager(t, 4, 8, 1, 1)
+	vc := blockFirstCodec{first: new(atomic.Bool), entered: make(chan struct{}), gate: make(chan struct{})}
+	vc.first.Store(true) // disarmed while the cache is filled
+	c, err := NewCacheOf[uint64, uint64](m, IntegerCodec[uint64](), vc, WithCacheShards(1), WithCapacity(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 4; k++ {
+		c.Put(k, k*10)
+	}
+	vc.first.Store(false)
+	stalled := make(chan struct{})
+	go func() {
+		defer close(stalled)
+		c.Put(1, 111)
+	}()
+	<-vc.entered
+	ver := func() uint64 {
+		p := m.Acquire()
+		defer m.Release(p)
+		return c.eng.Shards[0].Ver.Load(p.env)
+	}
+	if v := ver(); v&1 == 0 {
+		t.Fatalf("version %d is even with a writer stalled mid-section", v)
+	}
+	before := m.Stats().Attempts
+	got := make(chan uint64, 1)
+	go func() {
+		v, _ := c.Get(2)
+		got <- v
+	}()
+	select {
+	case v := <-got:
+		if v != 20 {
+			t.Fatalf("Get(2) behind a stalled writer = %d, want 20", v)
+		}
+	case <-stalled:
+		t.Fatal("stalled writer returned before its gate opened")
+	case <-time.After(10 * time.Second):
+		t.Fatal("Get(2) did not return while a writer was stalled on its shard")
+	}
+	if m.Stats().Attempts == before {
+		t.Fatal("the reader made no lock attempt with the version odd")
+	}
+	// The stalled section ran to its end on the reader's goroutine.
+	if v := ver(); v&1 == 1 {
+		t.Fatalf("version %d still odd after the reader's section", v)
+	}
+	if v, ok := c.Get(1); !ok || v != 111 {
+		t.Fatalf("Get(1) = (%d, %v), want the stalled writer's 111", v, ok)
+	}
+	close(vc.gate)
+	<-stalled
+	if v, ok := c.Get(1); !ok || v != 111 || c.Len() != 4 {
+		t.Fatalf("after the writer returned: Get(1) = (%d, %v), Len %d; want 111, 4", v, ok, c.Len())
+	}
+}
+
+// TestCacheEvictionReplaysSameVictim is the determinism hazard of
+// keeping recency outside the cells: a helper re-executing an evicting
+// Put's body must issue the same operations as the first run, whatever
+// readers did to the reference bits in between. The body is executed
+// twice as one idem.Exec with every bit flipped between the runs; a
+// sweep that read the live bits would pick bucket 0 the second time,
+// write a different bucket, and idem would panic on the replayed log.
+func TestCacheEvictionReplaysSameVictim(t *testing.T) {
+	m := cacheManager(t, 2, 4, 1, 1)
+	c, err := NewCache[uint64, uint64](m, WithCacheShards(1), WithCapacity(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 4; k++ {
+		c.Put(k, k*100)
+	}
+	at := clockKeys(c)
+	c.Get(at[0]) // the hand's bucket is referenced: the sweep passes it and takes bucket 1
+	sh := &c.clock[0]
+	p, q := m.Acquire(), m.Acquire()
+	defer m.Release(p)
+	defer m.Release(q)
+	body, word := c.storeSection(p, 0, c.eng.HashIn(p.env, 5), 5, 500, 0, 0, nil)
+	x := idem.NewExecIn(p.env, body, c.opBudget)
+	x.Execute(p.env)
+	first := word.Load()
+	sh.ref[0].Store(^sh.ref[0].Load())
+	x.Execute(q.env)
+	if word.Load() != first || int(uint32(first)) != 1 {
+		t.Fatalf("runs published %#x then %#x, want bucket 1 both times", first, word.Load())
+	}
+	if c.Contains(at[1]) || !c.Contains(at[0]) || !c.Contains(5) || c.Len() != 4 {
+		t.Fatalf("placement %v after evicting from %v: want 5 in bucket 1", clockKeys(c), at)
+	}
+	if st := c.Stats(); st.Evictions != 1 {
+		t.Fatalf("evictions = %d after two runs of one section, want 1", st.Evictions)
 	}
 }

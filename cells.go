@@ -2,6 +2,7 @@ package wflocks
 
 import (
 	"math"
+	"strings"
 
 	"wflocks/internal/idem"
 )
@@ -30,7 +31,9 @@ type Codec[T any] interface {
 	Words() int
 	// Encode writes v's encoding into dst, which has Words() capacity.
 	Encode(v T, dst []uint64)
-	// Decode reconstructs a value from src, which holds Words() words.
+	// Decode reconstructs a value from src, which holds Words() words,
+	// without retaining src: the structures decode through a scratch
+	// buffer they reuse.
 	Decode(src []uint64) T
 }
 
@@ -143,11 +146,12 @@ func (c stringCodec) Decode(src []uint64) string {
 	if max := (len(src) - 1) * 8; n > max {
 		n = max // corrupt length word; clamp rather than over-read
 	}
-	b := make([]byte, n)
+	var b strings.Builder // one allocation: the string it returns
+	b.Grow(n)
 	for i := 0; i < n; i++ {
-		b[i] = byte(src[1+i/8] >> (8 * (i % 8)))
+		b.WriteByte(byte(src[1+i/8] >> (8 * (i % 8))))
 	}
-	return string(b)
+	return b.String()
 }
 
 // CodecFunc builds a codec for a small struct (or any fixed-width

@@ -10,7 +10,9 @@
 //	benchjson -in bench.out -baseline BENCH_main.json -max-regress 50
 //
 // With -count > 1 each benchmark appears several times; benchjson
-// aggregates to the mean and records the sample count. With -baseline
+// aggregates every column to the mean and records the sample count.
+// Columns a benchmark reports itself (b.ReportMetric: hitrate,
+// attempts/req, steals) are kept under "metrics". With -baseline
 // it prints a per-benchmark table instead of JSON — ns/op with its
 // delta, B/op and allocs/op, each beside the baseline's — and, when
 // -max-regress is positive, exits 1 if any ns/op regression exceeds
@@ -32,12 +34,14 @@ import (
 
 // Result is one benchmark's aggregated numbers. The memory columns are
 // always written: the bench job runs with -benchmem, so a zero is a
-// measured zero.
+// measured zero. Metrics holds the columns a benchmark reports itself
+// through b.ReportMetric (hitrate, attempts/req, steals), by unit.
 type Result struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BPerOp      float64 `json:"b_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	Samples     int     `json:"samples"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BPerOp      float64            `json:"b_per_op"`
+	AllocsPerOp float64            `json:"allocs_per_op"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	Samples     int                `json:"samples"`
 }
 
 // Snapshot is the file format: environment header plus name → result.
@@ -49,23 +53,21 @@ type Snapshot struct {
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
-// benchLine matches one result line of `go test -bench` output up to
-// ns/op; memCols finds the -benchmem columns wherever they follow (a
-// benchmark's own metrics, such as hitrate, are printed before them).
-var (
-	benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op`)
-	memCols   = regexp.MustCompile(`\s([\d.]+) B/op\s+([\d.]+) allocs/op`)
-)
+// benchLine matches the head of one result line of `go test -bench`
+// output, name and iteration count; what follows is value/unit pairs —
+// ns/op, a benchmark's own metrics, then the -benchmem columns.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 
 // procSuffix is the `-N` GOMAXPROCS suffix Go appends to benchmark
 // names. It is stripped so snapshots from machines with different core
 // counts still diff name-for-name.
 var procSuffix = regexp.MustCompile(`-\d+$`)
 
-// accum collects the samples of one benchmark before averaging.
+// accum sums the samples of one benchmark, column by unit, before
+// averaging.
 type accum struct {
-	ns, b, allocs float64
-	n             int
+	sum map[string]float64
+	n   int
 }
 
 // Parse reads `go test -bench` output into a Snapshot, averaging
@@ -91,22 +93,22 @@ func Parse(r io.Reader) (*Snapshot, error) {
 			if mm == nil {
 				continue
 			}
+			cols := strings.Fields(mm[2])
+			if len(cols) < 2 || cols[1] != "ns/op" {
+				continue
+			}
 			name := procSuffix.ReplaceAllString(strings.TrimPrefix(mm[1], "Benchmark"), "")
 			a := accums[name]
 			if a == nil {
-				a = &accum{}
+				a = &accum{sum: map[string]float64{}}
 				accums[name] = a
 			}
-			ns, err := strconv.ParseFloat(mm[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("benchjson: bad ns/op in %q: %w", line, err)
-			}
-			a.ns += ns
-			if mem := memCols.FindStringSubmatch(line); mem != nil {
-				b, _ := strconv.ParseFloat(mem[1], 64)
-				allocs, _ := strconv.ParseFloat(mem[2], 64)
-				a.b += b
-				a.allocs += allocs
+			for i := 0; i+1 < len(cols); i += 2 {
+				v, err := strconv.ParseFloat(cols[i], 64)
+				if err != nil {
+					return nil, fmt.Errorf("benchjson: bad %s in %q: %w", cols[i+1], line, err)
+				}
+				a.sum[cols[i+1]] += v
 			}
 			a.n++
 		}
@@ -118,13 +120,24 @@ func Parse(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("benchjson: no benchmark lines found in input")
 	}
 	for name, a := range accums {
-		n := float64(a.n)
-		snap.Benchmarks[name] = Result{
-			NsPerOp:     a.ns / n,
-			BPerOp:      a.b / n,
-			AllocsPerOp: a.allocs / n,
-			Samples:     a.n,
+		res := Result{Samples: a.n}
+		for unit, sum := range a.sum {
+			mean := sum / float64(a.n)
+			switch unit {
+			case "ns/op":
+				res.NsPerOp = mean
+			case "B/op":
+				res.BPerOp = mean
+			case "allocs/op":
+				res.AllocsPerOp = mean
+			default:
+				if res.Metrics == nil {
+					res.Metrics = map[string]float64{}
+				}
+				res.Metrics[unit] = mean
+			}
 		}
+		snap.Benchmarks[name] = res
 	}
 	return snap, nil
 }

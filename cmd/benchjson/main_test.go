@@ -14,6 +14,8 @@ BenchmarkDoUncontended-8         	   10000	      1000 ns/op	      48 B/op	      
 BenchmarkDoUncontended-8         	   10000	      3000 ns/op	      48 B/op	       3 allocs/op
 BenchmarkMap/wfmap/shards=8-8    	     500	    141283 ns/op	    1763 B/op	      46 allocs/op
 BenchmarkCache/cache:zipf-8      	     300	      3662 ns/op	         0.9312 hitrate	     736 B/op	      11 allocs/op
+BenchmarkCache/cache:zipf-8      	     300	      3662 ns/op	         0.9288 hitrate	     736 B/op	      11 allocs/op
+BenchmarkServe/backend=cache-8   	     200	     21700 ns/op	         2.000 attempts/req	    5120 B/op	      60 allocs/op
 BenchmarkE3Philosophers-8        	       1	 123456789 ns/op
 PASS
 ok  	wflocks	1.224s
@@ -27,8 +29,8 @@ func TestParse(t *testing.T) {
 	if snap.Goos != "linux" || snap.Goarch != "amd64" || snap.Pkg != "wflocks" {
 		t.Fatalf("header = %q/%q/%q", snap.Goos, snap.Goarch, snap.Pkg)
 	}
-	if len(snap.Benchmarks) != 4 {
-		t.Fatalf("parsed %d benchmarks, want 4", len(snap.Benchmarks))
+	if len(snap.Benchmarks) != 5 {
+		t.Fatalf("parsed %d benchmarks, want 5", len(snap.Benchmarks))
 	}
 	// Repeated samples average; the GOMAXPROCS suffix is stripped so
 	// baselines from machines with different core counts still match.
@@ -42,9 +44,17 @@ func TestParse(t *testing.T) {
 		t.Fatalf("Map = %+v", mp)
 	}
 	// A metric the benchmark reports itself sits between ns/op and the
-	// memory columns and must not hide them.
-	if c := snap.Benchmarks["Cache/cache:zipf"]; c.NsPerOp != 3662 || c.BPerOp != 736 || c.AllocsPerOp != 11 {
+	// memory columns: it must not hide them, and it is carried, averaged
+	// like every other column, under its unit.
+	if c := snap.Benchmarks["Cache/cache:zipf"]; c.NsPerOp != 3662 || c.BPerOp != 736 || c.AllocsPerOp != 11 ||
+		len(c.Metrics) != 1 || math.Abs(c.Metrics["hitrate"]-0.93) > 1e-9 {
 		t.Fatalf("Cache = %+v", c)
+	}
+	if s := snap.Benchmarks["Serve/backend=cache"]; s.Metrics["attempts/req"] != 2 || s.AllocsPerOp != 60 {
+		t.Fatalf("Serve = %+v", s)
+	}
+	if do.Metrics != nil {
+		t.Fatalf("DoUncontended carries metrics it never reported: %+v", do.Metrics)
 	}
 	// Lines without allocs still parse.
 	e3 := snap.Benchmarks["E3Philosophers"]

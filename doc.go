@@ -101,20 +101,28 @@
 // contention counters (the same counters the shard locks contribute to
 // StatsSnapshot.Locks) plus a Jain balance index over shards.
 //
-// Cache (NewCache, NewCacheOf) layers LRU eviction and optional TTL on
-// the same shard architecture. Each shard adds an intrusive doubly-
-// linked recency list held in cells — prev/next bucket indices plus
-// head/tail anchors — so a Get's move-to-front and a full shard's
-// tail eviction are pointer surgery executed inside the critical
-// section, re-executable by helpers like any other body. Put never
-// fails: at capacity it displaces the shard's LRU tail in the same
-// atomic step as its insert. GetOrCompute computes outside the lock
-// and installs under it with a re-probe, so concurrent misses agree
-// on one value and a slow computation never stretches a critical
-// section. Contains is the pure peek — one probe, no recency bump, no
-// expiry reclaim, no counter traffic — and Cache.All iterates
-// unexpired entries lock-free under the engine's seqlock, like
-// Map.All.
+// Cache (NewCache, NewCacheOf) layers CLOCK eviction and optional TTL
+// on the same shard architecture. Reads leave the lock, as Map.Get
+// does: Get and Contains load key, expiry deadline and value inside
+// one bracket of the shard's seqlock version, and a bracket that reads
+// the same even version at both ends is where the read linearizes.
+// While a writer is stalled mid-section its shard's version is odd, so
+// a reader finds no stable bracket; after a bounded number of tries it
+// takes the shard lock instead of spinning, and that acquisition helps
+// the stalled section through (an expired entry locks too: removing it
+// is a mutation). Recency is therefore a reference bit per entry, set
+// by a hit with a plain atomic, and not a list a hit would have to
+// reorder under the lock: the cache is CLOCK, not strict LRU. Put
+// never fails: at capacity a sweep from the shard's hand passes over
+// entries referenced since it last came by and evicts the first that
+// was not, in the same atomic step as the insert — over a snapshot of
+// the bits taken before the section, so helpers re-executing the body
+// pick the same victim. GetOrCompute computes outside the lock and
+// installs under it with a re-probe, so concurrent misses agree on one
+// value and a slow computation never stretches a critical section.
+// Contains is the pure peek — one probe, no reference mark, no expiry
+// reclaim, no counter traffic — and Cache.All iterates unexpired
+// entries lock-free under the engine's seqlock, like Map.All.
 //
 // # Multi-key transactions
 //
@@ -210,9 +218,10 @@
 // body costs one operation, so a budget is just an audit of the
 // worst-case body. For the map that is a full-region probe —
 // capacity × (1 + keyWords) — plus a constant for the insert and
-// bookkeeping writes. The cache's LRU surgery extends the same audit:
-// a move-to-front is at most 9 single-word cell ops (three pointer
-// reads, six writes), an eviction at most a dozen, all constants
+// bookkeeping writes. The cache's eviction extends the same audit: the
+// CLOCK sweep reads a snapshot of the reference bits, not cells, so
+// choosing the victim costs one hand read, and removing it, counting it
+// and moving the hand a half-dozen single-word ops, all constants
 // independent of the region size, so CacheCriticalSteps is the same
 // probe term with a larger additive constant. The queue sits at the
 // other extreme: there is no probe at all, so QueueCriticalSteps has

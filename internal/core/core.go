@@ -290,9 +290,12 @@ func (l *Lock) ID() int { return l.id }
 
 // Counters reports the lock's observability counters: attempts whose
 // lock set includes this lock, wins among those attempts, and helps
-// performed on this lock's descriptors by other attempts.
+// performed on this lock's descriptors by other attempts. An attempt is
+// counted before it can win, so wins is loaded first: a reader racing
+// live traffic never sees more wins than attempts.
 func (l *Lock) Counters() (attempts, wins, helps uint64) {
-	return l.attempts.Load(), l.wins.Load(), l.helps.Load()
+	wins = l.wins.Load()
+	return l.attempts.Load(), wins, l.helps.Load()
 }
 
 // Descriptor is a tryLock attempt's shared record (Algorithm 3): the

@@ -2,8 +2,8 @@ package env
 
 // ScratchKey identifies a per-process scratch slot. Each internal
 // package that amortizes allocations (internal/idem, internal/core,
-// internal/activeset, internal/multiset) owns one key and stores its
-// typed allocation state there.
+// internal/activeset, internal/multiset, internal/table) owns one key
+// and stores its typed allocation state there.
 type ScratchKey int
 
 const (
@@ -17,6 +17,9 @@ const (
 	ScratchMultiSet
 	// ScratchTx holds the public API layer's transaction-handle arena.
 	ScratchTx
+	// ScratchTable holds the shard-table engine's word buffer for
+	// encoding and decoding multi-word keys and values.
+	ScratchTable
 	// NumScratch is the number of scratch slots.
 	NumScratch
 )

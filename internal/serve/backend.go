@@ -120,7 +120,7 @@ func (b *mapBackend) TableShards() []TableShardInfo {
 }
 
 // cacheBackend serves from a wait-free Cache: Set never fails (full
-// evicts LRU) and PX maps to PutTTL.
+// evicts by CLOCK) and PX maps to PutTTL.
 type cacheBackend struct {
 	c *wflocks.Cache[string, string]
 }

@@ -14,7 +14,7 @@ import (
 // operation:
 //
 //   - a lookup finds exactly the model's live keys, with the model's
-//     values;
+//     values, and the lock-free probe (LoadFind) agrees with Find;
 //   - Find reports a reusable bucket (tombstone or empty) whenever the
 //     shard has spare capacity — tombstones left by deletes must be
 //     reused, or interleaved delete/insert traffic would exhaust the
@@ -97,6 +97,9 @@ func FuzzShardOps(f *testing.F) {
 					}
 					if found && tb.Val(r, sh, i) != want {
 						t.Fatalf("step %d: key %d value %d, model %d", step, q, tb.Val(r, sh, i), want)
+					}
+					if li, lfound := tb.LoadFind(e, sh, qh, tb.Home(qh), q); lfound != found || (found && li != i) {
+						t.Fatalf("step %d: key %d: lock-free probe says (%d, %v), Find (%d, %v)", step, q, li, lfound, i, found)
 					}
 					if !found {
 						if len(model) < capacity && free < 0 {

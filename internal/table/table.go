@@ -3,11 +3,12 @@
 // of open-addressed bucket regions held in idempotent cells, with the
 // shared hashing, probing, seqlock versioning and critical-section
 // budget math in one place. Structures layer their own semantics on top
-// — the map adds fixed-capacity upsert/delete, the cache adds LRU links
-// and TTL columns — but every one of them probes, hashes, versions and
-// budgets identically, which is what makes multi-structure transactions
-// composable: any set of shards from any engine-backed structures can
-// be locked in one wait-free acquisition and mutated under one budget.
+// — the map adds fixed-capacity upsert/delete, the cache adds a CLOCK
+// hand and a TTL column — but every one of them probes, hashes,
+// versions and budgets identically, which is what makes multi-structure
+// transactions composable: any set of shards from any engine-backed
+// structures can be locked in one wait-free acquisition and mutated
+// under one budget.
 //
 // The engine deliberately sits below the public typed-cell layer: it
 // operates on internal/idem cells and runs, so it can be shared by the
@@ -30,6 +31,8 @@ type Codec[T any] interface {
 	// Encode writes v's encoding into dst, which has Words() capacity.
 	Encode(v T, dst []uint64)
 	// Decode reconstructs a value from src, which holds Words() words.
+	// It must not retain src: the engine decodes through a per-process
+	// scratch buffer it reuses on the next call.
 	Decode(src []uint64) T
 }
 
@@ -70,7 +73,7 @@ func CeilPow2(n int) int {
 // followed by a bounded tail of non-probe work: one key write
 // (keyWords), valueAccesses value reads/writes (valueWords each), and
 // overhead single-word cell operations for the structure's bookkeeping
-// (size and seqlock-version updates, result-cell routing, LRU surgery,
+// (size and seqlock-version updates, result-cell routing, eviction,
 // counters). The probe is the only term linear in the region size;
 // everything a structure layers on top must be bounded-degree, which is
 // why engine-backed structures never rehash.
@@ -85,22 +88,23 @@ func ProbeSteps(shardCapacity, keyWords int) int {
 	return CeilPow2(shardCapacity) * (1 + keyWords)
 }
 
-// HashKey computes a key's 64-bit hash by chaining each encoded word
-// through env.Mix (the SplitMix64 finalizer). Shard selection uses the
-// low bits and the home bucket the high bits, so the two are
-// independent. scalar, when non-nil, is the allocation-free fast path
-// for single-word keys.
-func HashKey[K comparable](kc Codec[K], scalar ScalarCodec[K], seed uint64, k K) uint64 {
-	if scalar != nil {
-		return env.Mix(seed, scalar.EncodeWord(k))
+// scratch returns n words of e's process-private scratch, or a fresh
+// buffer when e carries none (the simulator, a nil e). Multi-word keys
+// and values are encoded and decoded through it, so the hot paths —
+// lock-free reads above all — allocate only what a Decode itself
+// returns. The buffer is valid until the process's next engine call;
+// codecs never retain it (see Codec).
+func scratch(e env.Env, n int) []uint64 {
+	p := env.ScratchOf(e, env.ScratchTable)
+	if p == nil {
+		return make([]uint64, n)
 	}
-	buf := make([]uint64, kc.Words())
-	kc.Encode(k, buf)
-	h := seed
-	for _, w := range buf {
-		h = env.Mix(h, w)
+	buf, _ := (*p).([]uint64)
+	if len(buf) < n {
+		buf = make([]uint64, n)
+		*p = buf
 	}
-	return h
+	return buf[:n]
 }
 
 // Shard is one shard of a table: a seqlock version cell, an entry
@@ -197,9 +201,26 @@ func (t *Table[K, V]) KeyWords() int { return t.kw }
 // ValueWords reports the value codec's width in words.
 func (t *Table[K, V]) ValueWords() int { return t.vw }
 
-// Hash computes the key's 64-bit hash under the table's seed.
-func (t *Table[K, V]) Hash(k K) uint64 {
-	return HashKey(t.kc, t.ks, t.seed, k)
+// Hash computes the key's 64-bit hash under the table's seed by
+// chaining each encoded word through env.Mix (the SplitMix64
+// finalizer). Shard selection uses the low bits and the home bucket the
+// high bits, so the two are independent.
+func (t *Table[K, V]) Hash(k K) uint64 { return t.HashIn(nil, k) }
+
+// HashIn is Hash for a caller that holds a process environment: a
+// multi-word key is encoded through e's scratch instead of a fresh
+// buffer.
+func (t *Table[K, V]) HashIn(e env.Env, k K) uint64 {
+	if t.ks != nil {
+		return env.Mix(t.seed, t.ks.EncodeWord(k))
+	}
+	buf := scratch(e, t.kw)
+	t.kc.Encode(k, buf)
+	h := t.seed
+	for _, w := range buf {
+		h = env.Mix(h, w)
+	}
+	return h
 }
 
 // ShardIndex picks the key's shard from its hash (low bits).
@@ -213,7 +234,7 @@ func (t *Table[K, V]) Key(r *idem.Run, sh *Shard, i int) K {
 	if t.ks != nil {
 		return t.ks.DecodeWord(r.Read(sh.keys[i]))
 	}
-	buf := make([]uint64, t.kw)
+	buf := scratch(r.Env(), t.kw)
 	r.ReadWords(sh.keys[i*t.kw:(i+1)*t.kw], buf)
 	return t.kc.Decode(buf)
 }
@@ -224,7 +245,7 @@ func (t *Table[K, V]) setKey(r *idem.Run, sh *Shard, i int, k K) {
 		r.Write(sh.keys[i], t.ks.EncodeWord(k))
 		return
 	}
-	buf := make([]uint64, t.kw)
+	buf := scratch(r.Env(), t.kw)
 	t.kc.Encode(k, buf)
 	r.WriteWords(sh.keys[i*t.kw:(i+1)*t.kw], buf)
 }
@@ -234,7 +255,7 @@ func (t *Table[K, V]) Val(r *idem.Run, sh *Shard, i int) V {
 	if t.vs != nil {
 		return t.vs.DecodeWord(r.Read(sh.vals[i]))
 	}
-	buf := make([]uint64, t.vw)
+	buf := scratch(r.Env(), t.vw)
 	r.ReadWords(sh.vals[i*t.vw:(i+1)*t.vw], buf)
 	return t.vc.Decode(buf)
 }
@@ -245,7 +266,7 @@ func (t *Table[K, V]) SetVal(r *idem.Run, sh *Shard, i int, v V) {
 		r.Write(sh.vals[i], t.vs.EncodeWord(v))
 		return
 	}
-	buf := make([]uint64, t.vw)
+	buf := scratch(r.Env(), t.vw)
 	t.vc.Encode(v, buf)
 	r.WriteWords(sh.vals[i*t.vw:(i+1)*t.vw], buf)
 }
@@ -343,36 +364,65 @@ func (t *Table[K, V]) ReadStable(e env.Env, sh *Shard, yieldCPU func(), read fun
 // against boxes that have since been replaced, and boxes are never
 // recycled.
 func (t *Table[K, V]) FindStable(e env.Env, sh *Shard, h uint64, home int, k K, tries int) (v V, ok, done bool) {
-	frag := h &^ StateMask
 	for a := 0; a < tries; a++ {
 		v0 := sh.Ver.Load(e)
 		if v0&1 == 1 {
 			continue
 		}
-		var (
-			val   V
-			found bool
-		)
-	probe:
-		for j := 0; j < t.capacity; j++ {
-			i := (home + j) & int(t.capMask)
-			w := t.LoadMeta(e, sh, i)
-			switch w & StateMask {
-			case Empty:
-				break probe
-			case Tombstone:
-			default: // full
-				if w&^StateMask == frag && t.LoadKey(e, sh, i) == k {
-					val, found = t.LoadVal(e, sh, i), true
-					break probe
-				}
-			}
+		var val V
+		i, found := t.LoadFind(e, sh, h, home, k)
+		if found {
+			val = t.LoadVal(e, sh, i)
 		}
 		if sh.Ver.Load(e) == v0 {
 			return val, found, true
 		}
 	}
 	return v, false, false
+}
+
+// LoadFind probes sh's region for k outside any critical section: Find
+// over plain loads, and like every Load* only meaningful inside a
+// version bracket that validates (FindStable, ReadStable, or a caller's
+// own reads of sh.Ver around it). A full bucket matches when its stored
+// key words equal k's encoding — the equality the hash already imposes,
+// and for a pure codec the same one Find's decoded comparison decides —
+// so a probe decodes nothing and allocates nothing.
+func (t *Table[K, V]) LoadFind(e env.Env, sh *Shard, h uint64, home int, k K) (idx int, found bool) {
+	frag := h &^ StateMask
+	var enc []uint64
+	if t.ks == nil {
+		enc = scratch(e, t.kw)
+		t.kc.Encode(k, enc)
+	}
+	for j := 0; j < t.capacity; j++ {
+		i := (home + j) & int(t.capMask)
+		w := t.LoadMeta(e, sh, i)
+		switch w & StateMask {
+		case Empty:
+			return 0, false
+		case Tombstone:
+		default: // full
+			if w&^StateMask == frag && t.keyIs(e, sh, i, k, enc) {
+				return i, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// keyIs reports whether bucket i's key words, loaded outside any
+// critical section, are k's encoding (enc, for a multi-word key).
+func (t *Table[K, V]) keyIs(e env.Env, sh *Shard, i int, k K, enc []uint64) bool {
+	if t.ks != nil {
+		return sh.keys[i].Load(e) == t.ks.EncodeWord(k)
+	}
+	for w, c := range sh.keys[i*t.kw : (i+1)*t.kw] {
+		if c.Load(e) != enc[w] {
+			return false
+		}
+	}
+	return true
 }
 
 // LoadMeta reads bucket i's meta word outside any critical section.
@@ -386,7 +436,7 @@ func (t *Table[K, V]) LoadKey(e env.Env, sh *Shard, i int) K {
 	if t.ks != nil {
 		return t.ks.DecodeWord(sh.keys[i].Load(e))
 	}
-	buf := make([]uint64, t.kw)
+	buf := scratch(e, t.kw)
 	idem.LoadWords(e, sh.keys[i*t.kw:(i+1)*t.kw], buf)
 	return t.kc.Decode(buf)
 }
@@ -397,7 +447,7 @@ func (t *Table[K, V]) LoadVal(e env.Env, sh *Shard, i int) V {
 	if t.vs != nil {
 		return t.vs.DecodeWord(sh.vals[i].Load(e))
 	}
-	buf := make([]uint64, t.vw)
+	buf := scratch(e, t.vw)
 	idem.LoadWords(e, sh.vals[i*t.vw:(i+1)*t.vw], buf)
 	return t.vc.Decode(buf)
 }

@@ -37,8 +37,8 @@ func TestNewRoundsToPow2(t *testing.T) {
 
 // TestBudgetPinsPublicHelpers pins the two public budget helpers to the
 // engine's shared calculator: MapCriticalSteps is Budget with two value
-// accesses and 10 words of bookkeeping, CacheCriticalSteps with three
-// value accesses and 32 (the LRU surgery and counters). If either
+// accesses and 10 words of bookkeeping, CacheCriticalSteps with two
+// value accesses and 16 (eviction, deadline, hand and counters). If either
 // drifts from the shared formula the structures' validated budgets and
 // the engine's would disagree, so this is a contract test, not a
 // tautology.
@@ -49,7 +49,7 @@ func TestBudgetPinsPublicHelpers(t *testing.T) {
 		if got, want := wflocks.MapCriticalSteps(c.cap, c.kw, c.vw), table.Budget(c.cap, c.kw, c.vw, 2, 10); got != want {
 			t.Errorf("MapCriticalSteps(%d,%d,%d) = %d, want shared Budget %d", c.cap, c.kw, c.vw, got, want)
 		}
-		if got, want := wflocks.CacheCriticalSteps(c.cap, c.kw, c.vw), table.Budget(c.cap, c.kw, c.vw, 3, 32); got != want {
+		if got, want := wflocks.CacheCriticalSteps(c.cap, c.kw, c.vw), table.Budget(c.cap, c.kw, c.vw, 2, 16); got != want {
 			t.Errorf("CacheCriticalSteps(%d,%d,%d) = %d, want shared Budget %d", c.cap, c.kw, c.vw, got, want)
 		}
 	}
@@ -229,5 +229,50 @@ func TestProbeStats(t *testing.T) {
 
 	if got := tb.ProbeStats(e, sh); got != want {
 		t.Errorf("ProbeStats = %+v, want %+v", got, want)
+	}
+}
+
+// TestLoadFindMultiWordKeys: the lock-free probe matches a multi-word
+// key by its encoding, through the process's scratch words, and must
+// agree with Find's decoded comparison — across a tombstone, for keys
+// that share a word, and for an absent key — as HashIn must with Hash.
+func TestLoadFindMultiWordKeys(t *testing.T) {
+	type pair struct{ a, b uint64 }
+	kc := wflocks.CodecFunc(2,
+		func(p pair, dst []uint64) { dst[0], dst[1] = p.a, p.b },
+		func(src []uint64) pair { return pair{src[0], src[1]} })
+	tb := table.New[pair, uint64](kc, wflocks.IntegerCodec[uint64](), 1, 8, 42)
+	e := env.NewNative(0, 1)
+	sh := &tb.Shards[0]
+	budget := table.Budget(8, 2, 1, 2, 10)
+	keys := []pair{{1, 1}, {1, 2}, {2, 1}, {7, 7}, {0, 0}}
+	for i, k := range keys {
+		h := tb.Hash(k)
+		if tb.HashIn(e, k) != h {
+			t.Fatalf("HashIn(%v) differs from Hash", k)
+		}
+		run(t, e, budget, func(r *idem.Run) {
+			_, _, free := tb.Find(r, sh, h, tb.Home(h), k)
+			tb.Insert(r, sh, free, h, k, uint64(i))
+		})
+	}
+	gone := keys[1]
+	run(t, e, budget, func(r *idem.Run) {
+		h := tb.Hash(gone)
+		i, _, _ := tb.Find(r, sh, h, tb.Home(h), gone)
+		tb.Remove(r, sh, i)
+	})
+	for _, k := range append(keys, pair{2, 2}) {
+		h := tb.Hash(k)
+		var at int
+		var found bool
+		run(t, e, budget, func(r *idem.Run) { at, found, _ = tb.Find(r, sh, h, tb.Home(h), k) })
+		li, lfound := tb.LoadFind(e, sh, h, tb.Home(h), k)
+		if lfound != found || (found && li != at) || found == (k == gone || k == pair{2, 2}) {
+			t.Errorf("key %v: LoadFind (%d, %v), Find (%d, %v)", k, li, lfound, at, found)
+		}
+		if v, ok, done := tb.FindStable(e, sh, h, tb.Home(h), k, 1); !done || ok != found || (ok && keys[v] != k) {
+			t.Errorf("key %v: FindStable = (%d, %v, %v)", k, v, ok, done)
+		}
 	}
 }

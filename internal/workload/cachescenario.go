@@ -89,7 +89,7 @@ func CacheScenarios() []CacheScenario {
 		// tail always misses, and the hot shard carries most contention.
 		{Name: "cache:zipf", Keys: 256, Capacity: 64, GetPct: 95, PutPct: 5, DeletePct: 0, Skew: 1.2},
 		// Write/delete churn at capacity: every insert evicts, keeping
-		// the LRU-surgery path (not the probe fast path) hot.
+		// the eviction path (not the probe fast path) hot.
 		{Name: "cache:churn", Keys: 256, Capacity: 64, GetPct: 40, PutPct: 50, DeletePct: 10, Skew: 0.6},
 	}
 }

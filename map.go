@@ -187,12 +187,12 @@ func (mp *Map[K, V]) ShardCapacity() int { return mp.eng.Capacity() }
 // riding the frame's atomic result word; a multi-word value comes back
 // through one result cell the frame carries.
 func (mp *Map[K, V]) Get(k K) (V, bool) {
-	h := mp.eng.Hash(k)
+	p := mp.m.Acquire()
+	defer mp.m.Release(p)
+	h := mp.eng.HashIn(p.env, k)
 	si, home := mp.eng.ShardIndex(h), mp.eng.Home(h)
 	sh := &mp.eng.Shards[si]
 	var zero V
-	p := mp.m.Acquire()
-	defer mp.m.Release(p)
 	if v, ok, done := mp.eng.FindStable(p.env, sh, h, home, k, 4); done {
 		return v, ok
 	}

@@ -206,8 +206,9 @@ type QueueStats struct {
 	// count individually).
 	Enqueues, Dequeues uint64
 	// FullRejects counts attempts that observed a full ring; EmptyRejects
-	// counts attempts that observed an empty one. The blocking Enqueue/
-	// Dequeue paths add one per retried attempt.
+	// counts passes that observed an empty one, by an attempt or by the
+	// lock-free occupancy read TryDequeue makes first. The blocking
+	// Enqueue/Dequeue paths add one per retried pass.
 	FullRejects, EmptyRejects uint64
 	// Len is the current occupancy; Capacity the slot count.
 	Len, Capacity int

@@ -148,7 +148,10 @@ func TestQueueStatsExact(t *testing.T) {
 			t.Fatal("TryDequeue succeeded on an empty ring")
 		}
 	}
-	want := ringStats{Enqueues: 5, Dequeues: 5, FullRejects: 1, EmptyRejects: 2, Attempts: 11, Wins: 11}
+	// Ten acquisitions, not eleven: the closing TryDequeue reads the
+	// ring's occupancy as zero and never takes the lock, yet is counted
+	// in EmptyRejects beside the short chunk's locked observation.
+	want := ringStats{Enqueues: 5, Dequeues: 5, FullRejects: 1, EmptyRejects: 2, Attempts: 10, Wins: 10}
 
 	m := poolManager(t, 2, 2)
 	q, err := NewQueue[uint64](m, WithQueueCapacity(4), WithQueueBatch(2))

@@ -104,11 +104,14 @@ func subSat(a, b uint64) uint64 {
 // Stats snapshots the manager's attempt, win and help counters,
 // manager-wide and per lock.
 func (m *Manager) Stats() StatsSnapshot {
+	// Wins and fast-path attempts are counted after the attempt itself,
+	// so they are loaded first: neither can exceed Attempts in a snapshot
+	// taken under live traffic (core.Lock.Counters keeps the same order).
 	snap := StatsSnapshot{
-		Attempts: m.sys.Attempts(),
 		Wins:     m.sys.Wins(),
 		FastPath: m.sys.FastPathAttempts(),
 	}
+	snap.Attempts = m.sys.Attempts()
 	m.mu.Lock()
 	locks := m.locks
 	m.mu.Unlock()

@@ -22,6 +22,15 @@ import (
 // caller and migrates a small batch from the victim to the home shard,
 // rebalancing the pool as a side effect.
 //
+// A consumer looks before it locks: it reads a shard's lock-free
+// occupancy first and takes the shard's lock only when that reads
+// non-zero, because a pass over an empty ring changes nothing and an
+// attempt costs the same whether or not it does. Like a parked
+// consumer, it therefore helps nobody on a shard that reads empty: an
+// element whose producer is stalled inside its enqueue section becomes
+// visible when that section completes, run by the producer or by
+// whoever next attempts that shard's lock.
+//
 // The ordering guarantee is deliberately weaker than Queue's, and that
 // is the price of the scaling: elements are FIFO *within a shard*, but
 // there is no global FIFO order — round-robin interleaves producers
@@ -44,6 +53,10 @@ type WorkPool[T any] struct {
 	// set, so the runner's lock sets exist from construction on.
 	locks  []*Lock
 	steals []*Cell[uint64] // per shard: elements gained by stealing
+	// emptyReads[s] counts the dequeue passes that read shard s's
+	// occupancy as zero and so never took its lock; Stats adds them to
+	// the rejects the locked passes count in the ring.
+	emptyReads []atomic.Uint64
 
 	shardMask uint64
 	batch     int
@@ -190,6 +203,7 @@ func newPool[T any](m *Manager, vc Codec[T], cfg poolConfig, noun string) *WorkP
 		rings:       make([]qring[T], cfg.shards),
 		locks:       make([]*Lock, cfg.shards),
 		steals:      make([]*Cell[uint64], cfg.shards),
+		emptyReads:  make([]atomic.Uint64, cfg.shards),
 		shardMask:   uint64(cfg.shards - 1),
 		batch:       cfg.batch,
 		opBudget:    QueueCriticalSteps(vc.Words(), 1),
@@ -295,7 +309,8 @@ func (wp *WorkPool[T]) park(ctx context.Context, p *Process) {
 
 // TryDequeue pops an element, reporting false when the pool has none
 // it can reach in one pass. The consumer's round-robin home shard is
-// tried first with a single-lock dequeue; if the home is empty and
+// tried first, with a single-lock dequeue unless its occupancy reads
+// zero (counted in EmptyRejects all the same); if the home is empty and
 // another shard holds work, the fullest other shard is raided on the
 // two-lock steal path — the returned element comes from the victim and
 // up to stealBatch more elements migrate to the home shard, so
@@ -313,17 +328,24 @@ func (wp *WorkPool[T]) tryDequeueWith(p *Process) (T, bool) {
 	var zero T
 	home := int((wp.dq.Add(1) - 1) & wp.shardMask)
 	ring := &wp.rings[home]
-	out := newResultCell(ring.vc)
-	ok := NewBoolCell(false)
-	wp.m.run(context.Background(), p, wp.locks[home:home+1], wp.opBudget, txFrame(func(tx *Tx) {
-		if ring.deqOne(tx, out) {
-			Put(tx, ok, true)
-		} else {
-			Put(tx, ring.empties, Get(tx, ring.empties)+1)
+	// Look before locking: an empty pass changes nothing, so a home ring
+	// whose lock-free occupancy (what park trusts) reads zero is counted
+	// and left alone. The read is advisory, as the victim scan's is.
+	if ring.lenWith(p) == 0 {
+		wp.emptyReads[home].Add(1)
+	} else {
+		out := newResultCell(ring.vc)
+		ok := NewBoolCell(false)
+		wp.m.run(context.Background(), p, wp.locks[home:home+1], wp.opBudget, txFrame(func(tx *Tx) {
+			if ring.deqOne(tx, out) {
+				Put(tx, ok, true)
+			} else {
+				Put(tx, ring.empties, Get(tx, ring.empties)+1)
+			}
+		}))
+		if ok.Get(p) {
+			return out.Get(p), true
 		}
-	}))
-	if ok.Get(p) {
-		return out.Get(p), true
 	}
 	if len(wp.rings) == 1 {
 		return zero, false
@@ -344,6 +366,7 @@ func (wp *WorkPool[T]) tryDequeueWith(p *Process) (T, bool) {
 		return zero, false
 	}
 	vr := &wp.rings[victim]
+	out := newResultCell(ring.vc)
 	stolen := NewCell(uint64(0))
 	// Canonical acquisition order, as the transaction layer sorts.
 	pair := [2]*Lock{wp.locks[home], wp.locks[victim]}
@@ -407,13 +430,14 @@ func (wp *WorkPool[T]) Enqueue(ctx context.Context, v T) error {
 
 // Dequeue pops an element, waiting while the pool is empty. The
 // manager's RetryPolicy governs a small constant number of failed
-// passes; after them the consumer parks — it sleeps, making no lock
-// attempts at all, until an enqueue wakes it or ctx is done — so an
-// idle consumer costs nothing. A parked consumer helps nobody: an
-// element whose producer stalls inside the enqueue section becomes
-// visible when that section completes, run by the producer or by anyone
-// helping on that shard's lock, and the wake follows it. The wait ends
-// with an error wrapping ErrCanceled once ctx is done, parked or not.
+// passes, which on an empty pool are occupancy reads, not lock attempts;
+// after them the consumer parks — it sleeps until an enqueue wakes it or
+// ctx is done — so an idle consumer costs nothing. A parked consumer,
+// like one whose passes read empty, helps nobody: an element whose
+// producer stalls inside the enqueue section becomes visible when that
+// section completes, run by the producer or by anyone helping on that
+// shard's lock, and the wake follows it. The wait ends with an error
+// wrapping ErrCanceled once ctx is done, parked or not.
 func (wp *WorkPool[T]) Dequeue(ctx context.Context) (T, error) {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
@@ -581,9 +605,10 @@ type WorkPoolShardStats struct {
 	// Steals counts elements this shard gained by raiding others (the
 	// returned element plus the migrated batch).
 	Steals uint64
-	// FullRejects and EmptyRejects count attempts that observed this
+	// FullRejects and EmptyRejects count passes that observed this
 	// shard full/empty (round-robin probing and steal re-checks
-	// included).
+	// included; an empty observation may be a lock-free occupancy read
+	// rather than an attempt).
 	FullRejects, EmptyRejects uint64
 	// Len is the shard's current occupancy.
 	Len int
@@ -628,7 +653,7 @@ func (wp *WorkPool[T]) Stats() WorkPoolStats {
 			Dequeues:     ring.deqs.Get(p),
 			Steals:       wp.steals[s].Get(p),
 			FullRejects:  ring.fulls.Get(p),
-			EmptyRejects: ring.empties.Get(p),
+			EmptyRejects: ring.empties.Get(p) + wp.emptyReads[s].Load(),
 			Len:          ring.lenWith(p),
 		}
 		ps.Shards[s] = st

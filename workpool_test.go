@@ -487,6 +487,46 @@ func TestWorkPoolParkNoLostWakeup(t *testing.T) {
 	}
 }
 
+// TestTryDequeueEmptyMakesNoAttempt: an empty pass changes nothing, so
+// TryDequeue on an empty pool — home shard and victim scan both read
+// zero — and on an empty Queue takes no lock at all, and the
+// observation is still counted as one EmptyRejects.
+func TestTryDequeueEmptyMakesNoAttempt(t *testing.T) {
+	m := poolManager(t, 2, 2)
+	wp, err := NewWorkPool[uint64](m, WithPoolShards(4), WithPoolCapacity(16), WithPoolBatch(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQueue[uint64](m, WithQueueCapacity(4), WithQueueBatch(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Not born empty only: drained rings read zero as well.
+	if !wp.TryEnqueue(1) || !q.TryEnqueue(1) {
+		t.Fatal("TryEnqueue failed on an empty ring")
+	}
+	for _, deq := range []func() (uint64, bool){wp.TryDequeue, q.TryDequeue} {
+		for {
+			if _, ok := deq(); ok {
+				break
+			}
+		}
+	}
+	before, poolBase, queueBase := m.Stats().Attempts, wp.Stats().EmptyRejects, q.Stats().EmptyRejects
+	if _, ok := wp.TryDequeue(); ok {
+		t.Fatal("TryDequeue succeeded on an empty pool")
+	}
+	if _, ok := q.TryDequeue(); ok {
+		t.Fatal("TryDequeue succeeded on an empty queue")
+	}
+	if got := m.Stats().Attempts - before; got != 0 {
+		t.Fatalf("two empty TryDequeues made %d lock attempts, want 0", got)
+	}
+	if dp, dq := wp.Stats().EmptyRejects-poolBase, q.Stats().EmptyRejects-queueBase; dp != 1 || dq != 1 {
+		t.Fatalf("EmptyRejects moved by %d (pool) and %d (queue), want 1 and 1", dp, dq)
+	}
+}
+
 // blockFirstCodec is a one-word codec (not a ScalarCodec, so every cell
 // write inside a critical section calls Encode) whose first Encode
 // blocks until gate closes: a producer stalled inside its enqueue body.
