@@ -389,7 +389,10 @@
 // Map/Cell paths run at 0 allocs/op (pinned by testing.AllocsPerRun
 // regression tests). Arenas never recycle a published object — the
 // idempotence layer's correctness rests on pointer freshness — they
-// only amortize allocation of fresh ones.
+// only amortize allocation of fresh ones. Fresh is not immortal: a
+// chunk whose objects hold pointers only points at objects whose own
+// reach is bounded, so the live heap of a structure stays flat however
+// many operations it has served (TestSoakHeapBounded).
 //
 // The bounds are a contract, not a throttle: neither the implicit
 // handle pool nor the acquisition paths limit how many goroutines

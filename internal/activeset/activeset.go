@@ -38,8 +38,13 @@ type members[T any] struct {
 // snapshots. Snapshot pointers are installed by CAS and read at
 // arbitrary staleness, so they must stay fresh forever — the bump
 // arenas abandon their chunks rather than recycling (internal/arena).
+// Snapshots of the empty set, what an idle lock's slots hold, have an
+// arena of their own: its chunks hold no pointers, so an idle lock does
+// not keep alive the snapshots carved next to its own, the descriptors
+// they name and everything those reach.
 type scratch[T any] struct {
 	members arena.Arena[members[T]]
+	empties arena.Arena[members[T]]
 	items   arena.Slices[*T]
 }
 
@@ -139,13 +144,7 @@ func (s *Set[T]) climb(e env.Env, i int) {
 			}
 			e.Step()
 			newMember := s.slots[j].owner.Load()
-			var newSet *members[T]
-			if sc != nil {
-				newSet = sc.members.New()
-			} else {
-				newSet = &members[T]{}
-			}
-			newSet.items = above
+			items := above
 			if newMember != nil && !contains(above, newMember) {
 				var fresh []*T
 				if sc != nil {
@@ -154,8 +153,17 @@ func (s *Set[T]) climb(e env.Env, i int) {
 					fresh = make([]*T, 0, len(above)+1)
 				}
 				fresh = append(fresh, above...)
-				fresh = append(fresh, newMember)
-				newSet.items = fresh
+				items = append(fresh, newMember)
+			}
+			var newSet *members[T]
+			switch {
+			case sc == nil:
+				newSet = &members[T]{items: items}
+			case len(items) == 0:
+				newSet = sc.empties.New()
+			default:
+				newSet = sc.members.New()
+				newSet.items = items
 			}
 			e.Step()
 			s.slots[j].set.CompareAndSwap(curSet, newSet)

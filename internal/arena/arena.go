@@ -14,11 +14,24 @@
 // object.
 //
 // The trade-off is retention granularity: the garbage collector frees a
-// chunk only once every object in it is unreachable, so one long-lived
-// object (a committed box in a long-lived cell) pins its chunk's dead
-// siblings. Chunk sizes are kept small enough that this bounds waste to
-// a few KiB per live object in the adversarial worst case, and in
-// steady state mixed lifetimes mean chunks die quickly.
+// chunk only once every object in it is unreachable, so one interior
+// pointer keeps the whole chunk, and everything its objects point at,
+// alive. Fresh is not immortal, and the callers keep it that way with
+// one rule: a chunk whose objects hold pointers must only point at
+// objects whose own reach is bounded. Objects that long-lived state
+// points at get arenas of their own whose chunks hold no pointers
+// (idem's committed value boxes, which live cells point at; activeset's
+// empty snapshots, which idle locks point at); published objects name
+// earlier ones by a token rather than a pointer where a pointer would
+// chain each chunk to the ones before it (idem's responses naming their
+// installer); and lists that are private to an attempt live in reused
+// buffers, not in a chunk that stays current for as long as it takes
+// to fill. Measured on a structure kept alive while one goroutine
+// drives it for 1M operations, the live heap of every structure stays
+// flat at 0.1-0.5 MB (TestSoakHeapBounded), where it used to grow by
+// 0.2-5 KB per operation. What is left is bounded by the number of
+// processes (each one's current chunks and what they reach) and, while
+// locks are busy, by their non-empty snapshots.
 //
 // An Arena must only be used by a single goroutine at a time; arenas
 // live in per-process env scratch slots (env.Scratcher) or in
@@ -27,7 +40,8 @@ package arena
 
 // chunkObjs is the number of objects carved from each chunk. 256 keeps
 // per-object amortized cost negligible while bounding the memory a
-// single long-lived object can pin.
+// single long-lived object can pin to its chunk and what the chunk
+// reaches.
 const chunkObjs = 256
 
 // Arena is a bump allocator for values of type T. The zero value is

@@ -27,6 +27,18 @@
 // The attempt succeeds (and its thunk has run) if and only if its
 // status ended as won; it succeeds with probability at least 1/C_p
 // against an adaptive player adversary and an oblivious scheduler.
+//
+// # Deviation from Section 6.2
+//
+// In the unknown-bounds variant the paper's attempt snapshots its
+// locks' active sets between the participation reveal and the priority
+// reveal and then compares priorities against those local copies only.
+// This reconstruction takes the snapshot — same steps, same
+// power-of-two padding around it, so phase lengths are unchanged — but
+// keeps no copy: run compares against the live sets in both variants,
+// which is what lets the Section 6.1 safety argument apply verbatim.
+// A kept copy would also tie each descriptor to the ones before it and
+// so keep every past attempt reachable.
 package core
 
 import (
@@ -56,13 +68,14 @@ type padCounter struct {
 // helpers at unbounded staleness, so they are never recycled; the
 // bump arenas hand each pointer out once and abandon full chunks
 // (internal/arena), amortizing descriptor allocation to near zero.
+// members is not published: it is the helping phase's reused buffer
+// (see revealedMembers).
 type scratch struct {
 	descs   arena.Arena[Descriptor]
 	locks   arena.Slices[*Lock]
 	sets    arena.Slices[*activeset.Set[Descriptor]]
-	members arena.Slices[*Descriptor]
-	locals  arena.Slices[[]*Descriptor]
 	slots   arena.Slices[int]
+	members []*Descriptor
 }
 
 // scratchOf returns e's core scratch, or nil when e carries none (the
@@ -149,9 +162,9 @@ type Config struct {
 	FastPath bool
 
 	// UnknownBounds selects the Section 6.2 variant: announcement
-	// arrays sized P, split participation/priority reveal, local set
-	// copies for comparisons, and delay-to-power-of-two instead of
-	// fixed delays.
+	// arrays sized P, split participation/priority reveal with a set
+	// snapshot between the two (see the package comment), and
+	// delay-to-power-of-two instead of fixed delays.
 	UnknownBounds bool
 
 	// Obs, when non-nil, attaches the observability recorder: delay
@@ -313,12 +326,6 @@ type Descriptor struct {
 	startStep uint64
 	// revealStep is the owner's step count at the reveal step.
 	revealStep uint64
-
-	// localSets holds per-lock set copies taken between the
-	// participation reveal and the priority reveal (unknown-bounds
-	// mode, Section 6.2). Written by the owner before the priority
-	// reveal; the atomic priority store publishes it.
-	localSets [][]*Descriptor
 
 	// noDelay marks an attempt on the uncontended fast path: every
 	// lock in the set was observed free at the start, so all delay

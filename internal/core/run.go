@@ -27,11 +27,9 @@ func (s *System) run(e env.Env, p *Descriptor) {
 		// "priority revealed", so descriptors between their
 		// participation reveal and priority reveal (unknown-bounds
 		// mode) are not scanned: they have no priority to compare yet
-		// and will be scanned once revealed. Scanning live sets in both
-		// modes is what makes the Section 6.1 safety argument apply
-		// verbatim to the unknown-bounds variant; see DESIGN.md §7 for
-		// why this reconstruction deviates from Section 6.2's
-		// local-copy comparisons.
+		// and will be scanned once revealed. Live sets are scanned in
+		// both modes; the package comment states the deviation from
+		// Section 6.2.
 		set := multiset.GetSet[Descriptor, *Descriptor](e, l.set)
 		e.Step()
 		if p.status.Load() == StatusActive {

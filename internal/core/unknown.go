@@ -15,10 +15,9 @@ import (
 //     becomes TBD: the descriptor is competing, but its priority is not
 //     drawn) and a priority reveal;
 //   - between the two reveals the attempt snapshots the active sets of
-//     all its locks; after the priority reveal those local copies — and
-//     never the live sets — feed the priority comparisons, so the
-//     adversary learns the priority only after it can no longer shape
-//     the set of potential threateners;
+//     all its locks, as Section 6.2 does; this reconstruction keeps the
+//     snapshot's steps but not its contents, since run compares
+//     priorities against the live sets (see the package comment);
 //   - instead of fixed delays derived from κ, L and T, the attempt pads
 //     its step count to the next power of two at each phase boundary
 //     (the guess-and-double trick), so the adversary can steer the
@@ -67,19 +66,16 @@ func (s *System) tryLocksUnknown(e env.Env, p *Descriptor) bool {
 	p.priority.Store(priorityTBD)
 
 	// Snapshot the membership of every lock (participating descriptors
-	// only: those at or past their participation reveal).
-	if sc != nil {
-		p.localSets = sc.locals.Make(len(p.locks))
-	} else {
-		p.localSets = make([][]*Descriptor, len(p.locks))
-	}
-	for i, l := range p.locks {
-		p.localSets[i] = s.participatingMembers(e, l)
+	// only: those at or past their participation reveal). The copies
+	// are not kept: run compares against the live sets (see the package
+	// comment), so the scan stands for Section 6.2's snapshot phase in
+	// the attempt's step count and nothing else.
+	for _, l := range p.locks {
+		s.scanParticipating(e, l)
 	}
 
 	// Pad again so the snapshot phase's length is also quantized, then
-	// the priority reveal. The atomic priority store publishes the
-	// local sets to helpers.
+	// the priority reveal.
 	s.stallToPowerOfTwo(e, p)
 	pr := env.RandPriority(e)
 	e.Step()
@@ -107,48 +103,42 @@ func (s *System) tryLocksUnknown(e env.Env, p *Descriptor) bool {
 }
 
 // revealedMembers returns the lock's members whose priority is revealed
-// (strictly positive).
+// (strictly positive). The list is private to the attempt and only read
+// until the next call, so it is built in a buffer the process reuses
+// rather than in fresh memory: a fresh arena chunk of descriptor
+// pointers, filled only by contended attempts, would stay current for
+// a long stretch and keep every descriptor named in it reachable, and
+// through them all they point at.
 func (s *System) revealedMembers(e env.Env, l *Lock) []*Descriptor {
 	snapshot := l.set.GetSet(e)
 	if len(snapshot) == 0 {
 		return nil
 	}
-	out := memberBuf(e, len(snapshot))
+	sc := scratchOf(e)
+	var out []*Descriptor
+	if sc != nil {
+		out = sc.members[:0]
+	}
 	for _, q := range snapshot {
 		e.Step()
 		if q.priority.Load() > 0 {
 			out = append(out, q)
 		}
 	}
+	if sc != nil {
+		sc.members = out
+	}
 	return out
 }
 
-// participatingMembers returns the lock's members at or past their
-// participation reveal (priority TBD or revealed).
-func (s *System) participatingMembers(e env.Env, l *Lock) []*Descriptor {
-	snapshot := l.set.GetSet(e)
-	if len(snapshot) == 0 {
-		return nil
-	}
-	out := memberBuf(e, len(snapshot))
-	for _, q := range snapshot {
+// scanParticipating walks the lock's members as Section 6.2's snapshot
+// does, reading each one's priority to tell participating descriptors
+// (priority TBD or revealed) from pending ones, and keeps nothing.
+func (s *System) scanParticipating(e env.Env, l *Lock) {
+	for _, q := range l.set.GetSet(e) {
 		e.Step()
-		if q.priority.Load() >= priorityTBD {
-			out = append(out, q)
-		}
+		q.priority.Load()
 	}
-	return out
-}
-
-// memberBuf returns an empty descriptor slice with capacity n, arena
-// backed when the environment carries scratch state. The filtered
-// snapshots built in it are published via localSets, so the backing
-// memory is never recycled.
-func memberBuf(e env.Env, n int) []*Descriptor {
-	if sc := scratchOf(e); sc != nil {
-		return sc.members.MakeCap(n)
-	}
-	return make([]*Descriptor, 0, n)
 }
 
 // stallToPowerOfTwo pads the attempt's step count (measured from its

@@ -54,7 +54,10 @@
 // succeed against a stale snapshot via ABA, which is what makes step 4
 // sound: at most one installation per operation is ever recorded, so
 // the operation's effect is applied exactly once, at the moment of that
-// installation (its linearization point).
+// installation (its linearization point). The log names the recorded
+// installation by its descriptor's token, a number no other
+// installation ever gets, so that uniqueness is kept without keeping
+// the descriptor alive.
 //
 // Reads adopt the first logged value; failed CASes are logged at the
 // moment a helper observes a conflicting value.
@@ -84,11 +87,18 @@ import (
 // abandon full chunks to the garbage collector, which preserves the
 // freshness invariant (see the ABA discussion above) while amortizing
 // the hot path to ~1/256 of a heap allocation per object.
+//
+// Fresh is not immortal: the collector frees a chunk once nothing
+// points into it, and a live cell points into the chunk of its
+// committed box. So objects that live cells reach must not reach back
+// into the attempts that made them. Committed value boxes have an
+// arena of their own (their chunks hold no pointer at all), and a
+// response names its installer by token, not by pointer; see response.
 type arenas struct {
-	boxes arena.Arena[box]
+	vals  arena.Arena[box] // committed values: desc == nil
+	boxes arena.Arena[box] // installed descriptors: desc != nil
 	descs arena.Arena[opDesc]
 	resps arena.Arena[response]
-	cells arena.Arena[Cell]
 	execs arena.Arena[Exec]
 	runs  arena.Arena[Run]
 	segs  arena.Arena[logSeg]
@@ -97,7 +107,19 @@ type arenas struct {
 	// exceed what arena.Slices carves from a chunk and take its direct
 	// make: one heap allocation per several hundred operations.
 	logs arena.Slices[atomic.Pointer[response]]
+	// tok is the last token handed out from the block (tokEnd-tokenBlock,
+	// tokEnd] this process reserved from tokens.
+	tok, tokEnd uint64
 }
+
+// tokens is the process-wide token counter. Each arenas reserves
+// blocks of tokenBlock from it, and the nil-arena path takes single
+// tokens, so no token is ever handed out twice while the program runs.
+var tokens atomic.Uint64
+
+// tokenBlock is the number of tokens an arenas reserves at a time: one
+// shared atomic add per 2³² installs.
+const tokenBlock = 1 << 32
 
 // arenasOf returns e's idem arenas, creating them on first use, or nil
 // when e carries no scratch state (the deterministic simulator). All
@@ -116,16 +138,40 @@ func arenasOf(e env.Env) *arenas {
 	return a
 }
 
-func (a *arenas) newBox(val uint64, desc *opDesc) *box {
+// newVal returns a fresh committed box holding v.
+func (a *arenas) newVal(v uint64) *box {
 	if a == nil {
-		return &box{val: val, desc: desc}
+		return &box{val: v}
 	}
-	b := a.boxes.New()
-	b.val, b.desc = val, desc
+	b := a.vals.New()
+	b.val = v
 	return b
 }
 
-func (a *arenas) newResp(kind opKind, c *Cell, val uint64, by *opDesc) *response {
+// newDescBox returns a fresh box carrying descriptor d for installation.
+func (a *arenas) newDescBox(d *opDesc) *box {
+	if a == nil {
+		return &box{desc: d}
+	}
+	b := a.boxes.New()
+	b.desc = d
+	return b
+}
+
+// newToken returns an installer identity never returned before.
+func (a *arenas) newToken() uint64 {
+	if a == nil {
+		return tokens.Add(1)
+	}
+	if a.tok == a.tokEnd {
+		a.tokEnd = tokens.Add(tokenBlock)
+		a.tok = a.tokEnd - tokenBlock
+	}
+	a.tok++
+	return a.tok
+}
+
+func (a *arenas) newResp(kind opKind, c *Cell, val uint64, by uint64) *response {
 	if a == nil {
 		return &response{kind: kind, cell: c, val: val, by: by}
 	}
@@ -135,11 +181,12 @@ func (a *arenas) newResp(kind opKind, c *Cell, val uint64, by *opDesc) *response
 }
 
 func (a *arenas) newDesc(slot *atomic.Pointer[response], kind opKind, newVal uint64, prev *box) *opDesc {
+	token := a.newToken()
 	if a == nil {
-		return &opDesc{slot: slot, kind: kind, newVal: newVal, prev: prev}
+		return &opDesc{slot: slot, token: token, kind: kind, newVal: newVal, prev: prev}
 	}
 	d := a.descs.New()
-	d.slot, d.kind, d.newVal, d.prev = slot, kind, newVal, prev
+	d.slot, d.token, d.kind, d.newVal, d.prev = slot, token, kind, newVal, prev
 	return d
 }
 
@@ -193,20 +240,28 @@ type box struct {
 }
 
 // opDesc is an installed effectful operation (Write or CAS success
-// path) of one Exec, identified by its slot in that Exec's log.
+// path) of one Exec, identified by its slot in that Exec's log; token
+// tells this installation apart from every other one.
 type opDesc struct {
 	slot   *atomic.Pointer[response]
+	token  uint64
 	kind   opKind
 	newVal uint64
 	prev   *box // box displaced by the installation, for undo
 }
 
-// response is the canonical logged outcome of one operation.
+// response is the canonical logged outcome of one operation. by is the
+// token of the installation that took effect (0 for a Read or a failed
+// CAS). It is a token and not a pointer so that a response, which
+// outlives its operation in the log, keeps no descriptor alive: a
+// descriptor points at its log slot, so a pointer back would chain
+// every log to every log before it. Tokens are never reused, so
+// comparing them is as sound as comparing fresh pointers.
 type response struct {
 	kind opKind
 	cell *Cell
 	val  uint64 // Read: value read; CAS: 1 = success, 0 = failure
-	by   *opDesc
+	by   uint64
 }
 
 // Cell is a shared memory location usable inside idempotent thunks.
@@ -219,20 +274,6 @@ type Cell struct {
 func NewCell(v uint64) *Cell {
 	c := &Cell{}
 	c.p.Store(&box{val: v})
-	return c
-}
-
-// NewCellIn returns a cell holding v, allocated from e's process
-// arena when available. Intended for short-lived cells created on hot
-// paths (per-call parameter and result cells); long-lived structural
-// cells should use NewCell.
-func NewCellIn(e env.Env, v uint64) *Cell {
-	a := arenasOf(e)
-	if a == nil {
-		return NewCell(v)
-	}
-	c := a.cells.New()
-	c.p.Store(a.newBox(v, nil))
 	return c
 }
 
@@ -252,7 +293,7 @@ func (c *Cell) Load(e env.Env) uint64 {
 // Store writes the cell from outside any thunk. It helps resolve any
 // installed descriptor first so the write cannot bury one.
 func (c *Cell) Store(e env.Env, v uint64) {
-	nb := arenasOf(e).newBox(v, nil)
+	nb := arenasOf(e).newVal(v)
 	for {
 		e.Step()
 		b := c.p.Load()
@@ -280,7 +321,7 @@ func (c *Cell) CompareAndSwap(e env.Env, old, new uint64) bool {
 			return false
 		}
 		e.Step()
-		if c.p.CompareAndSwap(b, arenasOf(e).newBox(new, nil)) {
+		if c.p.CompareAndSwap(b, arenasOf(e).newVal(new)) {
 			return true
 		}
 	}
@@ -472,7 +513,7 @@ func (r *Run) Read(c *Cell) uint64 {
 			continue
 		}
 		r.e.Step()
-		s.CompareAndSwap(nil, r.ar.newResp(opRead, c, b.val, nil))
+		s.CompareAndSwap(nil, r.ar.newResp(opRead, c, b.val, 0))
 		resp := r.logged(s)
 		validate(resp, opRead, c, i)
 		return resp.val
@@ -495,7 +536,7 @@ func (r *Run) Write(c *Cell, v uint64) {
 			continue
 		}
 		d := r.ar.newDesc(s, opWrite, v, b)
-		db := r.ar.newBox(0, d)
+		db := r.ar.newDescBox(d)
 		r.e.Step()
 		if c.p.CompareAndSwap(b, db) {
 			resolve(r.e, c, db)
@@ -524,13 +565,13 @@ func (r *Run) CAS(c *Cell, old, new uint64) bool {
 			// Observed a conflicting value: the op fails, linearized at
 			// this load — unless another run already decided otherwise.
 			r.e.Step()
-			s.CompareAndSwap(nil, r.ar.newResp(opCAS, c, 0, nil))
+			s.CompareAndSwap(nil, r.ar.newResp(opCAS, c, 0, 0))
 			resp := r.logged(s)
 			validate(resp, opCAS, c, i)
 			return resp.val == 1
 		}
 		d := r.ar.newDesc(s, opCAS, new, b)
-		db := r.ar.newBox(0, d)
+		db := r.ar.newDescBox(d)
 		r.e.Step()
 		if c.p.CompareAndSwap(b, db) {
 			resolve(r.e, c, db)
@@ -551,12 +592,12 @@ func resolve(e env.Env, c *Cell, db *box) {
 	d := db.desc
 	slot := d.slot
 	e.Step()
-	slot.CompareAndSwap(nil, a.newResp(d.kind, c, 1, d))
+	slot.CompareAndSwap(nil, a.newResp(d.kind, c, 1, d.token))
 	e.Step()
 	resp := slot.Load()
 	e.Step()
-	if resp.by == d {
-		c.p.CompareAndSwap(db, a.newBox(d.newVal, nil))
+	if resp.by == d.token {
+		c.p.CompareAndSwap(db, a.newVal(d.newVal))
 	} else {
 		c.p.CompareAndSwap(db, d.prev)
 	}
