@@ -643,10 +643,9 @@ func (c *Cache[K, V]) Stats() CacheStats {
 	accesses := make([]uint64, c.eng.ShardCount())
 	for s := range c.eng.Shards {
 		sh := &c.clock[s]
-		a, w, hp := c.locks[s].inner.Counters()
 		ps := c.eng.ProbeStats(p.env, &c.eng.Shards[s])
 		st := CacheShardStats{
-			Lock:        LockStats{ID: c.locks[s].ID(), Attempts: a, Wins: w, Helps: hp},
+			Lock:        c.locks[s].stats(),
 			Size:        int(c.eng.LoadSize(p.env, &c.eng.Shards[s])),
 			Hits:        sh.hits.Load(),
 			Misses:      sh.misses.Load(),

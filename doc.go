@@ -247,10 +247,12 @@
 //
 // What T prices is steps, not bytes. It sets the delay schedule, and it
 // is where a body that runs past its budget panics; it is not a memory
-// size. An attempt's response log starts at 16 slots and grows only as
-// far as the body actually runs, so a lookup that touches ten cells
-// costs the same memory under a 2000-operation full-probe budget as
-// under a 64-operation one. Over-sizing a shard, or rounding T up to be
+// size. An attempt's log holds one pointer per operation performed, to
+// the box that decided it (the value a read saw, the value a write
+// committed), so a read adds nothing to it but its slot. The log starts
+// at 16 slots and grows only as far as the body actually runs, so a
+// lookup that touches ten cells costs the same memory under a
+// 2000-operation full-probe budget as under a 64-operation one. Over-sizing a shard, or rounding T up to be
 // safe, lengthens the delays that scale with T but allocates nothing
 // more per operation.
 //

@@ -21,10 +21,10 @@
 // objects whose own reach is bounded. Objects that long-lived state
 // points at get arenas of their own whose chunks hold no pointers
 // (idem's committed value boxes, which live cells point at; activeset's
-// empty snapshots, which idle locks point at); published objects name
-// earlier ones by a token rather than a pointer where a pointer would
-// chain each chunk to the ones before it (idem's responses naming their
-// installer); and lists that are private to an attempt live in reused
+// empty snapshots, which idle locks point at); a log records an
+// operation's outcome by pointing at such a value box and never at a
+// descriptor, so a log chunk reaches no earlier attempt (idem's log
+// slots); and lists that are private to an attempt live in reused
 // buffers, not in a chunk that stays current for as long as it takes
 // to fill. Measured on a structure kept alive while one goroutine
 // drives it for 1M operations, the live heap of every structure stays
@@ -75,7 +75,7 @@ type Slices[T any] struct {
 // for more than a quarter of it falls back to a direct make, so that a
 // chunk always serves several requests. The callers' steady-state
 // requests are far below that: lock sets of a few entries, and idem's
-// response-log segments, which start at 16 slots and double only as a
+// log segments, which start at 16 slots and double only as a
 // body keeps running — the fallback is for the segments past the
 // ~500th operation of a genuinely long body, one allocation each.
 const sliceChunk = 1024

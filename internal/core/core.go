@@ -274,10 +274,11 @@ type Lock struct {
 	// read-mostly header above (sys/set/id, loaded on every attempt)
 	// must not share a line with counters every competing process
 	// writes, and the counters must not share lines with each other.
-	_        [64]byte
-	attempts padCounter
-	wins     padCounter
-	helps    padCounter
+	_           [64]byte
+	attempts    padCounter
+	wins        padCounter
+	helps       padCounter
+	completions padCounter
 }
 
 var lockCounter atomic.Int64
@@ -302,13 +303,16 @@ func (s *System) NewLock() *Lock {
 func (l *Lock) ID() int { return l.id }
 
 // Counters reports the lock's observability counters: attempts whose
-// lock set includes this lock, wins among those attempts, and helps
-// performed on this lock's descriptors by other attempts. An attempt is
-// counted before it can win, so wins is loaded first: a reader racing
-// live traffic never sees more wins than attempts.
-func (l *Lock) Counters() (attempts, wins, helps uint64) {
+// lock set includes this lock, wins among those attempts, helps that
+// other attempts ran on this lock's still-undecided descriptors, and
+// completions: won descriptors whose critical section had not finished
+// when another attempt's helping phase ran it (a stalled holder's body
+// finished on its behalf). An attempt is counted before it can win, so
+// wins is loaded first: a reader racing live traffic never sees more
+// wins than attempts.
+func (l *Lock) Counters() (attempts, wins, helps, completions uint64) {
 	wins = l.wins.Load()
-	return l.attempts.Load(), wins, l.helps.Load()
+	return l.attempts.Load(), wins, l.helps.Load(), l.completions.Load()
 }
 
 // Descriptor is a tryLock attempt's shared record (Algorithm 3): the
@@ -412,10 +416,28 @@ func (s *System) endAttempt(e env.Env, p *Descriptor, won bool) {
 	}
 }
 
+// countHelp bumps l's help counters for descriptor q, found by an
+// attempt's helping phase, and reports whether q is still undecided.
+// Re-running an already-decided descriptor is a help only when it won
+// and its critical section has not finished: decided descriptors linger
+// in the set until their owner removes them.
+func countHelp(l *Lock, q *Descriptor) (active bool) {
+	switch q.Status() {
+	case StatusActive:
+		l.helps.Add(1)
+		return true
+	case StatusWon:
+		if !q.thunk.Finished() {
+			l.completions.Add(1)
+		}
+	}
+	return false
+}
+
 // helpOne runs descriptor q to a decision on l's behalf, timing the run
 // when a recorder is attached. active reports whether q was still
-// undecided (the condition under which the help counters were bumped —
-// only those runs are real helps worth timing).
+// undecided (the condition under which helps was bumped); only those
+// runs are timed, so help completions are counted but not timed.
 func (s *System) helpOne(e env.Env, p *Descriptor, l *Lock, q *Descriptor, active bool) {
 	rec := s.cfg.Obs
 	if rec == nil || !active {
@@ -542,17 +564,11 @@ func (s *System) tryLocksKnown(e env.Env, p *Descriptor) bool {
 
 	// Helping phase (lines 17-20): run every revealed descriptor on any
 	// of our locks to its decision, clearing the playing field of
-	// descriptors whose priorities the adversary may already know. Only
-	// still-undecided descriptors count as helps: re-running an
-	// already-decided one is a no-op, and decided descriptors linger in
-	// the set until their owner removes them.
+	// descriptors whose priorities the adversary may already know
+	// (countHelp says which of them count as helps).
 	for _, l := range p.locks {
 		for _, q := range multiset.GetSet[Descriptor, *Descriptor](e, l.set) {
-			active := q.Status() == StatusActive
-			if active {
-				l.helps.Add(1)
-			}
-			s.helpOne(e, p, l, q, active)
+			s.helpOne(e, p, l, q, countHelp(l, q))
 		}
 	}
 

@@ -472,6 +472,41 @@ func TestAttemptAndWinCounters(t *testing.T) {
 	}
 }
 
+func TestCountHelp(t *testing.T) {
+	// An undecided descriptor is a help; a won one whose body has not
+	// finished is a help completion; a finished or lost one is neither.
+	sys, err := NewSystem(Config{Kappa: 2, MaxLocks: 1, MaxThunkSteps: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := sys.NewLock()
+	e := env.NewNative(0, 1)
+	finished := idem.NewExec(func(r *idem.Run) {}, 0)
+	finished.Execute(e)
+	// The lock's counters accumulate over the cases.
+	for _, tc := range []struct {
+		status             int32
+		thunk              *idem.Exec
+		active             bool
+		helps, completions uint64
+	}{
+		{StatusActive, idem.NewExec(func(r *idem.Run) {}, 0), true, 1, 0},
+		{StatusWon, idem.NewExec(func(r *idem.Run) {}, 0), false, 1, 1},
+		{StatusWon, finished, false, 1, 1},
+		{StatusLost, idem.NewExec(func(r *idem.Run) {}, 0), false, 1, 1},
+	} {
+		q := &Descriptor{sys: sys, thunk: tc.thunk}
+		q.status.Store(tc.status)
+		active := countHelp(l, q)
+		_, _, helps, completions := l.Counters()
+		if active != tc.active || helps != tc.helps || completions != tc.completions {
+			t.Fatalf("%s, finished %v: active %v helps %d completions %d, want %v %d %d",
+				StatusName(tc.status), tc.thunk.Finished(), active, helps, completions,
+				tc.active, tc.helps, tc.completions)
+		}
+	}
+}
+
 func TestNextPowerOfTwo(t *testing.T) {
 	cases := map[uint64]uint64{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}
 	for in, want := range cases {

@@ -35,13 +35,7 @@ func (s *System) tryLocksUnknown(e env.Env, p *Descriptor) bool {
 	// to a decision before they have drawn a priority.
 	for _, l := range p.locks {
 		for _, q := range s.revealedMembers(e, l) {
-			// As in the known-bounds variant, only still-undecided
-			// descriptors count toward the helps counter.
-			active := q.Status() == StatusActive
-			if active {
-				l.helps.Add(1)
-			}
-			s.helpOne(e, p, l, q, active)
+			s.helpOne(e, p, l, q, countHelp(l, q))
 		}
 	}
 

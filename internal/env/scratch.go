@@ -7,7 +7,7 @@ package env
 type ScratchKey int
 
 const (
-	// ScratchIdem holds *idem arenas (boxes, descriptors, responses).
+	// ScratchIdem holds *idem arenas (boxes, descriptors, execs, logs).
 	ScratchIdem ScratchKey = iota
 	// ScratchCore holds core's attempt arenas (descriptors, lock sets).
 	ScratchCore

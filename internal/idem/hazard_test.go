@@ -16,7 +16,7 @@ import (
 
 // forEachFreeze drives the freeze sweeps of the tests below. pad is how
 // many reads of a private cell precede the hazard operation: none, or
-// enough to put it in the response log's second (ops 16-47) and third
+// enough to put it in the log's second (ops 16-47) and third
 // (48-111) segment, so the sweeps also stop a run in the middle of
 // installing or adopting a segment. freezeAt covers every count of its
 // own steps after which a run of padded(pad, op) can be frozen while
@@ -245,84 +245,66 @@ func (f freezeUntil) Next(stepIndex uint64) int {
 }
 
 // TestFrozenInstallerUndoesAfterGC: an installer frozen mid-operation
-// wakes only after its operation was decided by another run's
-// installation, the cell was reset to the CAS's expected value, the
-// collector ran and a burst of fresh descriptors was made on other
-// cells, which die and are collected with the winner's descriptor. Its
-// late installation must be undone, not applied. The response names
-// the winning installation by token. With an address-based identity the
-// woken installer's fresh descriptor can land where the collected
-// winner's was, match the response, and apply the CAS a second time;
-// on amd64 this sweep catches that in most runs, at pad 0.
+// wakes only after its operation was decided by another run, the cell
+// was reset to the value the operation expects, the collector ran and
+// a burst of fresh descriptors was made on other cells, which die and
+// are collected with the winner's descriptor. Its late installation
+// must be undone, not applied. The log slot names the winning
+// installation by its commit box, which the slot keeps alive, so the
+// woken installer's own commit box can never have its address. With an
+// identity the log does not keep alive (a descriptor's address, say)
+// the woken installer's fresh descriptor can land where the collected
+// winner's was, match the log, and apply the operation a second time;
+// on amd64 this sweep catches that in about one run in five. The sweep
+// runs over a succeeding CAS, a Write and a failing CAS, whose
+// expected value the reset stores so that a woken run could install.
 func TestFrozenInstallerUndoesAfterGC(t *testing.T) {
-	forEachFreeze(func(pad int, freezeAt uint64) {
-		c := NewCell(0)
-		x := NewExec(padded(pad, func(r *Run) {
-			r.CAS(c, 0, 1)
-		}), pad+1)
-		others := NewCells(8, nil)
-		released := false
-		// Process 0 freezes at about its freezeAt-th step; process 1
-		// completes the thunk; process 2 waits for that, resets the
-		// cell, collects, makes the burst, collects again and only then
-		// releases 0.
-		schedule := freezeUntil{base: sched.RoundRobin{N: 3}, pid: 0, redirect: 2,
-			from: 3 * freezeAt, released: &released}
-		sim := sched.New(schedule, 11)
-		sim.Spawn(func(e env.Env) { x.Execute(e) })
-		sim.Spawn(func(e env.Env) { x.Execute(e) })
-		sim.Spawn(func(e env.Env) {
-			for !x.Finished() {
-				e.Step()
+	for _, tc := range []struct {
+		name  string
+		op    func(r *Run, c *Cell)
+		reset uint64
+	}{
+		{"CAS", func(r *Run, c *Cell) { r.CAS(c, 0, 1) }, 0},
+		{"Write", func(r *Run, c *Cell) { r.Write(c, 1) }, 0},
+		{"failing CAS", func(r *Run, c *Cell) { r.CAS(c, 5, 1) }, 5},
+	} {
+		forEachFreeze(func(pad int, freezeAt uint64) {
+			c := NewCell(0)
+			x := NewExec(padded(pad, func(r *Run) {
+				tc.op(r, c)
+			}), pad+1)
+			others := NewCells(8, nil)
+			released := false
+			// Process 0 freezes at about its freezeAt-th step; process 1
+			// completes the thunk; process 2 waits for that, resets the
+			// cell, collects, makes the burst, collects again and only
+			// then releases 0.
+			schedule := freezeUntil{base: sched.RoundRobin{N: 3}, pid: 0, redirect: 2,
+				from: 3 * freezeAt, released: &released}
+			sim := sched.New(schedule, 11)
+			sim.Spawn(func(e env.Env) { x.Execute(e) })
+			sim.Spawn(func(e env.Env) { x.Execute(e) })
+			sim.Spawn(func(e env.Env) {
+				for !x.Finished() {
+					e.Step()
+				}
+				c.Store(e, tc.reset)
+				runtime.GC()
+				for k := range 64 {
+					o := others[k%len(others)]
+					NewExec(func(r *Run) { r.Write(o, uint64(k)) }, 1).Execute(e)
+				}
+				runtime.GC()
+				released = true
+			})
+			if err := sim.Run(1_000_000); err != nil {
+				t.Fatalf("%s pad %d freeze@%d: %v", tc.name, pad, freezeAt, err)
 			}
-			c.Store(e, 0)
-			runtime.GC()
-			for k := range 64 {
-				o := others[k%len(others)]
-				NewExec(func(r *Run) { r.Write(o, uint64(k)) }, 1).Execute(e)
+			e := env.NewNative(99, 1)
+			if got := c.Load(e); got != tc.reset {
+				t.Fatalf("%s pad %d freeze@%d: cell = %d after reset to %d — the woken installer re-applied the operation",
+					tc.name, pad, freezeAt, got, tc.reset)
 			}
-			runtime.GC()
-			released = true
 		})
-		if err := sim.Run(1_000_000); err != nil {
-			t.Fatalf("pad %d freeze@%d: %v", pad, freezeAt, err)
-		}
-		e := env.NewNative(99, 1)
-		if got := c.Load(e); got != 0 {
-			t.Fatalf("pad %d freeze@%d: cell = %d after reset — the woken installer re-applied the CAS", pad, freezeAt, got)
-		}
-	})
-}
-
-// TestTokensNeverCollide: installer tokens from two process arenas and
-// from the nil-arena path are distinct and nonzero, including when an
-// arena uses up its block and reserves the next one.
-func TestTokensNeverCollide(t *testing.T) {
-	var nilArenas *arenas
-	a, b := &arenas{}, &arenas{}
-	seen := map[uint64]string{}
-	take := func(who string, tok uint64) {
-		t.Helper()
-		if tok == 0 {
-			t.Fatalf("%s handed out token 0, which marks a response with no installer", who)
-		}
-		if prev, dup := seen[tok]; dup {
-			t.Fatalf("token %d handed out by %s and by %s", tok, prev, who)
-		}
-		seen[tok] = who
-	}
-	take("a", a.newToken())
-	take("b", b.newToken())
-	take("nil", nilArenas.newToken())
-	// Move both arenas to the last few tokens of their blocks, then draw
-	// across the wrap, interleaved with the nil path.
-	a.tok, b.tok = a.tokEnd-3, b.tokEnd-2
-	for range 8 {
-		take("a", a.newToken())
-		take("nil", nilArenas.newToken())
-		take("b", b.newToken())
-	}
-	if a.tokEnd == b.tokEnd {
-		t.Fatal("two arenas share a token block")
 	}
 }

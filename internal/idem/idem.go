@@ -15,11 +15,13 @@
 // A thunk's code is deterministic given the responses of its shared
 // memory operations, so every run issues the same operation sequence;
 // the i-th operation of any run is "operation i". Each Exec (one
-// logical thunk execution, possibly run by many helpers) carries a
-// response log with one slot per operation performed. The log slot is
-// the canonical outcome of the operation: the first run to fill it
-// decides, and every other run adopts the logged response instead of
-// its own.
+// logical thunk execution, possibly run by many helpers) carries a log
+// with one slot per operation performed. The log slot is the canonical
+// outcome of the operation: the first run to fill it decides, and
+// every other run adopts the logged outcome instead of its own. A slot
+// holds the box that decided its operation: the value box a Read
+// observed, the commit box of the installation that took effect, or a
+// sentinel box for a failed CAS.
 //
 // The log grows on demand, so an execution pays for the operations it
 // performs and not for its budget (the T bound is a step count, not a
@@ -39,28 +41,38 @@
 // unique operation descriptor into the cell by CAS and then resolve it:
 //
 //  1. if the log slot is already filled, the operation is done — adopt
-//     the logged response and apply no effect;
+//     the logged outcome and apply no effect;
 //  2. otherwise read the cell; if it holds another descriptor, help
 //     resolve it first (so operations cannot be blocked — the
 //     construction is itself non-blocking);
-//  3. install this run's descriptor over the observed box by CAS;
-//  4. resolve: race to CAS the response into the log slot; if this
-//     descriptor's installation is the one recorded in the log, replace
-//     the descriptor with the operation's result value — otherwise the
-//     operation already took effect through an earlier installation, so
-//     undo by restoring the displaced box, a net no-op on memory.
+//  3. install this run's descriptor over the observed box by CAS; the
+//     descriptor carries a fresh commit box holding the value the
+//     operation writes;
+//  4. resolve: race to CAS the commit box into the log slot; if the
+//     slot then holds this descriptor's commit box, its installation is
+//     the one recorded, so replace the descriptor with the commit box —
+//     otherwise the operation already took effect through an earlier
+//     installation (or was logged as a failed CAS), so undo by
+//     restoring the displaced box, a net no-op on memory.
 //
 // Boxes are freshly allocated pointers, so an install CAS can never
 // succeed against a stale snapshot via ABA, which is what makes step 4
 // sound: at most one installation per operation is ever recorded, so
 // the operation's effect is applied exactly once, at the moment of that
 // installation (its linearization point). The log names the recorded
-// installation by its descriptor's token, a number no other
-// installation ever gets, so that uniqueness is kept without keeping
-// the descriptor alive.
+// installation by its commit box, and the slot keeps that box alive,
+// so while a resolver compares against it no other installation's
+// commit box can have its address.
 //
-// Reads adopt the first logged value; failed CASes are logged at the
-// moment a helper observes a conflicting value.
+// Reads log the value box they observed and adopt the first logged
+// one; failed CASes are logged at the moment a helper observes a
+// conflicting value.
+//
+// Since a slot does not record which operation filled it, determinism
+// is checked per run instead: each run folds the kind and cell of
+// every operation it issues into a digest, the first run to finish
+// records it, and a later run that finishes with another digest
+// panics.
 //
 // # Cost
 //
@@ -75,30 +87,29 @@ package idem
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"wflocks/internal/arena"
 	"wflocks/internal/env"
 )
 
 // arenas is the per-process allocation state for the construction's
-// published objects. Boxes, descriptors, responses, execs and logs are
-// all read by helpers at unbounded staleness, so none of them may ever
-// be recycled — the bump arenas hand out each pointer exactly once and
-// abandon full chunks to the garbage collector, which preserves the
-// freshness invariant (see the ABA discussion above) while amortizing
-// the hot path to ~1/256 of a heap allocation per object.
+// published objects. Boxes, descriptors, execs and logs are all read by
+// helpers at unbounded staleness, so none of them may ever be recycled
+// — the bump arenas hand out each pointer exactly once and abandon full
+// chunks to the garbage collector, which preserves the freshness
+// invariant (see the ABA discussion above) while amortizing the hot
+// path to ~1/256 of a heap allocation per object.
 //
 // Fresh is not immortal: the collector frees a chunk once nothing
-// points into it, and a live cell points into the chunk of its
-// committed box. So objects that live cells reach must not reach back
-// into the attempts that made them. Committed value boxes have an
-// arena of their own (their chunks hold no pointer at all), and a
-// response names its installer by token, not by pointer; see response.
+// points into it, and live cells and log slots point into the chunks
+// of value boxes. So value boxes have an arena of their own, whose
+// chunks hold no pointer at all, and nothing they reach leads back
+// into the attempts that made them.
 type arenas struct {
 	vals  arena.Arena[box] // committed values: desc == nil
 	boxes arena.Arena[box] // installed descriptors: desc != nil
 	descs arena.Arena[opDesc]
-	resps arena.Arena[response]
 	execs arena.Arena[Exec]
 	runs  arena.Arena[Run]
 	segs  arena.Arena[logSeg]
@@ -106,20 +117,8 @@ type arenas struct {
 	// so only the sixth and later ones (a run past ~500 operations)
 	// exceed what arena.Slices carves from a chunk and take its direct
 	// make: one heap allocation per several hundred operations.
-	logs arena.Slices[atomic.Pointer[response]]
-	// tok is the last token handed out from the block (tokEnd-tokenBlock,
-	// tokEnd] this process reserved from tokens.
-	tok, tokEnd uint64
+	logs arena.Slices[atomic.Pointer[box]]
 }
-
-// tokens is the process-wide token counter. Each arenas reserves
-// blocks of tokenBlock from it, and the nil-arena path takes single
-// tokens, so no token is ever handed out twice while the program runs.
-var tokens atomic.Uint64
-
-// tokenBlock is the number of tokens an arenas reserves at a time: one
-// shared atomic add per 2³² installs.
-const tokenBlock = 1 << 32
 
 // arenasOf returns e's idem arenas, creating them on first use, or nil
 // when e carries no scratch state (the deterministic simulator). All
@@ -148,52 +147,23 @@ func (a *arenas) newVal(v uint64) *box {
 	return b
 }
 
-// newDescBox returns a fresh box carrying descriptor d for installation.
-func (a *arenas) newDescBox(d *opDesc) *box {
+// newDescBox returns a fresh box carrying a fresh descriptor that
+// installs v over prev for the operation logged in slot.
+func (a *arenas) newDescBox(slot *atomic.Pointer[box], v uint64, prev *box) *box {
 	if a == nil {
-		return &box{desc: d}
+		return &box{desc: &opDesc{slot: slot, commit: &box{val: v}, prev: prev}}
 	}
+	d := a.descs.New()
+	d.slot, d.commit, d.prev = slot, a.newVal(v), prev
 	b := a.boxes.New()
 	b.desc = d
 	return b
 }
 
-// newToken returns an installer identity never returned before.
-func (a *arenas) newToken() uint64 {
-	if a == nil {
-		return tokens.Add(1)
-	}
-	if a.tok == a.tokEnd {
-		a.tokEnd = tokens.Add(tokenBlock)
-		a.tok = a.tokEnd - tokenBlock
-	}
-	a.tok++
-	return a.tok
-}
-
-func (a *arenas) newResp(kind opKind, c *Cell, val uint64, by uint64) *response {
-	if a == nil {
-		return &response{kind: kind, cell: c, val: val, by: by}
-	}
-	r := a.resps.New()
-	r.kind, r.cell, r.val, r.by = kind, c, val, by
-	return r
-}
-
-func (a *arenas) newDesc(slot *atomic.Pointer[response], kind opKind, newVal uint64, prev *box) *opDesc {
-	token := a.newToken()
-	if a == nil {
-		return &opDesc{slot: slot, token: token, kind: kind, newVal: newVal, prev: prev}
-	}
-	d := a.descs.New()
-	d.slot, d.token, d.kind, d.newVal, d.prev = slot, token, kind, newVal, prev
-	return d
-}
-
 // makeSlots returns n fresh empty log slots.
-func (a *arenas) makeSlots(n int) []atomic.Pointer[response] {
+func (a *arenas) makeSlots(n int) []atomic.Pointer[box] {
 	if a == nil {
-		return make([]atomic.Pointer[response], n)
+		return make([]atomic.Pointer[box], n)
 	}
 	return a.logs.Make(n)
 }
@@ -209,27 +179,15 @@ func (a *arenas) newSeg(n int) *logSeg {
 	return s
 }
 
-// opKind identifies the kind of a simulated shared-memory operation.
-type opKind int32
+// opKind identifies the kind of a simulated shared-memory operation in
+// a run's digest.
+type opKind uint64
 
 const (
 	opRead opKind = iota + 1
 	opWrite
 	opCAS
 )
-
-func (k opKind) String() string {
-	switch k {
-	case opRead:
-		return "Read"
-	case opWrite:
-		return "Write"
-	case opCAS:
-		return "CAS"
-	default:
-		return fmt.Sprintf("opKind(%d)", int32(k))
-	}
-}
 
 // box is an immutable cell state: either a plain value (desc == nil) or
 // an installed operation descriptor. Boxes are never mutated after
@@ -239,29 +197,19 @@ type box struct {
 	desc *opDesc
 }
 
-// opDesc is an installed effectful operation (Write or CAS success
-// path) of one Exec, identified by its slot in that Exec's log; token
-// tells this installation apart from every other one.
-type opDesc struct {
-	slot   *atomic.Pointer[response]
-	token  uint64
-	kind   opKind
-	newVal uint64
-	prev   *box // box displaced by the installation, for undo
-}
+// failed is the log entry of a CAS that failed. It is never installed
+// in a cell, so no Read or installation logs it.
+var failed = &box{}
 
-// response is the canonical logged outcome of one operation. by is the
-// token of the installation that took effect (0 for a Read or a failed
-// CAS). It is a token and not a pointer so that a response, which
-// outlives its operation in the log, keeps no descriptor alive: a
-// descriptor points at its log slot, so a pointer back would chain
-// every log to every log before it. Tokens are never reused, so
-// comparing them is as sound as comparing fresh pointers.
-type response struct {
-	kind opKind
-	cell *Cell
-	val  uint64 // Read: value read; CAS: 1 = success, 0 = failure
-	by   uint64
+// opDesc is an installed effectful operation (Write or CAS success
+// path) of one Exec, identified by its slot in that Exec's log. commit
+// is the box the cell takes if this installation is the one the slot
+// records; it is fresh, so it also tells this installation apart from
+// every other one.
+type opDesc struct {
+	slot   *atomic.Pointer[box]
+	commit *box
+	prev   *box // box displaced by the installation, for undo
 }
 
 // Cell is a shared memory location usable inside idempotent thunks.
@@ -353,18 +301,19 @@ type Thunk interface {
 // process and any helpers. All of them call Execute; the combined
 // effect equals exactly one run of the body.
 type Exec struct {
-	body     Body
-	thunk    Thunk
-	maxOps   int
-	log      logSeg // first segment of the response log
-	finished atomic.Bool
+	body   Body
+	thunk  Thunk
+	maxOps int
+	log    logSeg // first segment of the log
+	// finished is 0 until a run completes, then that run's digest|1.
+	finished atomic.Uint64
 }
 
-// logSeg is one segment of an Exec's response log: the slots of a
-// contiguous range of operations and the segment holding the next
-// range, nil until some run needs it.
+// logSeg is one segment of an Exec's log: the slots of a contiguous
+// range of operations and the segment holding the next range, nil
+// until some run needs it.
 type logSeg struct {
-	slots []atomic.Pointer[response]
+	slots []atomic.Pointer[box]
 	next  atomic.Pointer[logSeg]
 }
 
@@ -382,10 +331,10 @@ func NewExec(body Body, maxOps int) *Exec {
 }
 
 // NewExecIn creates an execution of frame t performing at most maxOps
-// shared-memory operations, drawing the exec and its response log from
-// e's process arena when available. Exec objects are published to
-// helpers and read at unbounded staleness, so they are never recycled;
-// the arena only amortizes their allocation.
+// shared-memory operations, drawing the exec and its log from e's
+// process arena when available. Exec objects are published to helpers
+// and read at unbounded staleness, so they are never recycled; the
+// arena only amortizes their allocation.
 func NewExecIn(e env.Env, t Thunk, maxOps int) *Exec {
 	x := newExec(arenasOf(e), maxOps)
 	x.thunk = t
@@ -411,7 +360,8 @@ func newExec(a *arenas, maxOps int) *Exec {
 
 // Execute runs or helps the thunk to completion. It may be called any
 // number of times by any number of processes; memory effects apply as
-// if the body ran exactly once (Definition 4.1).
+// if the body ran exactly once (Definition 4.1). It panics if this run
+// issued a different operation sequence than the first run to finish.
 func (x *Exec) Execute(e env.Env) {
 	a := arenasOf(e)
 	var r *Run
@@ -426,11 +376,16 @@ func (x *Exec) Execute(e env.Env) {
 	} else {
 		x.body(r)
 	}
-	x.finished.Store(true)
+	d := r.digest | 1
+	if !x.finished.CompareAndSwap(0, d) && x.finished.Load() != d {
+		panic(fmt.Sprintf(
+			"idem: non-deterministic thunk: a run of %d operations replayed a different operation sequence than the first run to finish",
+			r.next))
+	}
 }
 
 // Finished reports whether some run of the thunk has completed.
-func (x *Exec) Finished() bool { return x.finished.Load() }
+func (x *Exec) Finished() bool { return x.finished.Load() != 0 }
 
 // Run is one process's run of an Exec; it carries the op cursor: the
 // index of the next operation and where its slot is in the log. It is
@@ -442,23 +397,25 @@ type Run struct {
 	next int
 	seg  *logSeg // segment holding op next's slot, or the one before it
 	off  int     // of that slot within seg; len(seg.slots) when seg is used up
+	// digest folds in the kind and cell of every operation issued so
+	// far. Its low bit is always 0.
+	digest uint64
 }
 
 // Env exposes the environment, e.g. for step accounting of private
 // work inside the body.
 func (r *Run) Env() env.Env { return r.e }
 
-// logged returns the canonical response in slot s if decided.
-func (r *Run) logged(s *atomic.Pointer[response]) *response {
+// logged returns the box logged in slot s, or nil if undecided.
+func (r *Run) logged(s *atomic.Pointer[box]) *box {
 	r.e.Step()
 	return s.Load()
 }
 
-// slot bounds-checks and claims the next op index, returning it with
-// its log slot.
-func (r *Run) slot() (int, *atomic.Pointer[response]) {
-	i := r.next
-	if i >= r.x.maxOps {
+// slot bounds-checks and claims the next op index, folding the op into
+// the run's digest, and returns its log slot.
+func (r *Run) slot(k opKind, c *Cell) *atomic.Pointer[box] {
+	if r.next >= r.x.maxOps {
 		panic(fmt.Sprintf("idem: thunk exceeded maxOps=%d", r.x.maxOps))
 	}
 	if r.off == len(r.seg.slots) {
@@ -467,7 +424,12 @@ func (r *Run) slot() (int, *atomic.Pointer[response]) {
 	s := &r.seg.slots[r.off]
 	r.next++
 	r.off++
-	return i, s
+	// An FNV-style step over an even word (cell address and kind in
+	// disjoint bits, bit 0 clear) keeps the digest even, so digest|1
+	// loses nothing.
+	w := uint64(uintptr(unsafe.Pointer(c)))<<3 | uint64(k)<<1
+	r.digest = (r.digest ^ w) * 0x100000001b3
+	return s
 }
 
 // nextSeg moves the cursor from a used-up segment to its successor,
@@ -487,24 +449,13 @@ func (r *Run) nextSeg() {
 	r.seg, r.off = next, 0
 }
 
-// validate panics if a replayed response disagrees with the op being
-// issued — which means the body is not deterministic.
-func validate(resp *response, kind opKind, c *Cell, i int) {
-	if resp.kind != kind || resp.cell != c {
-		panic(fmt.Sprintf(
-			"idem: non-deterministic thunk: op %d replayed as %v on %p, logged %v on %p",
-			i, kind, c, resp.kind, resp.cell))
-	}
-}
-
 // Read performs an idempotent read of c: all runs of the thunk observe
 // the same (first-logged) value.
 func (r *Run) Read(c *Cell) uint64 {
-	i, s := r.slot()
+	s := r.slot(opRead, c)
 	for {
-		if resp := r.logged(s); resp != nil {
-			validate(resp, opRead, c, i)
-			return resp.val
+		if b := r.logged(s); b != nil {
+			return b.val
 		}
 		r.e.Step()
 		b := c.p.Load()
@@ -513,20 +464,17 @@ func (r *Run) Read(c *Cell) uint64 {
 			continue
 		}
 		r.e.Step()
-		s.CompareAndSwap(nil, r.ar.newResp(opRead, c, b.val, 0))
-		resp := r.logged(s)
-		validate(resp, opRead, c, i)
-		return resp.val
+		s.CompareAndSwap(nil, b)
+		return r.logged(s).val
 	}
 }
 
 // Write performs an idempotent write of v to c: the write takes effect
 // exactly once no matter how many runs execute it.
 func (r *Run) Write(c *Cell, v uint64) {
-	i, s := r.slot()
+	s := r.slot(opWrite, c)
 	for {
-		if resp := r.logged(s); resp != nil {
-			validate(resp, opWrite, c, i)
+		if r.logged(s) != nil {
 			return
 		}
 		r.e.Step()
@@ -535,8 +483,7 @@ func (r *Run) Write(c *Cell, v uint64) {
 			resolve(r.e, c, b)
 			continue
 		}
-		d := r.ar.newDesc(s, opWrite, v, b)
-		db := r.ar.newDescBox(d)
+		db := r.ar.newDescBox(s, v, b)
 		r.e.Step()
 		if c.p.CompareAndSwap(b, db) {
 			resolve(r.e, c, db)
@@ -549,11 +496,10 @@ func (r *Run) Write(c *Cell, v uint64) {
 // failure is decided once (by the canonical log) and its effect applies
 // at most once.
 func (r *Run) CAS(c *Cell, old, new uint64) bool {
-	i, s := r.slot()
+	s := r.slot(opCAS, c)
 	for {
-		if resp := r.logged(s); resp != nil {
-			validate(resp, opCAS, c, i)
-			return resp.val == 1
+		if b := r.logged(s); b != nil {
+			return b != failed
 		}
 		r.e.Step()
 		b := c.p.Load()
@@ -565,19 +511,14 @@ func (r *Run) CAS(c *Cell, old, new uint64) bool {
 			// Observed a conflicting value: the op fails, linearized at
 			// this load — unless another run already decided otherwise.
 			r.e.Step()
-			s.CompareAndSwap(nil, r.ar.newResp(opCAS, c, 0, 0))
-			resp := r.logged(s)
-			validate(resp, opCAS, c, i)
-			return resp.val == 1
+			s.CompareAndSwap(nil, failed)
+			return r.logged(s) != failed
 		}
-		d := r.ar.newDesc(s, opCAS, new, b)
-		db := r.ar.newDescBox(d)
+		db := r.ar.newDescBox(s, new, b)
 		r.e.Step()
 		if c.p.CompareAndSwap(b, db) {
 			resolve(r.e, c, db)
-			resp := r.logged(s)
-			validate(resp, opCAS, c, i)
-			return resp.val == 1
+			return r.logged(s) != failed
 		}
 	}
 }
@@ -585,19 +526,17 @@ func (r *Run) CAS(c *Cell, old, new uint64) bool {
 // resolve completes an installed descriptor found in cell c inside box
 // db. Any process may (and must, to make progress) resolve descriptors
 // it encounters. The descriptor's effect is committed if and only if
-// its installation is the one recorded in its op's log slot; otherwise
+// its commit box is the one recorded in its op's log slot; otherwise
 // the displaced box is restored, making the installation a no-op.
 func resolve(e env.Env, c *Cell, db *box) {
-	a := arenasOf(e)
 	d := db.desc
-	slot := d.slot
 	e.Step()
-	slot.CompareAndSwap(nil, a.newResp(d.kind, c, 1, d.token))
+	d.slot.CompareAndSwap(nil, d.commit)
 	e.Step()
-	resp := slot.Load()
+	won := d.slot.Load() == d.commit
 	e.Step()
-	if resp.by == d.token {
-		c.p.CompareAndSwap(db, a.newVal(d.newVal))
+	if won {
+		c.p.CompareAndSwap(db, d.commit)
 	} else {
 		c.p.CompareAndSwap(db, d.prev)
 	}

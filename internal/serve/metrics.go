@@ -72,6 +72,7 @@ func (s *Server) metricsText() string {
 	fmt.Fprintf(&b, "wflocks_attempts_total %d\n", ms.Attempts)
 	fmt.Fprintf(&b, "wflocks_wins_total %d\n", ms.Wins)
 	fmt.Fprintf(&b, "wflocks_helps_total %d\n", ms.Helps)
+	fmt.Fprintf(&b, "wflocks_help_completions_total %d\n", ms.HelpCompletions)
 	fmt.Fprintf(&b, "wflocks_fastpath_total %d\n", ms.FastPath)
 	fmt.Fprintf(&b, "wflocks_help_rate %.6f\n", ms.HelpRate())
 	fmt.Fprintf(&b, "wflocks_fastpath_rate %.6f\n", ms.FastPathRate())

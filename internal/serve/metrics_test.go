@@ -204,7 +204,7 @@ func TestMetricsEndpointWithoutMetrics(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
-	if !strings.Contains(body, "wflocks_attempts_total") {
+	if !strings.Contains(body, "wflocks_attempts_total") || !strings.Contains(body, "wflocks_help_completions_total") {
 		t.Fatalf("lock counters must render without Config.Metrics:\n%s", body)
 	}
 	if strings.Contains(body, "wflocks_delay_share") || strings.Contains(body, "wfserve_op_ns") {
@@ -237,7 +237,7 @@ func TestStatsObservability(t *testing.T) {
 			}
 			for _, want := range []string{
 				"slab_free:", "slab_cap:",
-				"lock_attempts:", "lock_helps:", "help_rate:", "fastpath_rate:",
+				"lock_attempts:", "lock_helps:", "lock_help_completions:", "help_rate:", "fastpath_rate:",
 				"pool_steals:", "pool_shard0:len=",
 				"delay_share:", "acquire_ns_p50:", "acquire_ns_p99:",
 				"help_run_ns_p50:", "get_ns_p50:", "set_ns_p99:",

@@ -799,6 +799,7 @@ func (s *Server) statsText() string {
 	lines = append(lines,
 		fmt.Sprintf("lock_attempts:%d", ms.Attempts),
 		fmt.Sprintf("lock_helps:%d", ms.Helps),
+		fmt.Sprintf("lock_help_completions:%d", ms.HelpCompletions),
 		fmt.Sprintf("help_rate:%.4f", ms.HelpRate()),
 		fmt.Sprintf("fastpath_rate:%.4f", ms.FastPathRate()),
 	)

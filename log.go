@@ -947,9 +947,8 @@ func (l *Log[T]) Stats() LogStats {
 	enqs := make([]uint64, len(l.rings))
 	for s := range l.rings {
 		ring := &l.rings[s]
-		a, w, h := l.locks[s].inner.Counters()
 		st := LogShardStats{
-			Lock:        LockStats{ID: l.locks[s].ID(), Attempts: a, Wins: w, Helps: h},
+			Lock:        l.locks[s].stats(),
 			Appends:     ring.enqs.Get(p),
 			Trimmed:     ring.deqs.Get(p),
 			FullRejects: ring.fulls.Get(p),

@@ -435,18 +435,18 @@ func (mp *Map[K, V]) Stats() MapStats {
 	ms := MapStats{Shards: make([]MapShardStats, mp.eng.ShardCount())}
 	attempts := make([]uint64, mp.eng.ShardCount())
 	for s := range mp.eng.Shards {
-		a, w, h := mp.locks[s].inner.Counters()
+		ls := mp.locks[s].stats()
 		size := int(mp.eng.LoadSize(p.env, &mp.eng.Shards[s]))
 		ps := mp.eng.ProbeStats(p.env, &mp.eng.Shards[s])
 		ms.Shards[s] = MapShardStats{
-			Lock:       LockStats{ID: mp.locks[s].ID(), Attempts: a, Wins: w, Helps: h},
+			Lock:       ls,
 			Size:       size,
 			Tombstones: ps.Tombstones,
 			MaxProbe:   ps.MaxProbe,
 			SumProbe:   ps.SumProbe,
 		}
 		ms.Len += size
-		attempts[s] = a
+		attempts[s] = ls.Attempts
 		if ps.MaxProbe > ms.MaxProbe {
 			ms.MaxProbe = ps.MaxProbe
 		}

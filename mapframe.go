@@ -18,8 +18,8 @@ import (
 // frame is fresh per call and never recycled, so a straggling helper
 // always reads the parameters its exec was created with — and results
 // are published through atomic fields on the frame. Every run of the
-// body derives identical results from the canonical response log, so
-// the concurrent stores are race-free in effect (see idem.Body). The
+// body derives identical results from the canonical log, so the
+// concurrent stores are race-free in effect (see idem.Body). The
 // one result that does not fit a word — a found value under a
 // multi-word codec — goes through a result cell the frame carries, so
 // the body is still written once.

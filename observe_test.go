@@ -148,21 +148,21 @@ func TestWithTracingValidation(t *testing.T) {
 
 func TestStatsSub(t *testing.T) {
 	prev := StatsSnapshot{
-		Attempts: 100, Wins: 90, Helps: 10, FastPath: 50,
-		Locks: []LockStats{{ID: 0, Attempts: 60, Wins: 55, Helps: 4}},
+		Attempts: 100, Wins: 90, Helps: 10, FastPath: 50, HelpCompletions: 3,
+		Locks: []LockStats{{ID: 0, Attempts: 60, Wins: 55, Helps: 4, HelpCompletions: 1}},
 	}
 	cur := StatsSnapshot{
-		Attempts: 250, Wins: 220, Helps: 35, FastPath: 120,
+		Attempts: 250, Wins: 220, Helps: 35, FastPath: 120, HelpCompletions: 7,
 		Locks: []LockStats{
-			{ID: 0, Attempts: 150, Wins: 140, Helps: 9},
+			{ID: 0, Attempts: 150, Wins: 140, Helps: 9, HelpCompletions: 5},
 			{ID: 1, Attempts: 40, Wins: 38, Helps: 2}, // created after prev
 		},
 	}
 	d := cur.Sub(prev)
-	if d.Attempts != 150 || d.Wins != 130 || d.Helps != 25 || d.FastPath != 70 {
+	if d.Attempts != 150 || d.Wins != 130 || d.Helps != 25 || d.FastPath != 70 || d.HelpCompletions != 4 {
 		t.Fatalf("manager-wide delta wrong: %+v", d)
 	}
-	if d.Locks[0].Attempts != 90 || d.Locks[0].Wins != 85 || d.Locks[0].Helps != 5 {
+	if d.Locks[0].Attempts != 90 || d.Locks[0].Wins != 85 || d.Locks[0].Helps != 5 || d.Locks[0].HelpCompletions != 4 {
 		t.Fatalf("matched lock delta wrong: %+v", d.Locks[0])
 	}
 	if d.Locks[1] != cur.Locks[1] {

@@ -12,6 +12,17 @@ type LockStats struct {
 	// helping phase ran to a decision — the wait-freedom machinery at
 	// work.
 	Helps uint64
+	// HelpCompletions counts won descriptors on this lock whose
+	// critical section had not finished when some other attempt's
+	// helping phase ran it: a stalled holder's body finished on its
+	// behalf, the help that Helps (undecided descriptors only) misses.
+	HelpCompletions uint64
+}
+
+// stats reads l's counters into a LockStats.
+func (l *Lock) stats() LockStats {
+	a, w, h, c := l.inner.Counters()
+	return LockStats{ID: l.ID(), Attempts: a, Wins: w, Helps: h, HelpCompletions: c}
 }
 
 // StatsSnapshot is a point-in-time view of a manager's counters.
@@ -25,8 +36,9 @@ type StatsSnapshot struct {
 	// once regardless of its lock set size.
 	Attempts uint64
 	Wins     uint64
-	// Helps is the sum of the per-lock help counters.
-	Helps uint64
+	// Helps and HelpCompletions are the sums of the per-lock counters.
+	Helps           uint64
+	HelpCompletions uint64
 	// FastPath counts the attempts that took the uncontended fast
 	// path: every requested lock was observed free, so the attempt
 	// skipped its delay stalls entirely (see WithFastPath).
@@ -71,10 +83,11 @@ func (s StatsSnapshot) FastPathRate() float64 {
 // report per-phase rates from before/after snapshots.
 func (s StatsSnapshot) Sub(prev StatsSnapshot) StatsSnapshot {
 	d := StatsSnapshot{
-		Attempts: subSat(s.Attempts, prev.Attempts),
-		Wins:     subSat(s.Wins, prev.Wins),
-		Helps:    subSat(s.Helps, prev.Helps),
-		FastPath: subSat(s.FastPath, prev.FastPath),
+		Attempts:        subSat(s.Attempts, prev.Attempts),
+		Wins:            subSat(s.Wins, prev.Wins),
+		Helps:           subSat(s.Helps, prev.Helps),
+		FastPath:        subSat(s.FastPath, prev.FastPath),
+		HelpCompletions: subSat(s.HelpCompletions, prev.HelpCompletions),
 	}
 	base := make(map[int]LockStats, len(prev.Locks))
 	for _, l := range prev.Locks {
@@ -84,10 +97,11 @@ func (s StatsSnapshot) Sub(prev StatsSnapshot) StatsSnapshot {
 	for i, l := range s.Locks {
 		b := base[l.ID]
 		d.Locks[i] = LockStats{
-			ID:       l.ID,
-			Attempts: subSat(l.Attempts, b.Attempts),
-			Wins:     subSat(l.Wins, b.Wins),
-			Helps:    subSat(l.Helps, b.Helps),
+			ID:              l.ID,
+			Attempts:        subSat(l.Attempts, b.Attempts),
+			Wins:            subSat(l.Wins, b.Wins),
+			Helps:           subSat(l.Helps, b.Helps),
+			HelpCompletions: subSat(l.HelpCompletions, b.HelpCompletions),
 		}
 	}
 	return d
@@ -117,9 +131,10 @@ func (m *Manager) Stats() StatsSnapshot {
 	m.mu.Unlock()
 	snap.Locks = make([]LockStats, len(locks))
 	for i, l := range locks {
-		a, w, h := l.inner.Counters()
-		snap.Locks[i] = LockStats{ID: l.ID(), Attempts: a, Wins: w, Helps: h}
-		snap.Helps += h
+		ls := l.stats()
+		snap.Locks[i] = ls
+		snap.Helps += ls.Helps
+		snap.HelpCompletions += ls.HelpCompletions
 	}
 	return snap
 }

@@ -140,12 +140,14 @@ func TestStatsHelpCounters(t *testing.T) {
 	// Helps is workload-dependent; under this much contention the
 	// helping phase all but certainly fired, but zero is still legal, so
 	// only check the snapshot's internal consistency.
-	var sumHelps uint64
+	var sumHelps, sumCompletions uint64
 	for _, ls := range s.Locks {
 		sumHelps += ls.Helps
+		sumCompletions += ls.HelpCompletions
 	}
-	if sumHelps != s.Helps {
-		t.Fatalf("per-lock helps sum %d != manager helps %d", sumHelps, s.Helps)
+	if sumHelps != s.Helps || sumCompletions != s.HelpCompletions {
+		t.Fatalf("per-lock helps/completions sums %d/%d != manager's %d/%d",
+			sumHelps, sumCompletions, s.Helps, s.HelpCompletions)
 	}
 }
 

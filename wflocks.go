@@ -215,7 +215,7 @@ func (m *Manager) TryLock(p *Process, locks []*Lock, maxOps int, body func(*Tx))
 
 // tryLockThunk runs one validated attempt with a prepared thunk frame.
 // This is the allocation-free core of every acquisition: the exec and
-// its response log come from the process arena, and the unwrapped lock
+// its log come from the process arena, and the unwrapped lock
 // set reuses the handle's buffer (core copies it before publishing).
 func (m *Manager) tryLockThunk(p *Process, locks []*Lock, maxOps int, t idem.Thunk) bool {
 	thunk := idem.NewExecIn(p.env, t, maxOps)

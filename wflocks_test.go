@@ -447,7 +447,7 @@ func steadyAllocs(op func()) float64 {
 // fast path), Put and Update (operation frames) on single-word codecs
 // average well under one allocation per call — at 16 buckets per shard
 // and at 1024, where the budget (2061 operations) is far beyond what
-// the arena carves from a chunk, so a response log sized by the budget
+// the arena carves from a chunk, so a log sized by the budget
 // would cost a heap allocation per attempt. A 2-key Atomic still
 // allocates its closure, view and result cells at any size; what is
 // pinned for it is that the budget adds nothing to that.

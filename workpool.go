@@ -646,9 +646,8 @@ func (wp *WorkPool[T]) Stats() WorkPoolStats {
 	enqs := make([]uint64, len(wp.rings))
 	for s := range wp.rings {
 		ring := &wp.rings[s]
-		a, w, h := wp.locks[s].inner.Counters()
 		st := WorkPoolShardStats{
-			Lock:         LockStats{ID: wp.locks[s].ID(), Attempts: a, Wins: w, Helps: h},
+			Lock:         wp.locks[s].stats(),
 			Enqueues:     ring.enqs.Get(p),
 			Dequeues:     ring.deqs.Get(p),
 			Steals:       wp.steals[s].Get(p),
