@@ -517,9 +517,11 @@ func BenchmarkQueue(b *testing.B) {
 // one GET every 500µs and waits for its reply, so the server is idle
 // nine tenths of the time. B/op is process-wide and attempts/req is the
 // manager's attempt counter over the run, so both include whatever the
-// dispatch workers do between requests — two acquisitions per request
-// (enqueue, dequeue; a served GET takes no lock, and neither do the
-// workers' empty passes before parking).
+// dispatch workers do between requests. It reads zero: a request alone
+// on its connection runs on the connection's writer without the pool
+// hop, a served GET takes no lock, and the workers' empty passes
+// before parking take none either. The pipelined rows still go
+// through the pool (two acquisitions per request: enqueue, dequeue).
 func BenchmarkServe(b *testing.B) {
 	for _, backend := range []string{"cache", "map", "mutex"} {
 		b.Run("backend="+backend, func(b *testing.B) { benchServe(b, backend, 0) })

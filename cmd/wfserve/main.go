@@ -2,7 +2,9 @@
 // RESP-subset protocol (GET/SET/DEL/PING/STATS, SET ... PX for
 // per-entry TTL) over TCP, executed against a wait-free Map or Cache
 // backend — or the sharded-mutex baseline, kept for head-to-head
-// comparison — through a shard-by-key WorkPool dispatch pipeline.
+// comparison. A request alone on its connection runs on the
+// connection's writer; pipelined ones go through a shard-by-key
+// WorkPool dispatch pipeline.
 //
 //	wfserve -addr :6380 -backend cache -capacity 65536 -ttl 5m
 //	redis-cli -p 6380 SET k v        # the protocol is a RESP subset

@@ -155,6 +155,8 @@ func render(w io.Writer, src string, now time.Time, s sample, ops, help float64,
 	fmt.Fprintf(w, "%-12s %12.0f\n", "ops/s", ops)
 	fmt.Fprintf(w, "%-12s %12.4f\n", "help-rate", help)
 	fmt.Fprintf(w, "%-12s %12.4f\n", "fast-path", s.FastRate)
+	fmt.Fprintf(w, "%-12s %12d\n", "help-compl", s.HelpCompletions)
+	fmt.Fprintf(w, "%-12s %12d\n", "inline", s.Inline)
 	if s.HasObs {
 		fmt.Fprintf(w, "%-12s %12.4f\n", "delay-share", s.DelayShare)
 		fmt.Fprintf(w, "%-12s %12d\n", "stall-alerts", s.StallAlerts)

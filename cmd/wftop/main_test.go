@@ -1,6 +1,7 @@
 package main
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ wfserve_accepted_total 2
 wfserve_gets_total 100
 wfserve_sets_total 40
 wfserve_dels_total 10
+wfserve_requests_inline_total 130
 wfserve_slab_free 120
 wfserve_slab_cap 128
 wfserve_workers 4
@@ -20,6 +22,7 @@ wfserve_workers_parked 3
 wflocks_attempts_total 500
 wflocks_wins_total 480
 wflocks_helps_total 25
+wflocks_help_completions_total 6
 wflocks_fastpath_total 300
 wflocks_help_rate 0.050000
 wflocks_fastpath_rate 0.600000
@@ -42,8 +45,11 @@ func TestParseMetrics(t *testing.T) {
 	if s.Ops != 150 {
 		t.Errorf("Ops = %d, want 150", s.Ops)
 	}
-	if s.Attempts != 500 || s.Helps != 25 {
-		t.Errorf("Attempts/Helps = %d/%d, want 500/25", s.Attempts, s.Helps)
+	if s.Attempts != 500 || s.Helps != 25 || s.HelpCompletions != 6 {
+		t.Errorf("Attempts/Helps/HelpCompletions = %d/%d/%d, want 500/25/6", s.Attempts, s.Helps, s.HelpCompletions)
+	}
+	if s.Inline != 130 {
+		t.Errorf("Inline = %d, want 130", s.Inline)
 	}
 	if s.HelpRate != 0.05 || s.FastRate != 0.6 {
 		t.Errorf("rates = %v/%v", s.HelpRate, s.FastRate)
@@ -80,9 +86,11 @@ fastpath_rate:0.6000
 gets:100
 help_rate:0.0500
 lock_attempts:500
+lock_help_completions:6
 lock_helps:25
 pool_shard0:len=3 steals=0 enq=75 deq=72
 pool_shard1:len=0 steals=1 enq=75 deq=75
+requests_inline:130
 sets:40
 slab_cap:128
 slab_free:120
@@ -96,8 +104,8 @@ func TestParseStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Ops != 150 || s.Attempts != 500 || s.Helps != 25 {
-		t.Errorf("counters = %d/%d/%d", s.Ops, s.Attempts, s.Helps)
+	if s.Ops != 150 || s.Attempts != 500 || s.Helps != 25 || s.HelpCompletions != 6 || s.Inline != 130 {
+		t.Errorf("counters = %d/%d/%d/%d/%d", s.Ops, s.Attempts, s.Helps, s.HelpCompletions, s.Inline)
 	}
 	if s.HelpRate != 0.05 || s.FastRate != 0.6 {
 		t.Errorf("rates = %v/%v", s.HelpRate, s.FastRate)
@@ -159,6 +167,11 @@ func TestRenderOnce(t *testing.T) {
 	for _, want := range []string{"ops/s", "help-rate", "fast-path", "delay-share", "stall-alerts", "alert-help lock=3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
+		}
+	}
+	for _, re := range []string{`(?m)^help-compl +6$`, `(?m)^inline +130$`} {
+		if !regexp.MustCompile(re).MatchString(out) {
+			t.Errorf("render missing %s:\n%s", re, out)
 		}
 	}
 	if strings.Contains(out, "\033") {

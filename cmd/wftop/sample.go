@@ -15,9 +15,11 @@ import (
 // into the common shape the dashboard renders. Counters are cumulative
 // since server start; rates come from deltas between samples.
 type sample struct {
-	Ops      uint64 // gets + sets + dels answered
-	Attempts uint64 // lock attempts
-	Helps    uint64 // descriptors helped
+	Ops             uint64 // gets + sets + dels answered
+	Inline          uint64 // of those, run on the connection's writer (no pool hop)
+	Attempts        uint64 // lock attempts
+	Helps           uint64 // descriptors helped
+	HelpCompletions uint64 // won descriptors whose body a helper finished
 
 	HelpRate float64 // cumulative helps/attempts, as the source reports it
 	FastRate float64 // cumulative fast-path rate
@@ -63,8 +65,12 @@ func parseMetrics(text string) (sample, error) {
 			s.Ops += uint64(f)
 		case "wflocks_attempts_total":
 			s.Attempts = uint64(f)
+		case "wfserve_requests_inline_total":
+			s.Inline = uint64(f)
 		case "wflocks_helps_total":
 			s.Helps = uint64(f)
+		case "wflocks_help_completions_total":
+			s.HelpCompletions = uint64(f)
 		case "wflocks_help_rate":
 			s.HelpRate = f
 		case "wflocks_fastpath_rate":
@@ -190,8 +196,12 @@ func parseStats(text string) (sample, error) {
 			s.Ops += uint64(f)
 		case "lock_attempts":
 			s.Attempts = uint64(f)
+		case "requests_inline":
+			s.Inline = uint64(f)
 		case "lock_helps":
 			s.Helps = uint64(f)
+		case "lock_help_completions":
+			s.HelpCompletions = uint64(f)
 		case "help_rate":
 			s.HelpRate = f
 		case "fastpath_rate":

@@ -307,10 +307,11 @@
 // Throughput tables answer "how much work per second"; a service is
 // judged by "how late was the slowest request I still had to answer".
 // The wfserve server (cmd/wfserve, internal/serve) exists to measure
-// the second question: RESP-subset commands over TCP, dispatched by
-// key hash through a WorkPool into workers running against Map, Cache
-// or a sharded-mutex baseline, with per-connection pipelining and
-// graceful drain. What makes its numbers trustworthy is the load
+// the second question: RESP-subset commands over TCP, run against Map,
+// Cache or a sharded-mutex baseline — on the connection's writer when
+// a request is alone on its connection, otherwise dispatched by key
+// hash through a WorkPool into workers — with per-connection
+// pipelining and graceful drain. What makes its numbers trustworthy is the load
 // harness (internal/serve/loadgen, cmd/wfload), which guards against
 // coordinated omission — the classic benchmarking error in which the
 // load generator and the system under test cooperate to hide the

@@ -20,8 +20,10 @@ import (
 //
 // A span is stamped in place inside a serve slab slot by plain stores:
 // each stage's writes are ordered by the pipeline's own happens-before
-// edges (slot free-list → queue hand-off → done channel → writer), so
-// no stage races another and the stamping costs no atomics.
+// edges (slot free-list → queue hand-off → done channel → writer, or
+// slot free-list → pending channel → writer for a request the writer
+// runs inline),
+// so no stage races another and the stamping costs no atomics.
 type Span struct {
 	// ID is the request's serve-assigned sequence number.
 	ID uint64
@@ -30,8 +32,10 @@ type Span struct {
 	// Slot is the slab slot the request occupied (the trace view's
 	// thread lane: a slot holds one request at a time).
 	Slot int
-	// Worker is the pool worker that executed the request; -1 before
-	// execution.
+	// Worker is the pool worker that executed the request; -1 means no
+	// pool worker: before execution, or for a request the connection's
+	// writer ran inline (then EnqNS and DeqNS stay zero: it never
+	// queued).
 	Worker int
 	// Op is the request verb ("GET", "SET", ...).
 	Op string

@@ -61,6 +61,7 @@ func (s *Server) metricsText() string {
 	fmt.Fprintf(&b, "wfserve_sets_total %d\n", s.stats.sets.Load())
 	fmt.Fprintf(&b, "wfserve_dels_total %d\n", s.stats.dels.Load())
 	fmt.Fprintf(&b, "wfserve_errors_total %d\n", s.stats.errs.Load())
+	fmt.Fprintf(&b, "wfserve_requests_inline_total %d\n", s.stats.inline.Load())
 	fmt.Fprintf(&b, "wfserve_workers %d\n", s.cfg.Workers)
 
 	// Admission control: slab free-list occupancy.
@@ -108,7 +109,7 @@ func (s *Server) metricsText() string {
 		fmt.Fprintf(&b, "wfserve_journal_dropped_total %d\n", s.stats.journalDrops.Load())
 	}
 
-	// Per-op service-time summaries (dequeue to response ready).
+	// Per-op service-time summaries (backend call to response ready).
 	if s.opGets != nil {
 		for _, oh := range []struct {
 			op string

@@ -15,7 +15,8 @@ import (
 
 // metricsServer runs a metrics-enabled server plus an httptest front for
 // its MetricsMux, and pushes a little traffic through so every series
-// has data.
+// has data: one request at a time (run inline by the connection's
+// writer), then a pipelined burst (run by the pool's workers).
 func metricsServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	s, lis := startServer(t, cfg)
@@ -28,6 +29,20 @@ func metricsServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Ser
 		c.do(t, "GET", k)
 	}
 	c.do(t, "DEL", "ka")
+	var burst []byte
+	for i := 0; i < 16; i++ {
+		k := "k" + string(rune('a'+i))
+		burst = serve.AppendCommand(burst, "SET", k, "w")
+		burst = serve.AppendCommand(burst, "GET", k)
+	}
+	if _, err := c.conn.Write(burst); err != nil {
+		t.Fatalf("write burst: %v", err)
+	}
+	for i := 0; i < 32; i++ {
+		if _, err := serve.ReadReply(c.br); err != nil {
+			t.Fatalf("burst reply %d: %v", i, err)
+		}
+	}
 	h := httptest.NewServer(s.MetricsMux())
 	t.Cleanup(h.Close)
 	return s, h
@@ -82,6 +97,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`(?m)^wfserve_op_ns\{op="get",quantile="0\.99"\} [1-9]\d*$`,
 		`(?m)^wfserve_op_ns_count\{op="set"\} [1-9]\d*$`,
 		`(?m)^wfserve_pool_enqueues_total [1-9]\d*$`,
+		`(?m)^wfserve_requests_inline_total [1-9]\d*$`,
 		`(?m)^wfserve_workers_parked [0-4]$`,
 		`(?m)^wfserve_pool_shard_len\{shard="0"\} \d+$`,
 		// Default backend is the wf map, which exposes table shape.
@@ -241,6 +257,7 @@ func TestStatsObservability(t *testing.T) {
 				"pool_steals:", "pool_shard0:len=",
 				"delay_share:", "acquire_ns_p50:", "acquire_ns_p99:",
 				"help_run_ns_p50:", "get_ns_p50:", "set_ns_p99:",
+				"requests_inline:",
 			} {
 				if !strings.Contains(r.Str, want) {
 					t.Errorf("STATS missing %q:\n%s", want, r.Str)

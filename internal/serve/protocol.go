@@ -1,8 +1,10 @@
 // Package serve is the network-facing KV/cache service: a small
-// RESP-subset text protocol (GET/SET/DEL/PING/STATS) over TCP, served
-// by a shard-by-key WorkPool of workers executing against a wait-free
-// Map or Cache backend (or a mutex baseline, for the head-to-head tail
-// latency comparison the load harness exists to make).
+// RESP-subset text protocol (GET/SET/DEL/PING/STATS) over TCP, executed
+// against a wait-free Map or Cache backend (or a mutex baseline, for
+// the head-to-head tail latency comparison the load harness exists to
+// make). A request alone on its connection runs on the connection's
+// writer; pipelined and overlapping requests go through a shard-by-key
+// WorkPool of workers, so distinct keys execute concurrently.
 //
 // The protocol is the well-known Redis shape, restricted to what a KV
 // service needs. Requests arrive either as RESP arrays

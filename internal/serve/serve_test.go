@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
@@ -66,22 +67,51 @@ func (c *client) do(t *testing.T, args ...string) serve.Reply {
 	return r
 }
 
-// parkedWorkers reads the workers_parked gauge from STATS. STATS is
-// answered inline by the connection's reader, so asking does not wake a
-// worker or make a lock attempt.
-func parkedWorkers(t *testing.T, c *client) int {
+// statsInt reads one integer field from STATS. STATS is answered by
+// the connection's reader, so asking does not wake a worker or make a
+// lock attempt.
+func statsInt(t *testing.T, c *client, field string) int {
 	t.Helper()
 	r := c.do(t, "STATS")
-	_, rest, ok := strings.Cut(r.Str, "workers_parked:")
+	_, rest, ok := strings.Cut("\n"+r.Str, "\n"+field+":")
 	if !ok {
-		t.Fatalf("STATS carries no workers_parked line:\n%s", r.Str)
+		t.Fatalf("STATS carries no %s line:\n%s", field, r.Str)
 	}
 	line, _, _ := strings.Cut(rest, "\n")
 	n, err := strconv.Atoi(line)
 	if err != nil {
-		t.Fatalf("workers_parked:%s: %v", line, err)
+		t.Fatalf("%s:%s: %v", field, line, err)
 	}
 	return n
+}
+
+// parkedWorkers reads the workers_parked gauge from STATS.
+func parkedWorkers(t *testing.T, c *client) int {
+	t.Helper()
+	return statsInt(t, c, "workers_parked")
+}
+
+// poolEnqueues sums the dispatch pool's per-shard enqueue counts from
+// STATS (the "pool_shardN:len=.. steals=.. enq=N deq=.." lines).
+func poolEnqueues(t *testing.T, c *client) int {
+	t.Helper()
+	r := c.do(t, "STATS")
+	total := 0
+	for _, line := range strings.Split(r.Str, "\n") {
+		if !strings.HasPrefix(line, "pool_shard") {
+			continue
+		}
+		for _, f := range strings.Fields(line) {
+			if v, ok := strings.CutPrefix(f, "enq="); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				total += n
+			}
+		}
+	}
+	return total
 }
 
 // awaitParked waits until exactly n dispatch workers are parked.
@@ -134,12 +164,26 @@ func TestServeIdleIsQuiet(t *testing.T) {
 	if n := parkedWorkers(t, c); n != workers {
 		t.Errorf("%d of %d workers parked after the idle window", n, workers)
 	}
-	// The parked workers still serve: one request wakes one of them.
-	if r := c.do(t, "SET", "k", "v"); r.Str != "OK" {
-		t.Fatalf("SET after idling = %+v", r)
+	// The server still serves after idling: a pipelined SET and GET go
+	// through the dispatch pool, so a parked worker must wake for them
+	// (an unpipelined request would run on the connection's writer and
+	// leave the pool asleep).
+	enq := poolEnqueues(t, c)
+	buf := serve.AppendCommand(nil, "SET", "k", "v")
+	buf = serve.AppendCommand(buf, "GET", "k")
+	if _, err := c.conn.Write(buf); err != nil {
+		t.Fatalf("write SET+GET: %v", err)
 	}
-	if r := c.do(t, "GET", "k"); r.Kind != serve.ReplyBulk || r.Str != "v" {
-		t.Fatalf("GET after idling = %+v", r)
+	if r, err := serve.ReadReply(c.br); err != nil || r.Str != "OK" {
+		t.Fatalf("SET after idling = %+v, %v", r, err)
+	}
+	if r, err := serve.ReadReply(c.br); err != nil || r.Kind != serve.ReplyBulk || r.Str != "v" {
+		t.Fatalf("GET after idling = %+v, %v", r, err)
+	}
+	// The SET always takes the pool (the GET is buffered behind it); the
+	// GET waits for the SET and may find the connection idle by then.
+	if got := poolEnqueues(t, c); got == enq {
+		t.Errorf("pool enqueues stood at %d over the pipelined SET+GET, want the SET's", got)
 	}
 }
 
@@ -182,11 +226,13 @@ func TestServeShutdownParkedWorkers(t *testing.T) {
 			if err := s.Shutdown(ctx); err != tc.want {
 				t.Fatalf("Shutdown with %d parked workers = %v, want %v", workers, err, tc.want)
 			}
-			// The graceful path waits for the workers; the expiry path
-			// cancels them and returns, so give the wake-ups a moment.
+			// The expiry path cancels the workers and returns, so give
+			// the wake-ups a moment. The graceful path waits for them, but
+			// its wait ends at each worker's WaitGroup.Done, which runs
+			// before the worker's frame leaves the stack: poll both.
 			deadline := time.Now().Add(5 * time.Second)
 			for workerGoroutines() != 0 {
-				if !tc.expired || time.Now().After(deadline) {
+				if time.Now().After(deadline) {
 					t.Fatalf("%d worker goroutines outlived Shutdown", workerGoroutines())
 				}
 				time.Sleep(time.Millisecond)
@@ -365,9 +411,12 @@ func TestServeClientVanishesMidPipeline(t *testing.T) {
 		}
 		// PING buffers an unflushed PONG ahead of the stalled SET, so
 		// the writer reaches its flush-before-waiting branch with bytes
-		// pending and the connection gone.
+		// pending and the connection gone. The trailing PING keeps the
+		// SET pipelined (more is buffered behind it), so a worker, not
+		// the reader, runs it.
 		buf := serve.AppendCommand(nil, "PING")
 		buf = serve.AppendCommand(buf, "SET", fmt.Sprintf("k%d", i), "v")
+		buf = serve.AppendCommand(buf, "PING")
 		if _, err := conn.Write(buf); err != nil {
 			t.Fatalf("iter %d: write: %v", i, err)
 		}
@@ -514,6 +563,241 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestServeUnpipelinedRunsInline: a client that waits for each reply
+// before sending the next request never has two requests in flight, so
+// every request runs on the connection's writer and the dispatch pool
+// sees no enqueue.
+func TestServeUnpipelinedRunsInline(t *testing.T) {
+	for _, backend := range []string{serve.BackendMap, serve.BackendCache, serve.BackendMutex} {
+		t.Run(backend, func(t *testing.T) {
+			_, lis := startServer(t, serve.Config{Backend: backend, Workers: 4})
+			c := dial(t, lis)
+			const n = 16
+			for i := 0; i < n; i++ {
+				k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
+				if r := c.do(t, "SET", k, v); r.Str != "OK" {
+					t.Fatalf("SET %s = %+v", k, r)
+				}
+				if r := c.do(t, "GET", k); r.Kind != serve.ReplyBulk || r.Str != v {
+					t.Fatalf("GET %s = %+v, want %s", k, r, v)
+				}
+			}
+			if r := c.do(t, "DEL", "k0"); r.Int != 1 {
+				t.Fatalf("DEL = %+v", r)
+			}
+			if got := statsInt(t, c, "requests_inline"); got != 2*n+1 {
+				t.Errorf("requests_inline = %d, want %d", got, 2*n+1)
+			}
+			if got := poolEnqueues(t, c); got != 0 {
+				t.Errorf("pool enqueues = %d for unpipelined traffic, want 0", got)
+			}
+		})
+	}
+}
+
+// TestServePipelinedBurstPooled: a pipelined burst goes through the
+// dispatch pool, so its distinct keys execute concurrently. The stall
+// gate holds every SET inside the backend: two of them inside at once
+// is only possible when workers, not the connection's writer, run them.
+func TestServePipelinedBurstPooled(t *testing.T) {
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 16)
+	_, lis := startServer(t, serve.Config{
+		Backend: serve.BackendMutex,
+		Workers: 4,
+		Stall: func() {
+			entered <- struct{}{}
+			<-gate
+		},
+	})
+	c := dial(t, lis)
+	var buf []byte
+	for i := 0; i < 3; i++ {
+		buf = serve.AppendCommand(buf, "SET", fmt.Sprintf("k%d", i), "v")
+	}
+	if _, err := c.conn.Write(buf); err != nil {
+		t.Fatalf("write burst: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			close(gate)
+			t.Fatalf("only %d of the burst's SETs inside the backend at once", i)
+		}
+	}
+	close(gate)
+	for i := 0; i < 3; i++ {
+		if r, err := serve.ReadReply(c.br); err != nil || r.Str != "OK" {
+			t.Fatalf("SET %d reply = %+v, %v", i, r, err)
+		}
+	}
+	if got := statsInt(t, c, "requests_inline"); got != 0 {
+		t.Errorf("requests_inline = %d, want 0", got)
+	}
+	if got := poolEnqueues(t, c); got != 3 {
+		t.Errorf("pool enqueues = %d, want 3", got)
+	}
+}
+
+// TestServeInlineWriteThenPipelinedRead: a SET run inline on the
+// connection's writer is visible to a pipelined GET of the same key that
+// a worker runs, and a pipelined SET followed by its GET still reads its
+// write.
+func TestServeInlineWriteThenPipelinedRead(t *testing.T) {
+	_, lis := startServer(t, serve.Config{Backend: serve.BackendCache, Workers: 4})
+	c := dial(t, lis)
+	if r := c.do(t, "SET", "k", "v1"); r.Str != "OK" {
+		t.Fatalf("SET = %+v", r)
+	}
+	buf := serve.AppendCommand(nil, "GET", "k")
+	buf = serve.AppendCommand(buf, "SET", "k", "v2")
+	buf = serve.AppendCommand(buf, "GET", "k")
+	if _, err := c.conn.Write(buf); err != nil {
+		t.Fatalf("write burst: %v", err)
+	}
+	for i, want := range []string{"v1", "OK", "v2"} {
+		r, err := serve.ReadReply(c.br)
+		if err != nil || r.Str != want {
+			t.Fatalf("reply %d = %+v, %v; want %s", i, r, err, want)
+		}
+	}
+	if got := statsInt(t, c, "requests_inline"); got < 1 {
+		t.Errorf("requests_inline = %d, want the first SET at least", got)
+	}
+	if got := poolEnqueues(t, c); got < 1 {
+		t.Errorf("pool enqueues = %d, want the burst's head at least", got)
+	}
+}
+
+// TestServeForcedShutdownInlineStall: a forced Shutdown while the
+// connection's writer is inside the backend (an unpipelined request
+// held by the stall gate) returns ctx.Err() at once; the reader exits
+// with the closed connection, and the writer as soon as the request
+// finishes.
+func TestServeForcedShutdownInlineStall(t *testing.T) {
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	s, lis := startServer(t, serve.Config{
+		Backend: serve.BackendMutex,
+		Workers: 4,
+		Stall: func() {
+			entered <- struct{}{}
+			<-gate
+		},
+	})
+	h := httptest.NewServer(s.MetricsMux())
+	defer h.Close()
+
+	c := dial(t, lis)
+	if _, err := c.conn.Write(serve.AppendCommand(nil, "SET", "k", "v")); err != nil {
+		t.Fatalf("write SET: %v", err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		close(gate)
+		t.Fatal("SET never reached the backend")
+	}
+	if _, body := get(t, h.URL+"/metrics"); !strings.Contains(body, "\nwfserve_requests_inline_total 1\n") {
+		close(gate)
+		t.Fatalf("the stalled SET is not running inline:\n%s", body)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.Shutdown(ctx); err != context.Canceled {
+		close(gate)
+		t.Fatalf("forced Shutdown = %v, want context.Canceled", err)
+	}
+	if liveFrames("connWriter(") == 0 {
+		close(gate)
+		t.Fatal("connection writer gone while its inline SET is still stalled")
+	}
+
+	close(gate)
+	deadline := time.Now().Add(5 * time.Second)
+	for liveFrames("handleConn(")+liveFrames("connWriter(") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("connection reader or writer still running after the inline SET finished")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestServeOverlapsStalledInline: while a request the connection's
+// writer runs inline is stalled inside the backend, the reader keeps
+// reading, so a later distinct-key request from the same client goes
+// through the pool and executes at once on a worker. Its reply still
+// comes after the stalled one's, in request order.
+func TestServeOverlapsStalledInline(t *testing.T) {
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 2)
+	_, lis := startServer(t, serve.Config{
+		Backend: serve.BackendMutex,
+		Workers: 4,
+		Stall: func() {
+			entered <- struct{}{}
+			<-gate
+		},
+	})
+	c := dial(t, lis)
+	// The loopback is a net.Pipe: a write returns only once the server
+	// reads it, so a reader that stops reading shows as a write timeout.
+	c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	for i, key := range []string{"k0", "k1"} {
+		if _, err := c.conn.Write(serve.AppendCommand(nil, "SET", key, "v")); err != nil {
+			close(gate)
+			t.Fatalf("write SET %s while %d earlier SET stalls: %v", key, i, err)
+		}
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			close(gate)
+			t.Fatalf("SET %s never reached the backend while %d earlier SET stalls", key, i)
+		}
+	}
+	close(gate)
+	for _, key := range []string{"k0", "k1"} {
+		if r, err := serve.ReadReply(c.br); err != nil || r.Str != "OK" {
+			t.Fatalf("SET %s reply = %+v, %v", key, r, err)
+		}
+	}
+	if got := statsInt(t, c, "requests_inline"); got != 1 {
+		t.Errorf("requests_inline = %d, want 1 (the first SET)", got)
+	}
+	if got := poolEnqueues(t, c); got != 1 {
+		t.Errorf("pool enqueues = %d, want 1 (the SET sent behind the stalled one)", got)
+	}
+}
+
+// TestServeSameKeyBehindBlockedWriter: an inline request runs on the
+// connection's writer, which may itself be blocked flushing earlier
+// replies to a client that is not reading yet. A same-key request
+// behind it must not make the reader wait for it: the client, still
+// writing, waits on the reader, so that wait would never end. Here the
+// client sends PING, SET k, GET k and PING before reading any reply.
+func TestServeSameKeyBehindBlockedWriter(t *testing.T) {
+	for _, backend := range []string{serve.BackendMap, serve.BackendCache, serve.BackendMutex} {
+		t.Run(backend, func(t *testing.T) {
+			_, lis := startServer(t, serve.Config{Backend: backend, Workers: 4})
+			c := dial(t, lis)
+			// net.Pipe: each write returns once the server has read it.
+			c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+			for _, cmd := range [][]string{{"PING"}, {"SET", "k", "v"}, {"GET", "k"}, {"PING"}} {
+				if _, err := c.conn.Write(serve.AppendCommand(nil, cmd...)); err != nil {
+					t.Fatalf("write %v before reading any reply: %v", cmd, err)
+				}
+			}
+			for i, want := range []string{"PONG", "OK", "v", "PONG"} {
+				if r, err := serve.ReadReply(c.br); err != nil || r.Str != want {
+					t.Fatalf("reply %d = %+v, %v; want %s", i, r, err, want)
+				}
+			}
+		})
 	}
 }
 

@@ -41,14 +41,20 @@ type Config struct {
 	// (they also size the fixed-width string codecs, so keep them
 	// honest: every stored entry pays for the full width).
 	MaxKeyBytes, MaxValBytes int
-	// Workers is the number of goroutines executing requests against
-	// the backend (default GOMAXPROCS, floored at 4 so stalled winners
-	// always have runnable helpers).
+	// Workers is the number of pool goroutines executing pipelined and
+	// overlapping requests against the backend (default GOMAXPROCS,
+	// floored at 4 so stalled winners always have runnable helpers). A
+	// request that is alone on its connection — nothing else of the
+	// connection in flight, nothing more buffered — runs on the
+	// connection's writer instead and never reaches a worker.
 	Workers int
 	// QueueShards and QueueDepth shape the dispatch WorkPool (defaults
-	// 8 shards, 4096 slots). Requests hash by key onto a sub-ring, so
+	// 8 shards, 4096 slots) that carries pipelined and overlapping
+	// requests to the workers. Requests hash by key onto a sub-ring, so
 	// one key's requests drain through one home shard while the steal
-	// path rebalances uneven traffic.
+	// path rebalances uneven traffic. QueueDepth also sizes the request
+	// slab, which every backend request (inline or pooled) occupies
+	// until its response is written.
 	QueueShards, QueueDepth int
 	// JournalCap, when positive, attaches a wflog change journal of
 	// that capacity: every successful SET and DEL appends a key-hash
@@ -158,28 +164,32 @@ func (cfg Config) withDefaults() Config {
 }
 
 // request is one in-flight command: filled by a connection reader,
-// executed by a worker, written by the connection's writer. The resp
-// buffer is reused across the slot's lifetimes; done is fresh per
-// request (closed by the executing worker).
+// executed by a worker (or, when inline, by the connection's writer, see
+// handleConn), written by the connection's writer. The resp buffer is
+// reused across the slot's lifetimes; done is fresh per backend request
+// (closed once it has executed) and the pre-closed closedChan for
+// everything the reader answered itself.
 type request struct {
-	idx  int // slot index in the slab; -1 for inline responses
-	req  Request
-	resp []byte
-	done chan struct{}
+	idx    int // slot index in the slab; -1 for responses without a backend call
+	req    Request
+	resp   []byte
+	done   chan struct{}
+	inline bool // left to the connection's writer to execute, not to the pool
 
 	// span is the request's causal trace, stamped in place as the slot
-	// moves through the pipeline (reader → worker → writer). Plain
-	// stores: each stage's writes are ordered by the pipeline's own
-	// happens-before edges (free-list receive, queue hand-off, done
-	// close), so no stage races another. Only populated when the
-	// server records spans (Config.TraceSample > 0).
+	// moves through the pipeline (reader → worker → writer, or reader →
+	// writer for a request run inline). Plain stores: each stage's
+	// writes are ordered by the pipeline's own happens-before edges
+	// (free-list receive, queue hand-off, done close, pending send), so
+	// no stage races another. Only populated when the server records
+	// spans (Config.TraceSample > 0).
 	span obs.Span
 }
 
 // Server is the KV/cache service: an accept loop feeding per-connection
-// reader/writer pairs, a shard-by-key WorkPool dispatching requests to
-// backend workers, and a graceful drain. Construct with NewServer,
-// start with Serve, stop with Shutdown.
+// reader/writer pairs, a shard-by-key WorkPool dispatching pipelined
+// requests to backend workers, and a graceful drain. Construct with
+// NewServer, start with Serve, stop with Shutdown.
 type Server struct {
 	cfg     Config
 	backend Backend
@@ -187,8 +197,9 @@ type Server struct {
 	pool    *wflocks.WorkPool[uint64]
 	journal *wflocks.Log[uint64]
 
-	// opHists are the per-op service-time histograms (request dequeue to
-	// response ready), sharded by worker index; nil without Config.Metrics.
+	// opHists are the per-op service-time histograms (backend call to
+	// response ready), sharded by worker index (slot index for requests
+	// run inline by a writer); nil without Config.Metrics.
 	opGets, opSets, opDels *obs.PHist
 
 	// spans is the request-span flight recorder; nil unless
@@ -223,6 +234,7 @@ type Server struct {
 type serverStats struct {
 	accepted, refused, curConns atomic.Int64
 	gets, sets, dels, pings     atomic.Uint64
+	inline                      atomic.Uint64 // backend requests run by their connection's writer
 	hits                        atomic.Uint64
 	errs                        atomic.Uint64
 	journalDrops                atomic.Uint64
@@ -450,31 +462,59 @@ func (s *Server) dropConn(conn net.Conn) {
 }
 
 // handleConn runs a connection's reader loop and spawns its writer.
-// The reader parses commands and dispatches them into the pool; the
-// writer preserves request order (the protocol is pipelined: responses
-// must come back in request order even though workers execute
-// concurrently) and coalesces flushes.
+// The reader parses commands and hands each response to the writer
+// through pending, in request order (the protocol is pipelined:
+// responses must come back in request order even though requests
+// execute concurrently); the writer coalesces flushes.
+//
+// A backend request runs one of two ways. When nothing else of this
+// connection is outstanding (every earlier response has been taken by
+// the writer) and nothing more is buffered (br.Buffered() == 0), the
+// request is the head of the connection's response order, and the
+// writer would wait for it before writing anything else anyway. So it
+// goes to the writer marked inline and the writer runs it itself: no
+// queue hand-off, no worker wake-up, no lock attempt for dispatch.
+// Otherwise — a pipelined burst, or a request sent while an earlier one
+// is still in flight — it goes by key hash through the WorkPool, so
+// distinct keys execute concurrently on the workers. Either way the
+// reader goes straight back to parsing, so a request that arrives while
+// an inline one is still running (stalled inside the backend, say)
+// reaches the pool at once. Both paths take a slab slot first, so
+// admission control is the same.
+//
+// The reader never waits for an inline request: the writer runs it only
+// after flushing everything ahead of it, and a flush can wait on a
+// client that is itself blocked writing to this reader. So a request
+// whose same-key predecessor is an inline one not yet run goes inline
+// too, and the writer's request order keeps it behind its predecessor.
 func (s *Server) handleConn(conn net.Conn) {
 	pending := make(chan *request, s.cfg.PipelineDepth)
-	go s.connWriter(conn, pending)
+	// outstanding counts responses on pending the writer has not yet
+	// written out; zero means the connection is idle behind this reader.
+	var outstanding atomic.Int64
+	go s.connWriter(conn, pending, &outstanding)
 
 	defer s.connsWG.Done()
 	defer close(pending)
+	push := func(r *request) {
+		outstanding.Add(1)
+		pending <- r
+	}
 
 	var connID uint64
 	if s.spans != nil {
 		connID = s.connID.Add(1)
 	}
 
-	// inFlight tracks the last dispatched request per key, so pipelined
+	// inFlight tracks the last backend request per key, so pipelined
 	// commands on one connection read their own writes: a request waits
-	// for its same-key predecessor to execute before dispatching.
-	// Distinct keys still execute concurrently, which is the pipelining
-	// contract a client can actually rely on. The done channel is
-	// captured by value — the slab slot may be reused by another
-	// connection after retirement, but a captured channel, once closed,
-	// stays closed.
-	inFlight := make(map[string]chan struct{})
+	// for its same-key predecessor to execute before dispatching (or,
+	// behind an inline one, goes inline after it). Distinct keys still
+	// execute concurrently, which is the pipelining contract a client
+	// can actually rely on. The entry is captured by value — the slab
+	// slot may be reused by another connection after retirement, but a
+	// captured channel, once closed, stays closed.
+	inFlight := make(map[string]keyTail)
 
 	br := bufio.NewReader(conn)
 	for {
@@ -489,30 +529,36 @@ func (s *Server) handleConn(conn net.Conn) {
 			if IsProtoError(err) {
 				// Recoverable command error: answer in order, keep going.
 				s.stats.errs.Add(1)
-				pending <- &request{idx: -1, resp: AppendError(nil, err.Error()), done: closedChan}
+				push(&request{idx: -1, resp: AppendError(nil, err.Error()), done: closedChan})
 				continue
 			}
 			return // framing error, EOF, deadline: drop the connection
 		}
 		if pe := s.validate(&req); pe != nil {
 			s.stats.errs.Add(1)
-			pending <- &request{idx: -1, resp: AppendError(nil, pe.Error()), done: closedChan}
+			push(&request{idx: -1, resp: AppendError(nil, pe.Error()), done: closedChan})
 			continue
 		}
 		switch req.Op {
 		case OpPing:
 			s.stats.pings.Add(1)
-			pending <- &request{idx: -1, resp: AppendSimple(nil, "PONG"), done: closedChan}
+			push(&request{idx: -1, resp: AppendSimple(nil, "PONG"), done: closedChan})
 		case OpStats:
-			pending <- &request{idx: -1, resp: AppendBulk(nil, s.statsText()), done: closedChan}
+			push(&request{idx: -1, resp: AppendBulk(nil, s.statsText()), done: closedChan})
 		default:
 			var readNS int64
 			if s.spans != nil {
 				readNS = time.Now().UnixNano()
 			}
+			behindInline := false
 			if prev, ok := inFlight[req.Key]; ok {
-				<-prev
-				delete(inFlight, req.Key)
+				select {
+				case <-prev.done:
+				default:
+					if behindInline = prev.inline; !behindInline {
+						<-prev.done
+					}
+				}
 			}
 			// Saturated services park readers here; a forced Shutdown
 			// cancels workerCtx, which must also release them (the
@@ -527,6 +573,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			slot.req = req
 			slot.resp = slot.resp[:0]
 			slot.done = make(chan struct{})
+			slot.inline = behindInline || outstanding.Load() == 0 && br.Buffered() == 0
 			if s.spans != nil {
 				// A whole-struct store resets every later stage stamp
 				// along with filling the identity fields.
@@ -541,41 +588,52 @@ func (s *Server) handleConn(conn net.Conn) {
 					ReadNS:  readNS,
 					AdmitNS: time.Now().UnixNano(),
 				}
-				// Stamped before the enqueue: the instant the call
-				// returns a worker may own the slot, and a blocked
-				// enqueue (queue backpressure) is queue wait too.
-				slot.span.EnqNS = slot.span.AdmitNS
+				if !slot.inline {
+					// Stamped before the enqueue: the instant the call
+					// returns a worker may own the slot, and a blocked
+					// enqueue (queue backpressure) is queue wait too.
+					slot.span.EnqNS = slot.span.AdmitNS
+				}
 			}
-			if err := s.pool.EnqueueKeyed(s.workerCtx, fnv1a(req.Key), uint64(idx)); err != nil {
+			if slot.inline {
+				s.stats.inline.Add(1)
+			} else if err := s.pool.EnqueueKeyed(s.workerCtx, fnv1a(req.Key), uint64(idx)); err != nil {
 				// Only Shutdown cancels the pool; answer and retire.
 				slot.resp = AppendError(slot.resp, "server shutting down")
 				close(slot.done)
-			} else {
-				inFlight[req.Key] = slot.done
-				if len(inFlight) > 2*s.cfg.PipelineDepth {
-					pruneDone(inFlight)
-				}
 			}
-			pending <- slot
+			inFlight[req.Key] = keyTail{done: slot.done, inline: slot.inline}
+			if len(inFlight) > 2*s.cfg.PipelineDepth {
+				pruneDone(inFlight)
+			}
+			push(slot)
 		}
 	}
 }
 
+// keyTail is a connection's last backend request on one key: its done
+// channel, and whether the connection's writer (not a worker) runs it.
+type keyTail struct {
+	done   chan struct{}
+	inline bool
+}
+
 // pruneDone evicts completed entries so a long-lived connection's
 // read-your-writes map stays proportional to its true in-flight window.
-func pruneDone(inFlight map[string]chan struct{}) {
-	for k, ch := range inFlight {
+func pruneDone(inFlight map[string]keyTail) {
+	for k, t := range inFlight {
 		select {
-		case <-ch:
+		case <-t.done:
 			delete(inFlight, k)
 		default:
 		}
 	}
 }
 
-// closedChan is the pre-closed done channel of requests answered
-// inline (PING, STATS, protocol errors) — they flow through pending so
-// ordering holds, without costing an allocation.
+// closedChan is the pre-closed done channel of responses the reader
+// answers without the backend (PING, STATS, protocol errors) — they
+// flow through pending so ordering holds, without costing an
+// allocation.
 var closedChan = func() chan struct{} {
 	ch := make(chan struct{})
 	close(ch)
@@ -585,8 +643,13 @@ var closedChan = func() chan struct{} {
 // connWriter writes responses in request order, flushing only when the
 // pipeline has no further response ready — one syscall covers a burst
 // of pipelined requests (write coalescing), while a lone request still
-// flushes before the writer blocks.
-func (s *Server) connWriter(conn net.Conn, pending chan *request) {
+// flushes before the writer blocks. A slot from the pool is awaited on
+// its done channel; one marked inline the writer runs itself (see
+// finish). Each response, once copied into the write buffer, decrements
+// outstanding, the count the reader consults to mark the next request
+// inline; that happens before the flush, so by the time a lone
+// request's client can send again its connection reads idle.
+func (s *Server) connWriter(conn net.Conn, pending chan *request, outstanding *atomic.Int64) {
 	defer s.connsWG.Done()
 	defer s.dropConn(conn)
 	bw := bufio.NewWriter(conn)
@@ -619,17 +682,18 @@ func (s *Server) connWriter(conn net.Conn, pending chan *request) {
 		select {
 		case <-r.done:
 		default:
-			// The response is still being computed: flush before waiting.
+			// The response is still being computed, or is this writer's
+			// to compute: flush before waiting (or running).
 			if !flush() {
-				// The worker still owns the slot; wait for it before the
+				// A worker may still own the slot; wait for it before the
 				// slot can be handed to another connection (mirrors
 				// discard's contract).
-				<-r.done
+				s.finish(r)
 				s.retire(r)
 				s.discard(pending)
 				return
 			}
-			<-r.done
+			s.finish(r)
 		}
 		_, err := bw.Write(r.resp)
 		if s.spans != nil && r.idx >= 0 && r.span.ReadNS != 0 {
@@ -639,6 +703,7 @@ func (s *Server) connWriter(conn net.Conn, pending chan *request) {
 			s.spans.Publish(&r.span)
 		}
 		s.retire(r)
+		outstanding.Add(-1)
 		if err != nil {
 			s.discard(pending)
 			return
@@ -656,19 +721,32 @@ func (s *Server) retire(r *request) {
 
 // discard drains and retires whatever is still pending after a write
 // failure, so slots are not leaked when a client disappears
-// mid-pipeline. Workers may still be executing these requests; their
-// done channels are awaited so a slot is never freed while a worker
-// can touch it.
+// mid-pipeline. Workers may still be executing these requests; finish
+// awaits them so a slot is never freed while a worker can touch it, and
+// runs the inline ones, so every request the reader accepted executes
+// exactly once whichever path it took.
 func (s *Server) discard(pending chan *request) {
 	for r := range pending {
-		<-r.done
+		s.finish(r)
 		s.retire(r)
 	}
 }
 
-// worker executes requests against the backend until Shutdown cancels
-// the worker context. id shards the per-op latency histograms: one
-// writer per worker, so recording never contends.
+// finish returns once r's response is ready: a request marked inline
+// runs here, on the connection's writer, and closes its done channel so
+// the reader sees its key free again; any other is awaited on its done
+// channel.
+func (s *Server) finish(r *request) {
+	if !r.inline {
+		<-r.done
+		return
+	}
+	s.run(r, r.idx)
+	close(r.done)
+}
+
+// worker executes pooled requests against the backend until Shutdown
+// cancels the worker context.
 func (s *Server) worker(id int) {
 	defer s.workersWG.Done()
 	for {
@@ -681,22 +759,32 @@ func (s *Server) worker(id int) {
 			slot.span.DeqNS = time.Now().UnixNano()
 			slot.span.Worker = id
 		}
-		if s.opGets != nil {
-			t0 := time.Now()
-			if s.spans != nil {
-				slot.span.ExecNS = t0.UnixNano()
-			}
-			slot.resp = s.execute(slot.resp[:0], &slot.req)
-			if h := s.opHist(slot.req.Op); h != nil {
-				h.Record(id, uint64(time.Since(t0)))
-			}
-		} else {
-			slot.resp = s.execute(slot.resp[:0], &slot.req)
-		}
-		if s.spans != nil {
-			slot.span.DoneNS = time.Now().UnixNano()
-		}
+		s.run(slot, id)
 		close(slot.done)
+	}
+}
+
+// run executes a slot's request — on a pool worker or, inline, on the
+// connection's writer — recording its service time and stamping the
+// span's execute stages. shard picks the per-op histogram shard: the
+// worker's index, or the slot's index when the writer runs it (PHist
+// takes records from any goroutine; the index only spreads them).
+func (s *Server) run(slot *request, shard int) {
+	if s.opGets == nil {
+		// Spans imply metrics, so there is nothing to stamp either.
+		slot.resp = s.execute(slot.resp[:0], &slot.req)
+		return
+	}
+	t0 := time.Now()
+	if s.spans != nil {
+		slot.span.ExecNS = t0.UnixNano()
+	}
+	slot.resp = s.execute(slot.resp[:0], &slot.req)
+	if h := s.opHist(slot.req.Op); h != nil {
+		h.Record(shard, uint64(time.Since(t0)))
+	}
+	if s.spans != nil {
+		slot.span.DoneNS = time.Now().UnixNano()
 	}
 }
 
@@ -789,6 +877,7 @@ func (s *Server) statsText() string {
 		fmt.Sprintf("sets:%d", s.stats.sets.Load()),
 		fmt.Sprintf("dels:%d", s.stats.dels.Load()),
 		fmt.Sprintf("pings:%d", s.stats.pings.Load()),
+		fmt.Sprintf("requests_inline:%d", s.stats.inline.Load()),
 		fmt.Sprintf("errors:%d", s.stats.errs.Load()),
 		fmt.Sprintf("queue_len:%d", s.pool.Len()),
 		fmt.Sprintf("workers:%d", s.cfg.Workers),

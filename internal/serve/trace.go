@@ -18,8 +18,10 @@ import (
 //     exactly one request at a time, so slices on a lane never overlap
 //     and nest soundly). Each request renders as a whole-pipeline slice
 //     named by its op, with nested "queue" (enqueue → dequeue) and
-//     "exec" (backend call) slices. Args carry the request id, conn,
-//     worker, key hash and — the correlation key — the shard lock id.
+//     "exec" (backend call) slices; a request the connection's writer
+//     ran inline never queued, so it has no "queue" slice and no
+//     worker arg. Args carry the request id, conn, worker, key hash
+//     and — the correlation key — the shard lock id.
 //
 //   - pid 2 "lock attempts": one thread lane per lock-layer process id.
 //     Help runs render as slices spanning their recorded wall duration;
