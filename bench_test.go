@@ -506,8 +506,9 @@ func BenchmarkQueue(b *testing.B) {
 }
 
 // BenchmarkServe drives the wfserve request pipeline end to end over
-// the in-process loopback transport: protocol parse, shard-by-key
-// WorkPool dispatch, backend execution, ordered pipelined responses.
+// the in-process loopback transport: protocol parse, slab admission,
+// backend execution on the connection's writer, ordered pipelined
+// responses.
 // One pipelined connection issues GETs against a prefilled backend —
 // a closed-loop throughput shape (the open-loop tail-latency numbers
 // live in `wfbench -workload service:read`, where coordinated-omission
@@ -517,11 +518,8 @@ func BenchmarkQueue(b *testing.B) {
 // one GET every 500µs and waits for its reply, so the server is idle
 // nine tenths of the time. B/op is process-wide and attempts/req is the
 // manager's attempt counter over the run, so both include whatever the
-// dispatch workers do between requests. It reads zero: a request alone
-// on its connection runs on the connection's writer without the pool
-// hop, a served GET takes no lock, and the workers' empty passes
-// before parking take none either. The pipelined rows still go
-// through the pool (two acquisitions per request: enqueue, dequeue).
+// server does between requests. It reads zero: nothing runs between
+// requests, and a served GET takes no lock.
 func BenchmarkServe(b *testing.B) {
 	for _, backend := range []string{"cache", "map", "mutex"} {
 		b.Run("backend="+backend, func(b *testing.B) { benchServe(b, backend, 0) })

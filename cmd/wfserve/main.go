@@ -2,16 +2,15 @@
 // RESP-subset protocol (GET/SET/DEL/PING/STATS, SET ... PX for
 // per-entry TTL) over TCP, executed against a wait-free Map or Cache
 // backend — or the sharded-mutex baseline, kept for head-to-head
-// comparison. A request alone on its connection runs on the
-// connection's writer; pipelined ones go through a shard-by-key
-// WorkPool dispatch pipeline.
+// comparison. Each connection's writer runs its requests in order, so
+// a pipelining client reads its own writes and gets replies in order.
 //
 //	wfserve -addr :6380 -backend cache -capacity 65536 -ttl 5m
 //	redis-cli -p 6380 SET k v        # the protocol is a RESP subset
 //	redis-cli -p 6380 GET k
 //
 // SIGINT/SIGTERM drains gracefully: listeners close, in-flight
-// requests complete and are written back, then workers stop.
+// requests complete and are written back, then connections close.
 package main
 
 import (
@@ -39,7 +38,6 @@ func run() int {
 		shards   = flag.Int("shards", 16, "backend shard count")
 		capacity = flag.Int("capacity", 65536, "backend entry capacity")
 		ttl      = flag.Duration("ttl", 0, "cache default TTL (0 = entries never expire)")
-		workers  = flag.Int("workers", 0, "backend worker goroutines (0 = GOMAXPROCS)")
 		maxConns = flag.Int("max-conns", 256, "concurrent connection limit")
 		journal  = flag.Int("journal", 0, "change-journal capacity in events (0 = no journal); SET/DEL append key-hash events readable via Server.Journal cursors, reported under journal_* in STATS")
 		maxKey   = flag.Int("max-key-bytes", 64, "key size bound (sizes the fixed-width codec)")
@@ -57,7 +55,6 @@ func run() int {
 		Shards:             *shards,
 		Capacity:           *capacity,
 		TTL:                *ttl,
-		Workers:            *workers,
 		JournalCap:         *journal,
 		MaxConns:           *maxConns,
 		MaxKeyBytes:        *maxKey,

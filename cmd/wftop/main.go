@@ -156,7 +156,6 @@ func render(w io.Writer, src string, now time.Time, s sample, ops, help float64,
 	fmt.Fprintf(w, "%-12s %12.4f\n", "help-rate", help)
 	fmt.Fprintf(w, "%-12s %12.4f\n", "fast-path", s.FastRate)
 	fmt.Fprintf(w, "%-12s %12d\n", "help-compl", s.HelpCompletions)
-	fmt.Fprintf(w, "%-12s %12d\n", "inline", s.Inline)
 	if s.HasObs {
 		fmt.Fprintf(w, "%-12s %12.4f\n", "delay-share", s.DelayShare)
 		fmt.Fprintf(w, "%-12s %12d\n", "stall-alerts", s.StallAlerts)
@@ -164,7 +163,6 @@ func render(w io.Writer, src string, now time.Time, s sample, ops, help float64,
 	if s.SlabCap > 0 {
 		fmt.Fprintf(w, "%-12s %9d/%d\n", "slab-free", s.SlabFree, s.SlabCap)
 	}
-	fmt.Fprintf(w, "%-12s %12d\n", "parked", s.Parked)
 	if len(s.Table) > 0 {
 		fmt.Fprintf(w, "\nshard occupancy (size/cap):\n")
 		for i, sh := range s.Table {
@@ -173,13 +171,6 @@ func render(w io.Writer, src string, now time.Time, s sample, ops, help float64,
 				fmt.Fprintln(w)
 			}
 		}
-	}
-	if len(s.PoolLens) > 0 {
-		fmt.Fprintf(w, "\nqueue depth:")
-		for i, l := range s.PoolLens {
-			fmt.Fprintf(w, " %d:%d", i, l)
-		}
-		fmt.Fprintln(w)
 	}
 	if len(s.Alerts) > 0 {
 		fmt.Fprintf(w, "\nrecent stall alerts:\n")

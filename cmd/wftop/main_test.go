@@ -14,11 +14,8 @@ wfserve_accepted_total 2
 wfserve_gets_total 100
 wfserve_sets_total 40
 wfserve_dels_total 10
-wfserve_requests_inline_total 130
 wfserve_slab_free 120
 wfserve_slab_cap 128
-wfserve_workers 4
-wfserve_workers_parked 3
 wflocks_attempts_total 500
 wflocks_wins_total 480
 wflocks_helps_total 25
@@ -29,8 +26,6 @@ wflocks_fastpath_rate 0.600000
 wflocks_delay_share 0.012500
 wflocks_stall_alerts_total 7
 wflocks_acquire_ns{quantile="0.99"} 12345
-wfserve_pool_shard_len{shard="0"} 3
-wfserve_pool_shard_len{shard="1"} 0
 wfserve_table_shard_size{shard="0"} 17
 wfserve_table_shard_capacity{shard="0"} 4096
 wfserve_table_shard_size{shard="1"} 9
@@ -48,9 +43,6 @@ func TestParseMetrics(t *testing.T) {
 	if s.Attempts != 500 || s.Helps != 25 || s.HelpCompletions != 6 {
 		t.Errorf("Attempts/Helps/HelpCompletions = %d/%d/%d, want 500/25/6", s.Attempts, s.Helps, s.HelpCompletions)
 	}
-	if s.Inline != 130 {
-		t.Errorf("Inline = %d, want 130", s.Inline)
-	}
 	if s.HelpRate != 0.05 || s.FastRate != 0.6 {
 		t.Errorf("rates = %v/%v", s.HelpRate, s.FastRate)
 	}
@@ -60,14 +52,8 @@ func TestParseMetrics(t *testing.T) {
 	if s.SlabFree != 120 || s.SlabCap != 128 {
 		t.Errorf("slab = %d/%d", s.SlabFree, s.SlabCap)
 	}
-	if s.Parked != 3 {
-		t.Errorf("Parked = %d, want 3", s.Parked)
-	}
 	if len(s.Table) != 2 || s.Table[0] != (shardOcc{17, 4096}) || s.Table[1] != (shardOcc{9, 4096}) {
 		t.Errorf("Table = %+v", s.Table)
-	}
-	if len(s.PoolLens) != 2 || s.PoolLens[0] != 3 || s.PoolLens[1] != 0 {
-		t.Errorf("PoolLens = %v", s.PoolLens)
 	}
 }
 
@@ -88,15 +74,10 @@ help_rate:0.0500
 lock_attempts:500
 lock_help_completions:6
 lock_helps:25
-pool_shard0:len=3 steals=0 enq=75 deq=72
-pool_shard1:len=0 steals=1 enq=75 deq=75
-requests_inline:130
 sets:40
 slab_cap:128
 slab_free:120
 stall_alerts:7
-workers:4
-workers_parked:3
 `
 
 func TestParseStats(t *testing.T) {
@@ -104,8 +85,8 @@ func TestParseStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Ops != 150 || s.Attempts != 500 || s.Helps != 25 || s.HelpCompletions != 6 || s.Inline != 130 {
-		t.Errorf("counters = %d/%d/%d/%d/%d", s.Ops, s.Attempts, s.Helps, s.HelpCompletions, s.Inline)
+	if s.Ops != 150 || s.Attempts != 500 || s.Helps != 25 || s.HelpCompletions != 6 {
+		t.Errorf("counters = %d/%d/%d/%d", s.Ops, s.Attempts, s.Helps, s.HelpCompletions)
 	}
 	if s.HelpRate != 0.05 || s.FastRate != 0.6 {
 		t.Errorf("rates = %v/%v", s.HelpRate, s.FastRate)
@@ -115,12 +96,6 @@ func TestParseStats(t *testing.T) {
 	}
 	if s.SlabFree != 120 || s.SlabCap != 128 {
 		t.Errorf("slab = %d/%d", s.SlabFree, s.SlabCap)
-	}
-	if s.Parked != 3 {
-		t.Errorf("Parked = %d, want 3", s.Parked)
-	}
-	if len(s.PoolLens) != 2 || s.PoolLens[0] != 3 || s.PoolLens[1] != 0 {
-		t.Errorf("PoolLens = %v", s.PoolLens)
 	}
 	if len(s.Alerts) != 2 || !strings.HasPrefix(s.Alerts[0], "alert-help lock=3") {
 		t.Errorf("Alerts = %v", s.Alerts)
@@ -169,10 +144,8 @@ func TestRenderOnce(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
-	for _, re := range []string{`(?m)^help-compl +6$`, `(?m)^inline +130$`} {
-		if !regexp.MustCompile(re).MatchString(out) {
-			t.Errorf("render missing %s:\n%s", re, out)
-		}
+	if re := `(?m)^help-compl +6$`; !regexp.MustCompile(re).MatchString(out) {
+		t.Errorf("render missing %s:\n%s", re, out)
 	}
 	if strings.Contains(out, "\033") {
 		t.Errorf("-once render must not emit ANSI control codes:\n%s", out)

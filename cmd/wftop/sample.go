@@ -16,7 +16,6 @@ import (
 // since server start; rates come from deltas between samples.
 type sample struct {
 	Ops             uint64 // gets + sets + dels answered
-	Inline          uint64 // of those, run on the connection's writer (no pool hop)
 	Attempts        uint64 // lock attempts
 	Helps           uint64 // descriptors helped
 	HelpCompletions uint64 // won descriptors whose body a helper finished
@@ -29,11 +28,9 @@ type sample struct {
 	StallAlerts uint64  // watchdog firings
 
 	SlabFree, SlabCap int
-	Parked            int // dispatch workers asleep on an empty queue
 
-	Table    []shardOcc // backend table occupancy per shard (metrics only)
-	PoolLens []int      // dispatch queue depth per shard
-	Alerts   []string   // watchdog alert ring lines (STATS only)
+	Table  []shardOcc // backend table occupancy per shard (metrics only)
+	Alerts []string   // watchdog alert ring lines (STATS only)
 }
 
 // shardOcc is one backend shard's entry count against its capacity.
@@ -43,7 +40,6 @@ type shardOcc struct{ Size, Cap int }
 func parseMetrics(text string) (sample, error) {
 	var s sample
 	table := map[int]*shardOcc{}
-	pool := map[int]int{}
 	seen := false
 	for _, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
@@ -65,8 +61,6 @@ func parseMetrics(text string) (sample, error) {
 			s.Ops += uint64(f)
 		case "wflocks_attempts_total":
 			s.Attempts = uint64(f)
-		case "wfserve_requests_inline_total":
-			s.Inline = uint64(f)
 		case "wflocks_helps_total":
 			s.Helps = uint64(f)
 		case "wflocks_help_completions_total":
@@ -83,23 +77,16 @@ func parseMetrics(text string) (sample, error) {
 			s.SlabFree = int(f)
 		case "wfserve_slab_cap":
 			s.SlabCap = int(f)
-		case "wfserve_workers_parked":
-			s.Parked = int(f)
 		case "wfserve_table_shard_size":
 			tableAt(table, label).Size = int(f)
 		case "wfserve_table_shard_capacity":
 			tableAt(table, label).Cap = int(f)
-		case "wfserve_pool_shard_len":
-			if i, err := strconv.Atoi(label); err == nil {
-				pool[i] = int(f)
-			}
 		}
 	}
 	if !seen {
 		return s, fmt.Errorf("no metrics series found")
 	}
 	s.Table = orderedTable(table)
-	s.PoolLens = orderedInts(pool)
 	return s, nil
 }
 
@@ -145,26 +132,9 @@ func orderedTable(m map[int]*shardOcc) []shardOcc {
 	return out
 }
 
-func orderedInts(m map[int]int) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]int, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, m[k])
-	}
-	return out
-}
-
 // parseStats reads the RESP STATS reply (sorted key:value lines).
 func parseStats(text string) (sample, error) {
 	var s sample
-	pool := map[int]int{}
 	seen := false
 	for _, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
@@ -179,14 +149,6 @@ func parseStats(text string) (sample, error) {
 				continue
 			}
 		}
-		if strings.HasPrefix(key, "pool_shard") {
-			if i, err := strconv.Atoi(key[len("pool_shard"):]); err == nil {
-				if l, lok := cutField(val, "len="); lok {
-					pool[i] = l
-				}
-			}
-			continue
-		}
 		f, err := strconv.ParseFloat(val, 64)
 		if err != nil {
 			continue
@@ -196,8 +158,6 @@ func parseStats(text string) (sample, error) {
 			s.Ops += uint64(f)
 		case "lock_attempts":
 			s.Attempts = uint64(f)
-		case "requests_inline":
-			s.Inline = uint64(f)
 		case "lock_helps":
 			s.Helps = uint64(f)
 		case "lock_help_completions":
@@ -214,27 +174,12 @@ func parseStats(text string) (sample, error) {
 			s.SlabFree = int(f)
 		case "slab_cap":
 			s.SlabCap = int(f)
-		case "workers_parked":
-			s.Parked = int(f)
 		}
 	}
 	if !seen {
 		return s, fmt.Errorf("no STATS lines found")
 	}
-	s.PoolLens = orderedInts(pool)
 	return s, nil
-}
-
-// cutField pulls the integer after prefix from a "len=3 steals=0 ..."
-// field list.
-func cutField(fields, prefix string) (int, bool) {
-	for _, f := range strings.Fields(fields) {
-		if v, ok := strings.CutPrefix(f, prefix); ok {
-			n, err := strconv.Atoi(v)
-			return n, err == nil
-		}
-	}
-	return 0, false
 }
 
 // rates derives the dashboard's headline numbers from the sample

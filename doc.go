@@ -308,10 +308,11 @@
 // judged by "how late was the slowest request I still had to answer".
 // The wfserve server (cmd/wfserve, internal/serve) exists to measure
 // the second question: RESP-subset commands over TCP, run against Map,
-// Cache or a sharded-mutex baseline — on the connection's writer when
-// a request is alone on its connection, otherwise dispatched by key
-// hash through a WorkPool into workers — with per-connection
-// pipelining and graceful drain. What makes its numbers trustworthy is the load
+// Cache or a sharded-mutex baseline, each connection's requests in
+// order on that connection's writer, with per-connection pipelining
+// and graceful drain. Distinct connections contend on the shard locks
+// directly: the writers are the attempters, so a stalled holder on one
+// connection is helped past by the others. What makes its numbers trustworthy is the load
 // harness (internal/serve/loadgen, cmd/wfload), which guards against
 // coordinated omission — the classic benchmarking error in which the
 // load generator and the system under test cooperate to hide the
@@ -453,9 +454,9 @@
 //
 // The serve tier exposes all of it live: wfserve -metrics ADDR serves
 // a Prometheus-style /metrics (lock counters, latency quantiles,
-// delay share, per-op service times, dispatch-pool and backend-table
-// shape), expvar at /debug/vars, and pprof at /debug/pprof/; the RESP
-// STATS command reports the same numbers in-band.
+// delay share, per-op service times, slab and backend-table shape),
+// expvar at /debug/vars, and pprof at /debug/pprof/; the RESP STATS
+// command reports the same numbers in-band.
 //
 // # Tracing a request end to end
 //
@@ -478,8 +479,9 @@
 // benchmark tables and dashboards print (histograms subtract
 // bucket-wise; Events/Alerts windows pass through).
 //
-// The serve tier stamps a request span — read, admit, queue, execute,
-// flush, each a timestamp in the request's slab slot — for every
+// The serve tier stamps a request span — read, admit, execute (the gap
+// since admission is the wait behind the connection's earlier
+// requests), flush, each a timestamp in the request's slab slot — for every
 // request when tracing is on, tagged with the shard lock ID its key
 // hashes to. /debug/wftrace (and wfload -tracefile) export the span
 // ring joined with the lock-level flight recorder as Chrome

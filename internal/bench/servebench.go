@@ -11,11 +11,11 @@ import (
 )
 
 // Service family: drives a workload.ServiceScenario through
-// the full wfserve path — protocol parse, shard-by-key WorkPool
-// dispatch, backend execution, ordered pipelined responses — over the
-// in-process loopback transport, against the scenario's wait-free
-// backend and the sharded-mutex baseline, in the raw and holder-stall
-// regimes.
+// the full wfserve path — protocol parse, slab admission, backend
+// execution on each connection's writer, ordered pipelined
+// responses — over the in-process loopback transport, against the
+// scenario's wait-free backend and the sharded-mutex baseline, in the
+// raw and holder-stall regimes.
 //
 // Unlike the data-structure runners, the metric here is tail latency
 // under an open-loop arrival schedule, recorded by the
@@ -43,10 +43,9 @@ func serviceFamily(sc *workload.ServiceScenario, scale Scale) (*family, error) {
 	if scale == Quick {
 		duration = sc.Duration / 8
 	}
-	workers := workersAtLeast(4)
 	f := &family{
-		title: fmt.Sprintf("%s: %.0f ops/s open-loop for %v, %d conns, %d workers, %d%%/%d%%/%d%% get/set/del, %d keys, skew %.1f",
-			sc.Name, sc.Rate, duration, sc.Conns, workers, sc.GetPct, sc.SetPct, sc.DelPct, sc.Keys, sc.Skew),
+		title: fmt.Sprintf("%s: %.0f ops/s open-loop for %v, %d conns, %d%%/%d%%/%d%% get/set/del, %d keys, skew %.1f",
+			sc.Name, sc.Rate, duration, sc.Conns, sc.GetPct, sc.SetPct, sc.DelPct, sc.Keys, sc.Skew),
 		header: []string{"impl", "stall", "sent", "done", "errs", "p50", "p99", "p99.9", "max", "ops/sec"},
 		notes: []string{
 			"open-loop, coordinated-omission-safe: latency is measured from each request's scheduled send time, so queueing delay behind a stalled server is in the percentiles",
@@ -61,7 +60,7 @@ func serviceFamily(sc *workload.ServiceScenario, scale Scale) (*family, error) {
 			label = "mutex-shard"
 		}
 		f.add(func(sp *StallPoint) (*instance, error) {
-			return serviceInstance(sc, backend, sp, duration, workers)
+			return serviceInstance(sc, backend, sp, duration)
 		}, label)
 	}
 	return f, nil
@@ -70,7 +69,7 @@ func serviceFamily(sc *workload.ServiceScenario, scale Scale) (*family, error) {
 // serviceInstance builds one backend's server over a loopback
 // listener, prefilled; its run is the open-loop load and its close the
 // drain.
-func serviceInstance(sc *workload.ServiceScenario, backend string, sp *StallPoint, duration time.Duration, workers int) (*instance, error) {
+func serviceInstance(sc *workload.ServiceScenario, backend string, sp *StallPoint, duration time.Duration) (*instance, error) {
 	// Size the server to the scenario rather than taking the roomy
 	// defaults: the wait-free manager's per-acquisition delays scale
 	// with the critical-step bound T, and T is linear in per-shard
@@ -88,7 +87,6 @@ func serviceInstance(sc *workload.ServiceScenario, backend string, sp *StallPoin
 	}
 	cfg := serve.Config{
 		Backend:     backend,
-		Workers:     workers,
 		Shards:      8,
 		Capacity:    capacity,
 		MaxConns:    sc.Conns + 2,

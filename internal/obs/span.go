@@ -6,9 +6,10 @@ import (
 )
 
 // Span is one request's stage-timestamped trip through a serve
-// pipeline: read/parse off the wire, slab admission, queue wait,
-// worker execution (with the backend critical section inside), and the
-// writer flush that puts the response back on the wire. All timestamps
+// pipeline: read/parse off the wire, slab admission, the wait behind
+// the connection's earlier requests, execution on the connection's
+// writer (with the backend critical section inside), and the writer
+// flush that puts the response back on the wire. All timestamps
 // are wall-clock UnixNano; a zero timestamp means the request never
 // reached that stage (e.g. a parse error retires the slot early).
 //
@@ -20,10 +21,8 @@ import (
 //
 // A span is stamped in place inside a serve slab slot by plain stores:
 // each stage's writes are ordered by the pipeline's own happens-before
-// edges (slot free-list → queue hand-off → done channel → writer, or
-// slot free-list → pending channel → writer for a request the writer
-// runs inline),
-// so no stage races another and the stamping costs no atomics.
+// edges (slot free-list → reader → pending channel → writer), so no
+// stage races another and the stamping costs no atomics.
 type Span struct {
 	// ID is the request's serve-assigned sequence number.
 	ID uint64
@@ -32,11 +31,6 @@ type Span struct {
 	// Slot is the slab slot the request occupied (the trace view's
 	// thread lane: a slot holds one request at a time).
 	Slot int
-	// Worker is the pool worker that executed the request; -1 means no
-	// pool worker: before execution, or for a request the connection's
-	// writer ran inline (then EnqNS and DeqNS stay zero: it never
-	// queued).
-	Worker int
 	// Op is the request verb ("GET", "SET", ...).
 	Op string
 	// LockID is the backend shard lock covering the request's key, or
@@ -50,9 +44,7 @@ type Span struct {
 	// Stage timestamps, UnixNano, in pipeline order.
 	ReadNS  int64 // request parsed off the wire
 	AdmitNS int64 // slab slot acquired (admission gate passed)
-	EnqNS   int64 // handed to the keyed work queue
-	DeqNS   int64 // picked up by a worker
-	ExecNS  int64 // backend call started (critical section entry)
+	ExecNS  int64 // backend call started on the writer (critical section entry)
 	DoneNS  int64 // backend call returned, response ready
 	WriteNS int64 // response flushed to the connection writer
 }

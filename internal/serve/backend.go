@@ -273,9 +273,8 @@ func (b *mutexBackend) Del(key string) bool {
 	return ok
 }
 
-// newBackend builds the configured backend, its manager (shared with
-// the dispatch pool for the wait-free backends) having been built by
-// the caller. vc is the value codec with any stall hook already
+// newBackend builds the configured backend; the wait-free backends
+// put their shard locks on mgr, which the caller built. vc is the value codec with any stall hook already
 // applied.
 func newBackend(mgr *wflocks.Manager, cfg *Config, vc wflocks.Codec[string]) (Backend, error) {
 	switch cfg.Backend {

@@ -32,7 +32,7 @@ func startServer(t *testing.T, cfg serve.Config) func() (net.Conn, error) {
 }
 
 func TestLoadgenBasic(t *testing.T) {
-	dial := startServer(t, serve.Config{Backend: serve.BackendMap, Workers: 4})
+	dial := startServer(t, serve.Config{Backend: serve.BackendMap})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := loadgen.Run(ctx, dial, loadgen.Config{
@@ -77,7 +77,7 @@ func TestLoadgenBasic(t *testing.T) {
 }
 
 func TestLoadgenRejectsBadMix(t *testing.T) {
-	dial := startServer(t, serve.Config{Workers: 4})
+	dial := startServer(t, serve.Config{})
 	_, err := loadgen.Run(context.Background(), dial, loadgen.Config{
 		Rate: 100, Duration: time.Millisecond, GetPct: 50, SetPct: 30, DelPct: 30,
 	})
@@ -95,7 +95,6 @@ func TestLoadgenCoordinatedOmission(t *testing.T) {
 	const stall = 5 * time.Millisecond
 	dial := startServer(t, serve.Config{
 		Backend: serve.BackendMutex,
-		Workers: 4,
 		Stall:   func() { time.Sleep(stall) },
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -14,7 +14,7 @@ import (
 // MetricsMux returns the server's live-observability HTTP handler:
 //
 //   - /metrics — Prometheus-style text exposition of the server, lock
-//     manager, dispatch pool, slab and backend table series below;
+//     manager, slab and backend table series below;
 //   - /debug/vars — the standard expvar JSON (memstats, cmdline);
 //   - /debug/pprof/ — the standard pprof index and profiles.
 //
@@ -60,9 +60,8 @@ func (s *Server) metricsText() string {
 	fmt.Fprintf(&b, "wfserve_hits_total %d\n", s.stats.hits.Load())
 	fmt.Fprintf(&b, "wfserve_sets_total %d\n", s.stats.sets.Load())
 	fmt.Fprintf(&b, "wfserve_dels_total %d\n", s.stats.dels.Load())
+	fmt.Fprintf(&b, "wfserve_pings_total %d\n", s.stats.pings.Load())
 	fmt.Fprintf(&b, "wfserve_errors_total %d\n", s.stats.errs.Load())
-	fmt.Fprintf(&b, "wfserve_requests_inline_total %d\n", s.stats.inline.Load())
-	fmt.Fprintf(&b, "wfserve_workers %d\n", s.cfg.Workers)
 
 	// Admission control: slab free-list occupancy.
 	fmt.Fprintf(&b, "wfserve_slab_free %d\n", len(s.free))
@@ -122,18 +121,6 @@ func (s *Server) metricsText() string {
 			fmt.Fprintf(&b, "wfserve_op_ns_count{op=%q} %d\n", oh.op, hist.Count())
 			fmt.Fprintf(&b, "wfserve_op_ns_max{op=%q} %d\n", oh.op, hist.Max())
 		}
-	}
-
-	// Dispatch pool: queue depth and the steal path's rebalancing.
-	ps := s.pool.Stats()
-	fmt.Fprintf(&b, "wfserve_pool_len %d\n", ps.Len)
-	fmt.Fprintf(&b, "wfserve_workers_parked %d\n", ps.Parked)
-	fmt.Fprintf(&b, "wfserve_pool_steals_total %d\n", ps.Steals)
-	fmt.Fprintf(&b, "wfserve_pool_enqueues_total %d\n", ps.Enqueues)
-	fmt.Fprintf(&b, "wfserve_pool_dequeues_total %d\n", ps.Dequeues)
-	for i, sh := range ps.Shards {
-		fmt.Fprintf(&b, "wfserve_pool_shard_len{shard=\"%d\"} %d\n", i, sh.Len)
-		fmt.Fprintf(&b, "wfserve_pool_shard_steals_total{shard=\"%d\"} %d\n", i, sh.Steals)
 	}
 
 	// Backend table shape: occupancy and probe-chain lengths per shard.

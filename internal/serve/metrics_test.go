@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,8 +16,7 @@ import (
 
 // metricsServer runs a metrics-enabled server plus an httptest front for
 // its MetricsMux, and pushes a little traffic through so every series
-// has data: one request at a time (run inline by the connection's
-// writer), then a pipelined burst (run by the pool's workers).
+// has data: one request at a time, then a pipelined burst.
 func metricsServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	s, lis := startServer(t, cfg)
@@ -63,7 +63,7 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, h := metricsServer(t, serve.Config{Workers: 4, TraceSample: 1})
+	_, h := metricsServer(t, serve.Config{TraceSample: 1})
 	resp, err := http.Get(h.URL + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
@@ -96,10 +96,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`(?m)^wflocks_help_run_ns\{quantile="0\.5"\} \d+$`,
 		`(?m)^wfserve_op_ns\{op="get",quantile="0\.99"\} [1-9]\d*$`,
 		`(?m)^wfserve_op_ns_count\{op="set"\} [1-9]\d*$`,
-		`(?m)^wfserve_pool_enqueues_total [1-9]\d*$`,
-		`(?m)^wfserve_requests_inline_total [1-9]\d*$`,
-		`(?m)^wfserve_workers_parked [0-4]$`,
-		`(?m)^wfserve_pool_shard_len\{shard="0"\} \d+$`,
 		// Default backend is the wf map, which exposes table shape.
 		`(?m)^wfserve_table_shard_size\{shard="0"\} [1-9]\d*$`,
 		`(?m)^wfserve_table_shard_capacity\{shard="0"\} [1-9]\d*$`,
@@ -108,9 +104,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !regexp.MustCompile(re).MatchString(body) {
 			t.Errorf("/metrics missing series %s\n%s", re, body)
 		}
-	}
-	if !strings.Contains(body, "wfserve_workers 4") {
-		t.Errorf("worker count not exported:\n%s", body)
 	}
 	// TraceSample implies metrics, so the stall-alert counter renders
 	// (zero here: no watchdog bound is armed).
@@ -124,7 +117,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestMetricsJournalSeries(t *testing.T) {
-	_, h := metricsServer(t, serve.Config{Workers: 4, JournalCap: 1024})
+	_, h := metricsServer(t, serve.Config{JournalCap: 1024})
 	code, body := get(t, h.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
@@ -152,7 +145,6 @@ func TestStatsStallAlerts(t *testing.T) {
 	srv, lis := startServer(t, serve.Config{
 		Backend:         serve.BackendCache,
 		Shards:          1,
-		Workers:         8,
 		WatchdogHelpRun: 50 * time.Microsecond,
 		Stall:           func() { time.Sleep(200 * time.Microsecond) },
 	})
@@ -215,7 +207,7 @@ func TestStatsStallAlerts(t *testing.T) {
 func TestMetricsEndpointWithoutMetrics(t *testing.T) {
 	// MetricsMux works on a plain server too: counters render, latency
 	// summaries are simply absent.
-	_, h := metricsServer(t, serve.Config{Workers: 2})
+	_, h := metricsServer(t, serve.Config{})
 	code, body := get(t, h.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
@@ -229,7 +221,7 @@ func TestMetricsEndpointWithoutMetrics(t *testing.T) {
 }
 
 func TestMetricsDebugHandlers(t *testing.T) {
-	_, h := metricsServer(t, serve.Config{Workers: 2, Metrics: true})
+	_, h := metricsServer(t, serve.Config{Metrics: true})
 	if code, body := get(t, h.URL+"/debug/vars"); code != http.StatusOK || !strings.Contains(body, "memstats") {
 		t.Fatalf("/debug/vars status %d body %.80s", code, body)
 	}
@@ -241,7 +233,7 @@ func TestMetricsDebugHandlers(t *testing.T) {
 func TestStatsObservability(t *testing.T) {
 	for _, backend := range []string{serve.BackendMap, serve.BackendCache} {
 		t.Run(backend, func(t *testing.T) {
-			_, lis := startServer(t, serve.Config{Backend: backend, Workers: 4, Metrics: true})
+			_, lis := startServer(t, serve.Config{Backend: backend, Metrics: true})
 			c := dial(t, lis)
 			for i := 0; i < 32; i++ {
 				c.do(t, "SET", "k"+string(rune('a'+i%8)), "v")
@@ -254,10 +246,8 @@ func TestStatsObservability(t *testing.T) {
 			for _, want := range []string{
 				"slab_free:", "slab_cap:",
 				"lock_attempts:", "lock_helps:", "lock_help_completions:", "help_rate:", "fastpath_rate:",
-				"pool_steals:", "pool_shard0:len=",
 				"delay_share:", "acquire_ns_p50:", "acquire_ns_p99:",
 				"help_run_ns_p50:", "get_ns_p50:", "set_ns_p99:",
-				"requests_inline:",
 			} {
 				if !strings.Contains(r.Str, want) {
 					t.Errorf("STATS missing %q:\n%s", want, r.Str)
@@ -268,14 +258,67 @@ func TestStatsObservability(t *testing.T) {
 }
 
 func TestStatsWithoutMetrics(t *testing.T) {
-	_, lis := startServer(t, serve.Config{Workers: 2})
+	_, lis := startServer(t, serve.Config{})
 	c := dial(t, lis)
 	c.do(t, "SET", "k", "v")
 	r := c.do(t, "STATS")
-	if !strings.Contains(r.Str, "lock_attempts:") || !strings.Contains(r.Str, "pool_steals:") {
+	if !strings.Contains(r.Str, "lock_attempts:") || !strings.Contains(r.Str, "slab_free:") {
 		t.Fatalf("counter lines must render without metrics:\n%s", r.Str)
 	}
 	if strings.Contains(r.Str, "delay_share:") || strings.Contains(r.Str, "acquire_ns_p50:") {
 		t.Fatalf("latency lines must be absent without metrics:\n%s", r.Str)
+	}
+}
+
+// TestStatsMetricsTwins: every integer server counter STATS reports has
+// a /metrics twin with the same value. The twin of field f is
+// wfserve_f or wfserve_f_total, and of lock_f wflocks_f_total. The
+// server is idle when both are read, so the two reads agree.
+func TestStatsMetricsTwins(t *testing.T) {
+	s, lis := startServer(t, serve.Config{Backend: serve.BackendCache, JournalCap: 64})
+	c := dial(t, lis)
+	c.do(t, "SET", "k", "v")
+	c.do(t, "GET", "k")
+	c.do(t, "GET", "missing")
+	c.do(t, "DEL", "k")
+	c.do(t, "PING")
+	c.do(t, "NOPE")
+	stats := c.do(t, "STATS").Str
+	h := httptest.NewServer(s.MetricsMux())
+	defer h.Close()
+	_, body := get(t, h.URL+"/metrics")
+
+	series := map[string]string{}
+	for _, line := range strings.Split(body, "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok {
+			series[name] = val
+		}
+	}
+	checked := 0
+	for _, line := range strings.Split(strings.TrimSpace(stats), "\n") {
+		field, val, _ := strings.Cut(line, ":")
+		if _, err := strconv.ParseUint(val, 10, 64); err != nil || field == "uptime_ms" {
+			continue // not a counter: backend name, rates, uptime
+		}
+		twins := []string{"wfserve_" + field, "wfserve_" + field + "_total"}
+		if rest, ok := strings.CutPrefix(field, "lock_"); ok {
+			twins = []string{"wflocks_" + rest + "_total"}
+		}
+		found := false
+		for _, name := range twins {
+			if got, ok := series[name]; ok {
+				found = true
+				if got != val {
+					t.Errorf("STATS %s:%s but /metrics %s %s", field, val, name, got)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("STATS %s has no /metrics twin (want one of %v)", field, twins)
+		}
+		checked++
+	}
+	if checked < 20 {
+		t.Errorf("compared only %d STATS counters:\n%s", checked, stats)
 	}
 }

@@ -2,9 +2,11 @@
 // RESP-subset text protocol (GET/SET/DEL/PING/STATS) over TCP, executed
 // against a wait-free Map or Cache backend (or a mutex baseline, for
 // the head-to-head tail latency comparison the load harness exists to
-// make). A request alone on its connection runs on the connection's
-// writer; pipelined and overlapping requests go through a shard-by-key
-// WorkPool of workers, so distinct keys execute concurrently.
+// make). Each connection's writer runs the connection's requests one at
+// a time in request order, so a pipelining client gets its replies in
+// order and reads its own writes; distinct connections run
+// concurrently, and a stalled lock holder on one is helped past by the
+// others.
 //
 // The protocol is the well-known Redis shape, restricted to what a KV
 // service needs. Requests arrive either as RESP arrays

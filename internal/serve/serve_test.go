@@ -5,11 +5,10 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http/httptest"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,65 +66,6 @@ func (c *client) do(t *testing.T, args ...string) serve.Reply {
 	return r
 }
 
-// statsInt reads one integer field from STATS. STATS is answered by
-// the connection's reader, so asking does not wake a worker or make a
-// lock attempt.
-func statsInt(t *testing.T, c *client, field string) int {
-	t.Helper()
-	r := c.do(t, "STATS")
-	_, rest, ok := strings.Cut("\n"+r.Str, "\n"+field+":")
-	if !ok {
-		t.Fatalf("STATS carries no %s line:\n%s", field, r.Str)
-	}
-	line, _, _ := strings.Cut(rest, "\n")
-	n, err := strconv.Atoi(line)
-	if err != nil {
-		t.Fatalf("%s:%s: %v", field, line, err)
-	}
-	return n
-}
-
-// parkedWorkers reads the workers_parked gauge from STATS.
-func parkedWorkers(t *testing.T, c *client) int {
-	t.Helper()
-	return statsInt(t, c, "workers_parked")
-}
-
-// poolEnqueues sums the dispatch pool's per-shard enqueue counts from
-// STATS (the "pool_shardN:len=.. steals=.. enq=N deq=.." lines).
-func poolEnqueues(t *testing.T, c *client) int {
-	t.Helper()
-	r := c.do(t, "STATS")
-	total := 0
-	for _, line := range strings.Split(r.Str, "\n") {
-		if !strings.HasPrefix(line, "pool_shard") {
-			continue
-		}
-		for _, f := range strings.Fields(line) {
-			if v, ok := strings.CutPrefix(f, "enq="); ok {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					t.Fatalf("%s: %v", line, err)
-				}
-				total += n
-			}
-		}
-	}
-	return total
-}
-
-// awaitParked waits until exactly n dispatch workers are parked.
-func awaitParked(t *testing.T, c *client, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for got := parkedWorkers(t, c); got != n; got = parkedWorkers(t, c) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d workers parked, want %d", got, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // liveFrames counts occurrences of frame in the dump of all goroutines.
 // Pass a call frame with its opening parenthesis ("handleConn("): that
 // matches a goroutine running the function, not the "created by"
@@ -136,39 +76,27 @@ func liveFrames(frame string) int {
 	return strings.Count(string(stacks), frame)
 }
 
-// workerGoroutines counts live dispatch-worker goroutines.
-func workerGoroutines() int { return liveFrames("(*Server).worker(") }
-
 // TestServeIdleIsQuiet: a server with no traffic makes no lock attempts.
-// Its workers spend their few start-up passes on the empty dispatch pool
-// and park; from then on the attempt counter stands still and, with
-// every attempt traced, the lock-level flight recorder gains no event.
+// Nothing of the server runs between requests — each connection's
+// writer blocks on its empty pending channel — so the attempt counter
+// stays at zero from start-up and, with every attempt traced, the
+// lock-level flight recorder stays empty.
 func TestServeIdleIsQuiet(t *testing.T) {
-	const workers = 4
-	s, lis := startServer(t, serve.Config{Backend: serve.BackendCache, Workers: workers, TraceSample: 1})
+	s, lis := startServer(t, serve.Config{Backend: serve.BackendCache, TraceSample: 1})
 	c := dial(t, lis)
-	awaitParked(t, c, workers)
-	attempts := s.Manager().Stats().Attempts
-	if attempts > 8*workers {
-		t.Errorf("%d lock attempts before any request, want a few per worker", attempts)
+	if r := c.do(t, "PING"); r.Str != "PONG" {
+		t.Fatalf("PING = %+v", r)
 	}
-	events := s.Manager().Observe().Events
 	time.Sleep(200 * time.Millisecond)
-	if got := s.Manager().Stats().Attempts; got != attempts {
-		t.Errorf("%d lock attempts during 200ms without traffic", got-attempts)
+	if got := s.Manager().Stats().Attempts; got != 0 {
+		t.Errorf("%d lock attempts without traffic, want 0", got)
 	}
-	after := s.Manager().Observe().Events
-	if len(after) != len(events) || (len(after) > 0 && after[len(after)-1].Seq != events[len(events)-1].Seq) {
-		t.Errorf("flight recorder grew from %d to %d events while idle", len(events), len(after))
+	if events := s.Manager().Observe().Events; len(events) != 0 {
+		t.Errorf("flight recorder holds %d events without traffic, want 0", len(events))
 	}
-	if n := parkedWorkers(t, c); n != workers {
-		t.Errorf("%d of %d workers parked after the idle window", n, workers)
-	}
-	// The server still serves after idling: a pipelined SET and GET go
-	// through the dispatch pool, so a parked worker must wake for them
-	// (an unpipelined request would run on the connection's writer and
-	// leave the pool asleep).
-	enq := poolEnqueues(t, c)
+	// The server still serves after idling, a pipelined SET and GET
+	// included, and the SET's lock attempt shows on the counter that
+	// stood at zero.
 	buf := serve.AppendCommand(nil, "SET", "k", "v")
 	buf = serve.AppendCommand(buf, "GET", "k")
 	if _, err := c.conn.Write(buf); err != nil {
@@ -180,71 +108,15 @@ func TestServeIdleIsQuiet(t *testing.T) {
 	if r, err := serve.ReadReply(c.br); err != nil || r.Kind != serve.ReplyBulk || r.Str != "v" {
 		t.Fatalf("GET after idling = %+v, %v", r, err)
 	}
-	// The SET always takes the pool (the GET is buffered behind it); the
-	// GET waits for the SET and may find the connection idle by then.
-	if got := poolEnqueues(t, c); got == enq {
-		t.Errorf("pool enqueues stood at %d over the pipelined SET+GET, want the SET's", got)
-	}
-}
-
-// TestServeShutdownParkedWorkers: Shutdown must get every worker out of
-// its park, on the graceful path and on the ctx-expiry path alike, and
-// no worker goroutine may outlive the call.
-func TestServeShutdownParkedWorkers(t *testing.T) {
-	const workers = 4
-	for _, tc := range []struct {
-		name    string
-		expired bool
-		want    error
-	}{
-		{"graceful", false, nil},
-		{"expired", true, context.Canceled},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			// Workers of earlier tests' servers exit on their own
-			// schedule; start counting from none.
-			for deadline := time.Now().Add(5 * time.Second); workerGoroutines() != 0; {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d worker goroutines of earlier servers still running", workerGoroutines())
-				}
-				time.Sleep(time.Millisecond)
-			}
-			s, lis := startServer(t, serve.Config{Backend: serve.BackendCache, Workers: workers})
-			c := dial(t, lis)
-			if r := c.do(t, "SET", "k", "v"); r.Str != "OK" {
-				t.Fatalf("SET = %+v", r)
-			}
-			awaitParked(t, c, workers)
-			if got := workerGoroutines(); got != workers {
-				t.Fatalf("%d worker goroutines running, want %d", got, workers)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if tc.expired {
-				cancel()
-			}
-			if err := s.Shutdown(ctx); err != tc.want {
-				t.Fatalf("Shutdown with %d parked workers = %v, want %v", workers, err, tc.want)
-			}
-			// The expiry path cancels the workers and returns, so give
-			// the wake-ups a moment. The graceful path waits for them, but
-			// its wait ends at each worker's WaitGroup.Done, which runs
-			// before the worker's frame leaves the stack: poll both.
-			deadline := time.Now().Add(5 * time.Second)
-			for workerGoroutines() != 0 {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d worker goroutines outlived Shutdown", workerGoroutines())
-				}
-				time.Sleep(time.Millisecond)
-			}
-		})
+	if s.Manager().Stats().Attempts == 0 {
+		t.Error("no lock attempt counted for the SET after idling")
 	}
 }
 
 func TestServeEndToEnd(t *testing.T) {
 	for _, backend := range []string{serve.BackendMap, serve.BackendCache, serve.BackendMutex} {
 		t.Run(backend, func(t *testing.T) {
-			_, lis := startServer(t, serve.Config{Backend: backend, Workers: 4})
+			_, lis := startServer(t, serve.Config{Backend: backend})
 			c := dial(t, lis)
 
 			if r := c.do(t, "PING"); r.Kind != serve.ReplySimple || r.Str != "PONG" {
@@ -282,12 +154,11 @@ func TestServeEndToEnd(t *testing.T) {
 }
 
 func TestServePipelining(t *testing.T) {
-	_, lis := startServer(t, serve.Config{Workers: 4})
+	_, lis := startServer(t, serve.Config{})
 	c := dial(t, lis)
 
 	// Fire a burst of pipelined commands, then read every reply: they
-	// must come back in request order even though workers run them
-	// concurrently.
+	// must come back in request order, each GET reading its SET.
 	const n = 64
 	var buf []byte
 	for i := 0; i < n; i++ {
@@ -314,7 +185,7 @@ func TestServePipelining(t *testing.T) {
 }
 
 func TestServeTTL(t *testing.T) {
-	_, lis := startServer(t, serve.Config{Backend: serve.BackendCache, Workers: 4})
+	_, lis := startServer(t, serve.Config{Backend: serve.BackendCache})
 	c := dial(t, lis)
 	if r := c.do(t, "SET", "k", "v", "PX", "40"); r.Str != "OK" {
 		t.Fatalf("SET PX = %+v", r)
@@ -329,7 +200,7 @@ func TestServeTTL(t *testing.T) {
 }
 
 func TestServeMapRejectsTTL(t *testing.T) {
-	_, lis := startServer(t, serve.Config{Backend: serve.BackendMap, Workers: 4})
+	_, lis := startServer(t, serve.Config{Backend: serve.BackendMap})
 	c := dial(t, lis)
 	if r := c.do(t, "SET", "k", "v", "PX", "40"); r.Kind != serve.ReplyError {
 		t.Fatalf("SET PX on map backend = %+v, want error", r)
@@ -337,7 +208,7 @@ func TestServeMapRejectsTTL(t *testing.T) {
 }
 
 func TestServeSizeBounds(t *testing.T) {
-	_, lis := startServer(t, serve.Config{MaxKeyBytes: 8, MaxValBytes: 8, Workers: 4})
+	_, lis := startServer(t, serve.Config{MaxKeyBytes: 8, MaxValBytes: 8})
 	c := dial(t, lis)
 	if r := c.do(t, "SET", strings.Repeat("k", 9), "v"); r.Kind != serve.ReplyError {
 		t.Fatalf("oversized key = %+v, want error", r)
@@ -352,7 +223,7 @@ func TestServeSizeBounds(t *testing.T) {
 }
 
 func TestServeMaxConns(t *testing.T) {
-	_, lis := startServer(t, serve.Config{MaxConns: 1, Workers: 4})
+	_, lis := startServer(t, serve.Config{MaxConns: 1})
 	c1 := dial(t, lis)
 	if r := c1.do(t, "PING"); r.Str != "PONG" {
 		t.Fatalf("first conn PING = %+v", r)
@@ -373,21 +244,19 @@ func TestServeMaxConns(t *testing.T) {
 }
 
 // TestServeClientVanishesMidPipeline covers the failed-flush path: a
-// client pipelines a command whose worker is still inside the backend,
-// then disconnects. The writer's flush fails while the response is
-// being computed; the slot must not return to the free list until the
-// worker is done with it, or another connection can reacquire it while
-// the worker writes slot.resp and closes slot.done (data race, double
-// close). A tiny slab maximizes reuse pressure; run under -race.
+// client pipelines a command that is still inside the backend, then
+// disconnects. The writer's flush fails once the stalled request
+// returns; every request still pending must run exactly once and its
+// slot return to the free list only after it has run, or another
+// connection can reacquire a slot still in use (data race). A tiny slab
+// maximizes reuse pressure; run under -race.
 func TestServeClientVanishesMidPipeline(t *testing.T) {
 	var mu sync.Mutex
 	var gate chan struct{}
 	entered := make(chan struct{}, 64)
 	_, lis := startServer(t, serve.Config{
 		Backend:     serve.BackendMutex,
-		Workers:     4,
-		QueueShards: 1,
-		QueueDepth:  2, // slab of 2 slots: retired-too-early slots get reused immediately
+		MaxInFlight: 2, // slab of 2 slots: retired-too-early slots get reused immediately
 		Stall: func() {
 			mu.Lock()
 			g := gate
@@ -409,11 +278,9 @@ func TestServeClientVanishesMidPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: Dial: %v", i, err)
 		}
-		// PING buffers an unflushed PONG ahead of the stalled SET, so
-		// the writer reaches its flush-before-waiting branch with bytes
-		// pending and the connection gone. The trailing PING keeps the
-		// SET pipelined (more is buffered behind it), so a worker, not
-		// the reader, runs it.
+		// PING buffers an unflushed PONG ahead of the stalled SET, and
+		// the trailing PING queues behind it, so the writer reaches its
+		// flush with bytes pending and the connection gone.
 		buf := serve.AppendCommand(nil, "PING")
 		buf = serve.AppendCommand(buf, "SET", fmt.Sprintf("k%d", i), "v")
 		buf = serve.AppendCommand(buf, "PING")
@@ -454,9 +321,7 @@ func TestServeForcedShutdownSaturated(t *testing.T) {
 	entered := make(chan struct{}, 16)
 	s, lis := startServer(t, serve.Config{
 		Backend:     serve.BackendMutex,
-		Workers:     4,
-		QueueShards: 1,
-		QueueDepth:  2, // slab of 2: the third in-flight SET parks its reader on <-free
+		MaxInFlight: 2, // slab of 2: the third in-flight SET parks its reader on <-free
 		Stall: func() {
 			entered <- struct{}{}
 			<-gate
@@ -475,14 +340,13 @@ func TestServeForcedShutdownSaturated(t *testing.T) {
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatalf("write burst: %v", err)
 	}
-	// Two SETs hold both slots inside the backend; the third leaves the
-	// reader blocked acquiring a slot.
-	for i := 0; i < 2; i++ {
-		select {
-		case <-entered:
-		case <-time.After(5 * time.Second):
-			t.Fatal("SETs never reached the backend")
-		}
+	// The first SET holds its slot inside the backend, the second holds
+	// the other slot queued behind it on the writer, and the third
+	// leaves the reader blocked acquiring a slot.
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("SET never reached the backend")
 	}
 	time.Sleep(10 * time.Millisecond) // let the reader park on the free list
 
@@ -517,7 +381,6 @@ func TestServeGracefulDrain(t *testing.T) {
 	inFlight := make(chan struct{})
 	s, lis := startServer(t, serve.Config{
 		Backend: serve.BackendMutex,
-		Workers: 4,
 		Stall: func() {
 			entered.Do(func() { close(inFlight) })
 			<-gate
@@ -528,7 +391,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	if _, err := c.conn.Write(serve.AppendCommand(nil, "SET", "k", "v")); err != nil {
 		t.Fatalf("write SET: %v", err)
 	}
-	// Wait until a worker holds the request inside the backend.
+	// Wait until the writer holds the request inside the backend.
 	select {
 	case <-inFlight:
 	case <-time.After(5 * time.Second):
@@ -566,89 +429,11 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestServeUnpipelinedRunsInline: a client that waits for each reply
-// before sending the next request never has two requests in flight, so
-// every request runs on the connection's writer and the dispatch pool
-// sees no enqueue.
-func TestServeUnpipelinedRunsInline(t *testing.T) {
-	for _, backend := range []string{serve.BackendMap, serve.BackendCache, serve.BackendMutex} {
-		t.Run(backend, func(t *testing.T) {
-			_, lis := startServer(t, serve.Config{Backend: backend, Workers: 4})
-			c := dial(t, lis)
-			const n = 16
-			for i := 0; i < n; i++ {
-				k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
-				if r := c.do(t, "SET", k, v); r.Str != "OK" {
-					t.Fatalf("SET %s = %+v", k, r)
-				}
-				if r := c.do(t, "GET", k); r.Kind != serve.ReplyBulk || r.Str != v {
-					t.Fatalf("GET %s = %+v, want %s", k, r, v)
-				}
-			}
-			if r := c.do(t, "DEL", "k0"); r.Int != 1 {
-				t.Fatalf("DEL = %+v", r)
-			}
-			if got := statsInt(t, c, "requests_inline"); got != 2*n+1 {
-				t.Errorf("requests_inline = %d, want %d", got, 2*n+1)
-			}
-			if got := poolEnqueues(t, c); got != 0 {
-				t.Errorf("pool enqueues = %d for unpipelined traffic, want 0", got)
-			}
-		})
-	}
-}
-
-// TestServePipelinedBurstPooled: a pipelined burst goes through the
-// dispatch pool, so its distinct keys execute concurrently. The stall
-// gate holds every SET inside the backend: two of them inside at once
-// is only possible when workers, not the connection's writer, run them.
-func TestServePipelinedBurstPooled(t *testing.T) {
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 16)
-	_, lis := startServer(t, serve.Config{
-		Backend: serve.BackendMutex,
-		Workers: 4,
-		Stall: func() {
-			entered <- struct{}{}
-			<-gate
-		},
-	})
-	c := dial(t, lis)
-	var buf []byte
-	for i := 0; i < 3; i++ {
-		buf = serve.AppendCommand(buf, "SET", fmt.Sprintf("k%d", i), "v")
-	}
-	if _, err := c.conn.Write(buf); err != nil {
-		t.Fatalf("write burst: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-entered:
-		case <-time.After(5 * time.Second):
-			close(gate)
-			t.Fatalf("only %d of the burst's SETs inside the backend at once", i)
-		}
-	}
-	close(gate)
-	for i := 0; i < 3; i++ {
-		if r, err := serve.ReadReply(c.br); err != nil || r.Str != "OK" {
-			t.Fatalf("SET %d reply = %+v, %v", i, r, err)
-		}
-	}
-	if got := statsInt(t, c, "requests_inline"); got != 0 {
-		t.Errorf("requests_inline = %d, want 0", got)
-	}
-	if got := poolEnqueues(t, c); got != 3 {
-		t.Errorf("pool enqueues = %d, want 3", got)
-	}
-}
-
-// TestServeInlineWriteThenPipelinedRead: a SET run inline on the
-// connection's writer is visible to a pipelined GET of the same key that
-// a worker runs, and a pipelined SET followed by its GET still reads its
-// write.
+// TestServeInlineWriteThenPipelinedRead: a SET sent alone is visible to
+// a pipelined GET of the same key, and a pipelined SET followed by its
+// GET still reads its write.
 func TestServeInlineWriteThenPipelinedRead(t *testing.T) {
-	_, lis := startServer(t, serve.Config{Backend: serve.BackendCache, Workers: 4})
+	_, lis := startServer(t, serve.Config{Backend: serve.BackendCache})
 	c := dial(t, lis)
 	if r := c.do(t, "SET", "k", "v1"); r.Str != "OK" {
 		t.Fatalf("SET = %+v", r)
@@ -665,12 +450,6 @@ func TestServeInlineWriteThenPipelinedRead(t *testing.T) {
 			t.Fatalf("reply %d = %+v, %v; want %s", i, r, err, want)
 		}
 	}
-	if got := statsInt(t, c, "requests_inline"); got < 1 {
-		t.Errorf("requests_inline = %d, want the first SET at least", got)
-	}
-	if got := poolEnqueues(t, c); got < 1 {
-		t.Errorf("pool enqueues = %d, want the burst's head at least", got)
-	}
 }
 
 // TestServeForcedShutdownInlineStall: a forced Shutdown while the
@@ -683,15 +462,11 @@ func TestServeForcedShutdownInlineStall(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	s, lis := startServer(t, serve.Config{
 		Backend: serve.BackendMutex,
-		Workers: 4,
 		Stall: func() {
 			entered <- struct{}{}
 			<-gate
 		},
 	})
-	h := httptest.NewServer(s.MetricsMux())
-	defer h.Close()
-
 	c := dial(t, lis)
 	if _, err := c.conn.Write(serve.AppendCommand(nil, "SET", "k", "v")); err != nil {
 		t.Fatalf("write SET: %v", err)
@@ -702,10 +477,6 @@ func TestServeForcedShutdownInlineStall(t *testing.T) {
 		close(gate)
 		t.Fatal("SET never reached the backend")
 	}
-	if _, body := get(t, h.URL+"/metrics"); !strings.Contains(body, "\nwfserve_requests_inline_total 1\n") {
-		close(gate)
-		t.Fatalf("the stalled SET is not running inline:\n%s", body)
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -715,32 +486,32 @@ func TestServeForcedShutdownInlineStall(t *testing.T) {
 	}
 	if liveFrames("connWriter(") == 0 {
 		close(gate)
-		t.Fatal("connection writer gone while its inline SET is still stalled")
+		t.Fatal("connection writer gone while its SET is still stalled")
 	}
 
 	close(gate)
 	deadline := time.Now().Add(5 * time.Second)
 	for liveFrames("handleConn(")+liveFrames("connWriter(") != 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("connection reader or writer still running after the inline SET finished")
+			t.Fatal("connection reader or writer still running after the stalled SET finished")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestServeOverlapsStalledInline: while a request the connection's
-// writer runs inline is stalled inside the backend, the reader keeps
-// reading, so a later distinct-key request from the same client goes
-// through the pool and executes at once on a worker. Its reply still
-// comes after the stalled one's, in request order.
-func TestServeOverlapsStalledInline(t *testing.T) {
+// TestServeReadsPastStalledRequest: while the connection's writer is
+// stalled inside the backend on one SET, the reader keeps reading, so
+// the client's next writes return at once. What it sent behind the
+// stalled SET runs only after it: the second SET enters the backend
+// once the gate opens, and the replies come back in request order.
+func TestServeReadsPastStalledRequest(t *testing.T) {
 	gate := make(chan struct{})
-	entered := make(chan struct{}, 2)
+	var opened atomic.Bool
+	entered := make(chan bool, 2) // whether the gate was open on entry
 	_, lis := startServer(t, serve.Config{
 		Backend: serve.BackendMutex,
-		Workers: 4,
 		Stall: func() {
-			entered <- struct{}{}
+			entered <- opened.Load()
 			<-gate
 		},
 	})
@@ -748,33 +519,42 @@ func TestServeOverlapsStalledInline(t *testing.T) {
 	// The loopback is a net.Pipe: a write returns only once the server
 	// reads it, so a reader that stops reading shows as a write timeout.
 	c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	for i, key := range []string{"k0", "k1"} {
-		if _, err := c.conn.Write(serve.AppendCommand(nil, "SET", key, "v")); err != nil {
+	if _, err := c.conn.Write(serve.AppendCommand(nil, "SET", "k0", "v")); err != nil {
+		t.Fatalf("write first SET: %v", err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		close(gate)
+		t.Fatal("first SET never reached the backend")
+	}
+	// k0 and k1 land on distinct mutex shards (their FNV-1a hashes
+	// differ in the low bit), so only the writer's order keeps the
+	// second SET out of the backend.
+	for _, cmd := range [][]string{{"SET", "k1", "v"}, {"PING"}} {
+		if _, err := c.conn.Write(serve.AppendCommand(nil, cmd...)); err != nil {
 			close(gate)
-			t.Fatalf("write SET %s while %d earlier SET stalls: %v", key, i, err)
-		}
-		select {
-		case <-entered:
-		case <-time.After(5 * time.Second):
-			close(gate)
-			t.Fatalf("SET %s never reached the backend while %d earlier SET stalls", key, i)
+			t.Fatalf("write %v while the first SET stalls: %v", cmd, err)
 		}
 	}
+	opened.Store(true)
 	close(gate)
-	for _, key := range []string{"k0", "k1"} {
-		if r, err := serve.ReadReply(c.br); err != nil || r.Str != "OK" {
-			t.Fatalf("SET %s reply = %+v, %v", key, r, err)
+	select {
+	case open := <-entered:
+		if !open {
+			t.Error("second SET entered the backend while the first was stalled")
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second SET never reached the backend")
 	}
-	if got := statsInt(t, c, "requests_inline"); got != 1 {
-		t.Errorf("requests_inline = %d, want 1 (the first SET)", got)
-	}
-	if got := poolEnqueues(t, c); got != 1 {
-		t.Errorf("pool enqueues = %d, want 1 (the SET sent behind the stalled one)", got)
+	for i, want := range []string{"OK", "OK", "PONG"} {
+		if r, err := serve.ReadReply(c.br); err != nil || r.Str != want {
+			t.Fatalf("reply %d = %+v, %v; want %s", i, r, err, want)
+		}
 	}
 }
 
-// TestServeSameKeyBehindBlockedWriter: an inline request runs on the
+// TestServeSameKeyBehindBlockedWriter: a request runs on the
 // connection's writer, which may itself be blocked flushing earlier
 // replies to a client that is not reading yet. A same-key request
 // behind it must not make the reader wait for it: the client, still
@@ -783,7 +563,7 @@ func TestServeOverlapsStalledInline(t *testing.T) {
 func TestServeSameKeyBehindBlockedWriter(t *testing.T) {
 	for _, backend := range []string{serve.BackendMap, serve.BackendCache, serve.BackendMutex} {
 		t.Run(backend, func(t *testing.T) {
-			_, lis := startServer(t, serve.Config{Backend: backend, Workers: 4})
+			_, lis := startServer(t, serve.Config{Backend: backend})
 			c := dial(t, lis)
 			// net.Pipe: each write returns once the server has read it.
 			c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
@@ -802,7 +582,7 @@ func TestServeSameKeyBehindBlockedWriter(t *testing.T) {
 }
 
 func TestServeJournal(t *testing.T) {
-	s, lis := startServer(t, serve.Config{Backend: serve.BackendMap, Workers: 4, JournalCap: 256})
+	s, lis := startServer(t, serve.Config{Backend: serve.BackendMap, JournalCap: 256})
 	jr := s.Journal()
 	if jr == nil {
 		t.Fatal("Journal() = nil with JournalCap set")
@@ -865,7 +645,7 @@ func TestServeJournal(t *testing.T) {
 }
 
 func TestServeJournalOff(t *testing.T) {
-	s, lis := startServer(t, serve.Config{Backend: serve.BackendMap, Workers: 4})
+	s, lis := startServer(t, serve.Config{Backend: serve.BackendMap})
 	if s.Journal() != nil {
 		t.Fatal("Journal() non-nil without JournalCap")
 	}

@@ -41,21 +41,11 @@ type Config struct {
 	// (they also size the fixed-width string codecs, so keep them
 	// honest: every stored entry pays for the full width).
 	MaxKeyBytes, MaxValBytes int
-	// Workers is the number of pool goroutines executing pipelined and
-	// overlapping requests against the backend (default GOMAXPROCS,
-	// floored at 4 so stalled winners always have runnable helpers). A
-	// request that is alone on its connection — nothing else of the
-	// connection in flight, nothing more buffered — runs on the
-	// connection's writer instead and never reaches a worker.
-	Workers int
-	// QueueShards and QueueDepth shape the dispatch WorkPool (defaults
-	// 8 shards, 4096 slots) that carries pipelined and overlapping
-	// requests to the workers. Requests hash by key onto a sub-ring, so
-	// one key's requests drain through one home shard while the steal
-	// path rebalances uneven traffic. QueueDepth also sizes the request
-	// slab, which every backend request (inline or pooled) occupies
-	// until its response is written.
-	QueueShards, QueueDepth int
+	// MaxInFlight bounds the backend requests the whole server holds
+	// between parse and reply (default 4096): each occupies a slot of the
+	// request slab until its response is written, and a reader that finds
+	// the slab empty waits for a slot. This is the admission control.
+	MaxInFlight int
 	// JournalCap, when positive, attaches a wflog change journal of
 	// that capacity: every successful SET and DEL appends a key-hash
 	// event, and subscribers attach cursors through Server.Journal.
@@ -91,7 +81,7 @@ type Config struct {
 	TraceRing int
 	// SpanRing is the capacity of the request-span flight recorder
 	// (default 2048). Spans are recorded whenever TraceSample > 0: every
-	// request's trip through the pipeline — read, admit, queue, execute,
+	// request's trip through the pipeline — read, admit, wait, execute,
 	// flush — is stamped in its slab slot and published on completion,
 	// joinable against the lock-level flight recorder by lock ID (see
 	// WriteTrace and /debug/wftrace on MetricsMux).
@@ -124,17 +114,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxValBytes <= 0 {
 		cfg.MaxValBytes = 128
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers < 4 {
-		cfg.Workers = 4
-	}
-	if cfg.QueueShards <= 0 {
-		cfg.QueueShards = 8
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4096
+	if cfg.MaxInFlight <= 0 {
+		cfg.MaxInFlight = 4096
 	}
 	if cfg.PipelineDepth <= 0 {
 		cfg.PipelineDepth = 128
@@ -164,42 +145,40 @@ func (cfg Config) withDefaults() Config {
 }
 
 // request is one in-flight command: filled by a connection reader,
-// executed by a worker (or, when inline, by the connection's writer, see
-// handleConn), written by the connection's writer. The resp buffer is
-// reused across the slot's lifetimes; done is fresh per backend request
-// (closed once it has executed) and the pre-closed closedChan for
-// everything the reader answered itself.
+// executed and written by the connection's writer. The resp buffer is
+// reused across the slot's lifetimes. Responses the reader answers
+// itself (PING, STATS, protocol errors) are requests with idx -1 and no
+// slab slot.
 type request struct {
-	idx    int // slot index in the slab; -1 for responses without a backend call
-	req    Request
-	resp   []byte
-	done   chan struct{}
-	inline bool // left to the connection's writer to execute, not to the pool
+	idx  int // slot index in the slab; -1 for responses without a backend call
+	req  Request
+	resp []byte
+	// more records that the reader still had input of this connection
+	// buffered when it queued the request: another request follows at
+	// once, so the writer holds its flush for it (see connWriter).
+	more bool
 
 	// span is the request's causal trace, stamped in place as the slot
-	// moves through the pipeline (reader → worker → writer, or reader →
-	// writer for a request run inline). Plain stores: each stage's
-	// writes are ordered by the pipeline's own happens-before edges
-	// (free-list receive, queue hand-off, done close, pending send), so
-	// no stage races another. Only populated when the server records
-	// spans (Config.TraceSample > 0).
+	// moves from the reader to the writer. Plain stores: the pending
+	// channel orders the reader's stamps before the writer's, so no
+	// stage races another. Only populated when the server records spans
+	// (Config.TraceSample > 0).
 	span obs.Span
 }
 
-// Server is the KV/cache service: an accept loop feeding per-connection
-// reader/writer pairs, a shard-by-key WorkPool dispatching pipelined
-// requests to backend workers, and a graceful drain. Construct with
-// NewServer, start with Serve, stop with Shutdown.
+// Server is the KV/cache service: an accept loop feeding
+// per-connection reader/writer pairs, where each connection's writer
+// runs its requests against the backend in order, and a graceful drain.
+// Construct with NewServer, start with Serve, stop with Shutdown.
 type Server struct {
 	cfg     Config
 	backend Backend
 	mgr     *wflocks.Manager
-	pool    *wflocks.WorkPool[uint64]
 	journal *wflocks.Log[uint64]
 
 	// opHists are the per-op service-time histograms (backend call to
-	// response ready), sharded by worker index (slot index for requests
-	// run inline by a writer); nil without Config.Metrics.
+	// response ready), sharded by slab slot index; nil without
+	// Config.Metrics.
 	opGets, opSets, opDels *obs.PHist
 
 	// spans is the request-span flight recorder; nil unless
@@ -209,17 +188,15 @@ type Server struct {
 	reqID  atomic.Uint64
 	connID atomic.Uint64
 
-	// slab holds in-flight requests; the pool carries slab indices
-	// (single-word elements keep the pool's critical sections O(1)).
-	// free hands out unused slots and doubles as admission control:
-	// readers block here when the service is saturated.
-	slab []request
-	free chan int
+	// slab holds in-flight requests. free hands out unused slots and
+	// doubles as admission control: readers block here when the
+	// service is saturated. forced is closed by a Shutdown whose
+	// context expires, releasing readers parked on free.
+	slab   []request
+	free   chan int
+	forced chan struct{}
 
-	workerCtx    context.Context
-	workerCancel context.CancelFunc
-	workersWG    sync.WaitGroup
-	connsWG      sync.WaitGroup
+	connsWG sync.WaitGroup
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -234,7 +211,6 @@ type Server struct {
 type serverStats struct {
 	accepted, refused, curConns atomic.Int64
 	gets, sets, dels, pings     atomic.Uint64
-	inline                      atomic.Uint64 // backend requests run by their connection's writer
 	hits                        atomic.Uint64
 	errs                        atomic.Uint64
 	journalDrops                atomic.Uint64
@@ -250,16 +226,16 @@ const (
 	journalConsumers = 8
 )
 
-// NewServer builds the service: manager, backend, dispatch pool and
-// worker goroutines (workers start immediately; connections arrive via
-// Serve).
+// NewServer builds the service: manager, backend and request slab
+// (connections arrive via Serve).
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 
-	// The manager hosts the backend's shard locks and the pool's shard
-	// locks: L=2 covers the pool's steal path, T the larger of the two
-	// structures' worst critical sections, and the process bound covers
-	// workers + every connection reader + headroom.
+	// The manager hosts the backend's shard locks and the journal's:
+	// L=2 covers the journal's two-lock cursor advance, T the largest of
+	// the structures' worst critical sections, and the process bound
+	// covers every connection's writer (the goroutines that run
+	// requests) plus headroom.
 	kw := wflocks.StringCodec(cfg.MaxKeyBytes).Words()
 	vw := wflocks.StringCodec(cfg.MaxValBytes).Words()
 	perShard := nextPow2((cfg.Capacity + cfg.Shards - 1) / cfg.Shards)
@@ -267,15 +243,12 @@ func NewServer(cfg Config) (*Server, error) {
 	if b := wflocks.MapCriticalSteps(perShard, kw, vw); b > maxCritical {
 		maxCritical = b
 	}
-	if b := wflocks.WorkPoolCriticalSteps(1, 1); b > maxCritical {
-		maxCritical = b
-	}
 	if cfg.JournalCap > 0 {
 		if b := wflocks.LogCriticalSteps(1, journalBatch, journalConsumers, journalSegment); b > maxCritical {
 			maxCritical = b
 		}
 	}
-	procs := cfg.Workers + cfg.MaxConns + 4
+	procs := cfg.MaxConns + 4
 	// The paper's §6.2 unknown-bounds adaptive-delay configuration:
 	// per-lock contention after sharding is far below procs, which is
 	// the regime the adaptive delays exploit.
@@ -306,12 +279,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := wflocks.NewWorkPoolOf[uint64](mgr, wflocks.IntegerCodec[uint64](),
-		wflocks.WithPoolShards(cfg.QueueShards), wflocks.WithPoolCapacity(cfg.QueueDepth),
-		wflocks.WithPoolBatch(1))
-	if err != nil {
-		return nil, fmt.Errorf("serve: building dispatch pool: %w", err)
-	}
 	var journal *wflocks.Log[uint64]
 	if cfg.JournalCap > 0 {
 		// Small journals get a proportionally finer reclamation grain:
@@ -332,18 +299,18 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		backend:   backend,
 		mgr:       mgr,
-		pool:      pool,
 		journal:   journal,
-		slab:      make([]request, pool.Cap()),
-		free:      make(chan int, pool.Cap()),
+		slab:      make([]request, cfg.MaxInFlight),
+		free:      make(chan int, cfg.MaxInFlight),
+		forced:    make(chan struct{}),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 		start:     time.Now(),
 	}
 	if cfg.Metrics {
-		s.opGets = obs.NewPHist(cfg.Workers)
-		s.opSets = obs.NewPHist(cfg.Workers)
-		s.opDels = obs.NewPHist(cfg.Workers)
+		s.opGets = obs.NewPHist(runtime.GOMAXPROCS(0))
+		s.opSets = obs.NewPHist(runtime.GOMAXPROCS(0))
+		s.opDels = obs.NewPHist(runtime.GOMAXPROCS(0))
 	}
 	if cfg.TraceSample > 0 {
 		s.spans = obs.NewSpanRing(cfg.SpanRing)
@@ -351,11 +318,6 @@ func NewServer(cfg Config) (*Server, error) {
 	for i := range s.slab {
 		s.slab[i].idx = i
 		s.free <- i
-	}
-	s.workerCtx, s.workerCancel = context.WithCancel(context.Background())
-	for w := 0; w < cfg.Workers; w++ {
-		s.workersWG.Add(1)
-		go s.worker(w)
 	}
 	return s, nil
 }
@@ -373,7 +335,7 @@ func nextPow2(n int) int {
 func (s *Server) Backend() Backend { return s.backend }
 
 // Manager exposes the wait-free lock manager hosting the backend and
-// dispatch pool, for harnesses reporting its Stats/Observe snapshots.
+// journal, for harnesses reporting its Stats/Observe snapshots.
 func (s *Server) Manager() *wflocks.Manager { return s.mgr }
 
 // Journal exposes the change journal (nil unless Config.JournalCap is
@@ -462,61 +424,35 @@ func (s *Server) dropConn(conn net.Conn) {
 }
 
 // handleConn runs a connection's reader loop and spawns its writer.
-// The reader parses commands and hands each response to the writer
-// through pending, in request order (the protocol is pipelined:
-// responses must come back in request order even though requests
-// execute concurrently); the writer coalesces flushes.
+// The reader parses commands and hands each to the writer through
+// pending, in request order; the writer runs the backend requests one
+// at a time in that order and writes their responses (see connWriter).
+// Running them in order is what a pipelining client relies on:
+// responses come back in request order, and every request reads the
+// writes its connection sent before it, with no per-key bookkeeping.
 //
-// A backend request runs one of two ways. When nothing else of this
-// connection is outstanding (every earlier response has been taken by
-// the writer) and nothing more is buffered (br.Buffered() == 0), the
-// request is the head of the connection's response order, and the
-// writer would wait for it before writing anything else anyway. So it
-// goes to the writer marked inline and the writer runs it itself: no
-// queue hand-off, no worker wake-up, no lock attempt for dispatch.
-// Otherwise — a pipelined burst, or a request sent while an earlier one
-// is still in flight — it goes by key hash through the WorkPool, so
-// distinct keys execute concurrently on the workers. Either way the
-// reader goes straight back to parsing, so a request that arrives while
-// an inline one is still running (stalled inside the backend, say)
-// reaches the pool at once. Both paths take a slab slot first, so
-// admission control is the same.
-//
-// The reader never waits for an inline request: the writer runs it only
-// after flushing everything ahead of it, and a flush can wait on a
-// client that is itself blocked writing to this reader. So a request
-// whose same-key predecessor is an inline one not yet run goes inline
-// too, and the writer's request order keeps it behind its predecessor.
+// A backend request takes a slab slot first (admission control). The
+// reader never waits for a request to execute: it goes straight back to
+// parsing, so a request sent while an earlier one is stalled inside the
+// backend is read, admitted and queued at once, and only pending's
+// capacity (Config.PipelineDepth) or an empty slab makes it stop.
 func (s *Server) handleConn(conn net.Conn) {
 	pending := make(chan *request, s.cfg.PipelineDepth)
-	// outstanding counts responses on pending the writer has not yet
-	// written out; zero means the connection is idle behind this reader.
-	var outstanding atomic.Int64
-	go s.connWriter(conn, pending, &outstanding)
+	go s.connWriter(conn, pending)
 
 	defer s.connsWG.Done()
 	defer close(pending)
-	push := func(r *request) {
-		outstanding.Add(1)
-		pending <- r
-	}
 
 	var connID uint64
 	if s.spans != nil {
 		connID = s.connID.Add(1)
 	}
 
-	// inFlight tracks the last backend request per key, so pipelined
-	// commands on one connection read their own writes: a request waits
-	// for its same-key predecessor to execute before dispatching (or,
-	// behind an inline one, goes inline after it). Distinct keys still
-	// execute concurrently, which is the pipelining contract a client
-	// can actually rely on. The entry is captured by value — the slab
-	// slot may be reused by another connection after retirement, but a
-	// captured channel, once closed, stays closed.
-	inFlight := make(map[string]keyTail)
-
 	br := bufio.NewReader(conn)
+	push := func(r *request) {
+		r.more = br.Buffered() > 0
+		pending <- r
+	}
 	for {
 		if s.isDraining() {
 			return
@@ -529,51 +465,38 @@ func (s *Server) handleConn(conn net.Conn) {
 			if IsProtoError(err) {
 				// Recoverable command error: answer in order, keep going.
 				s.stats.errs.Add(1)
-				push(&request{idx: -1, resp: AppendError(nil, err.Error()), done: closedChan})
+				push(&request{idx: -1, resp: AppendError(nil, err.Error())})
 				continue
 			}
 			return // framing error, EOF, deadline: drop the connection
 		}
 		if pe := s.validate(&req); pe != nil {
 			s.stats.errs.Add(1)
-			push(&request{idx: -1, resp: AppendError(nil, pe.Error()), done: closedChan})
+			push(&request{idx: -1, resp: AppendError(nil, pe.Error())})
 			continue
 		}
 		switch req.Op {
 		case OpPing:
 			s.stats.pings.Add(1)
-			push(&request{idx: -1, resp: AppendSimple(nil, "PONG"), done: closedChan})
+			push(&request{idx: -1, resp: AppendSimple(nil, "PONG")})
 		case OpStats:
-			push(&request{idx: -1, resp: AppendBulk(nil, s.statsText()), done: closedChan})
+			push(&request{idx: -1, resp: AppendBulk(nil, s.statsText())})
 		default:
 			var readNS int64
 			if s.spans != nil {
 				readNS = time.Now().UnixNano()
 			}
-			behindInline := false
-			if prev, ok := inFlight[req.Key]; ok {
-				select {
-				case <-prev.done:
-				default:
-					if behindInline = prev.inline; !behindInline {
-						<-prev.done
-					}
-				}
-			}
 			// Saturated services park readers here; a forced Shutdown
-			// cancels workerCtx, which must also release them (the
-			// graceful path replenishes free as writers drain).
+			// closes forced, which must also release them (the graceful
+			// path replenishes free as writers drain).
 			var idx int
 			select {
 			case idx = <-s.free:
-			case <-s.workerCtx.Done():
+			case <-s.forced:
 				return
 			}
 			slot := &s.slab[idx]
 			slot.req = req
-			slot.resp = slot.resp[:0]
-			slot.done = make(chan struct{})
-			slot.inline = behindInline || outstanding.Load() == 0 && br.Buffered() == 0
 			if s.spans != nil {
 				// A whole-struct store resets every later stage stamp
 				// along with filling the identity fields.
@@ -581,75 +504,30 @@ func (s *Server) handleConn(conn net.Conn) {
 					ID:      s.reqID.Add(1),
 					Conn:    connID,
 					Slot:    idx,
-					Worker:  -1,
 					Op:      req.Op.String(),
 					LockID:  s.backend.LockID(req.Key),
 					KeyHash: fnv1a(req.Key),
 					ReadNS:  readNS,
 					AdmitNS: time.Now().UnixNano(),
 				}
-				if !slot.inline {
-					// Stamped before the enqueue: the instant the call
-					// returns a worker may own the slot, and a blocked
-					// enqueue (queue backpressure) is queue wait too.
-					slot.span.EnqNS = slot.span.AdmitNS
-				}
-			}
-			if slot.inline {
-				s.stats.inline.Add(1)
-			} else if err := s.pool.EnqueueKeyed(s.workerCtx, fnv1a(req.Key), uint64(idx)); err != nil {
-				// Only Shutdown cancels the pool; answer and retire.
-				slot.resp = AppendError(slot.resp, "server shutting down")
-				close(slot.done)
-			}
-			inFlight[req.Key] = keyTail{done: slot.done, inline: slot.inline}
-			if len(inFlight) > 2*s.cfg.PipelineDepth {
-				pruneDone(inFlight)
 			}
 			push(slot)
 		}
 	}
 }
 
-// keyTail is a connection's last backend request on one key: its done
-// channel, and whether the connection's writer (not a worker) runs it.
-type keyTail struct {
-	done   chan struct{}
-	inline bool
-}
-
-// pruneDone evicts completed entries so a long-lived connection's
-// read-your-writes map stays proportional to its true in-flight window.
-func pruneDone(inFlight map[string]keyTail) {
-	for k, t := range inFlight {
-		select {
-		case <-t.done:
-			delete(inFlight, k)
-		default:
-		}
-	}
-}
-
-// closedChan is the pre-closed done channel of responses the reader
-// answers without the backend (PING, STATS, protocol errors) — they
-// flow through pending so ordering holds, without costing an
-// allocation.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// connWriter writes responses in request order, flushing only when the
-// pipeline has no further response ready — one syscall covers a burst
-// of pipelined requests (write coalescing), while a lone request still
-// flushes before the writer blocks. A slot from the pool is awaited on
-// its done channel; one marked inline the writer runs itself (see
-// finish). Each response, once copied into the write buffer, decrements
-// outstanding, the count the reader consults to mark the next request
-// inline; that happens before the flush, so by the time a lone
-// request's client can send again its connection reads idle.
-func (s *Server) connWriter(conn net.Conn, pending chan *request, outstanding *atomic.Int64) {
+// connWriter runs and writes the connection's requests in request
+// order: a backend request executes here, so one connection has at
+// most one request inside the backend at a time, and its response,
+// like one the reader answered itself, is copied into the write buffer.
+// The writer flushes only when no further request is queued and the
+// reader has none left to parse from input already received — one
+// syscall covers a pipelined burst (write coalescing), while a lone
+// request still flushes before the writer blocks. Holding the flush
+// for the rest of a burst also matters on an unbuffered transport
+// (net.Pipe, a full TCP window): a flush there waits for the client to
+// read, and a request behind it would wait with it.
+func (s *Server) connWriter(conn net.Conn, pending chan *request) {
 	defer s.connsWG.Done()
 	defer s.dropConn(conn)
 	bw := bufio.NewWriter(conn)
@@ -662,6 +540,7 @@ func (s *Server) connWriter(conn net.Conn, pending chan *request, outstanding *a
 		}
 		return bw.Flush() == nil
 	}
+	hold := false // the last request's more: the reader is still parsing
 	for {
 		var r *request
 		var ok bool
@@ -669,7 +548,7 @@ func (s *Server) connWriter(conn net.Conn, pending chan *request, outstanding *a
 		case r, ok = <-pending:
 		default:
 			// Nothing queued: flush what we have before blocking.
-			if !flush() {
+			if !hold && !flush() {
 				s.discard(pending)
 				return
 			}
@@ -679,21 +558,8 @@ func (s *Server) connWriter(conn net.Conn, pending chan *request, outstanding *a
 			flush()
 			return
 		}
-		select {
-		case <-r.done:
-		default:
-			// The response is still being computed, or is this writer's
-			// to compute: flush before waiting (or running).
-			if !flush() {
-				// A worker may still own the slot; wait for it before the
-				// slot can be handed to another connection (mirrors
-				// discard's contract).
-				s.finish(r)
-				s.retire(r)
-				s.discard(pending)
-				return
-			}
-			s.finish(r)
+		if r.idx >= 0 {
+			s.run(r)
 		}
 		_, err := bw.Write(r.resp)
 		if s.spans != nil && r.idx >= 0 && r.span.ReadNS != 0 {
@@ -702,8 +568,8 @@ func (s *Server) connWriter(conn net.Conn, pending chan *request, outstanding *a
 			r.span.WriteNS = time.Now().UnixNano()
 			s.spans.Publish(&r.span)
 		}
+		hold = r.more
 		s.retire(r)
-		outstanding.Add(-1)
 		if err != nil {
 			s.discard(pending)
 			return
@@ -711,65 +577,31 @@ func (s *Server) connWriter(conn net.Conn, pending chan *request, outstanding *a
 	}
 }
 
-// retire returns a slab-backed request's slot to the free list (inline
-// responses carry no slot).
+// retire returns a slab-backed request's slot to the free list
+// (responses the reader answered carry no slot).
 func (s *Server) retire(r *request) {
 	if r.idx >= 0 {
 		s.free <- r.idx
 	}
 }
 
-// discard drains and retires whatever is still pending after a write
-// failure, so slots are not leaked when a client disappears
-// mid-pipeline. Workers may still be executing these requests; finish
-// awaits them so a slot is never freed while a worker can touch it, and
-// runs the inline ones, so every request the reader accepted executes
-// exactly once whichever path it took.
+// discard runs and retires whatever is still pending after a write
+// failure: the client is gone, but every request the reader accepted
+// executes exactly once, and no slot is leaked.
 func (s *Server) discard(pending chan *request) {
 	for r := range pending {
-		s.finish(r)
+		if r.idx >= 0 {
+			s.run(r)
+		}
 		s.retire(r)
 	}
 }
 
-// finish returns once r's response is ready: a request marked inline
-// runs here, on the connection's writer, and closes its done channel so
-// the reader sees its key free again; any other is awaited on its done
-// channel.
-func (s *Server) finish(r *request) {
-	if !r.inline {
-		<-r.done
-		return
-	}
-	s.run(r, r.idx)
-	close(r.done)
-}
-
-// worker executes pooled requests against the backend until Shutdown
-// cancels the worker context.
-func (s *Server) worker(id int) {
-	defer s.workersWG.Done()
-	for {
-		idx, err := s.pool.Dequeue(s.workerCtx)
-		if err != nil {
-			return
-		}
-		slot := &s.slab[idx]
-		if s.spans != nil {
-			slot.span.DeqNS = time.Now().UnixNano()
-			slot.span.Worker = id
-		}
-		s.run(slot, id)
-		close(slot.done)
-	}
-}
-
-// run executes a slot's request — on a pool worker or, inline, on the
-// connection's writer — recording its service time and stamping the
-// span's execute stages. shard picks the per-op histogram shard: the
-// worker's index, or the slot's index when the writer runs it (PHist
-// takes records from any goroutine; the index only spreads them).
-func (s *Server) run(slot *request, shard int) {
+// run executes a slot's request on the connection's writer, recording
+// its service time (histogram shard = slot index: PHist takes records
+// from any goroutine, the index only spreads them) and stamping the
+// span's execute stages.
+func (s *Server) run(slot *request) {
 	if s.opGets == nil {
 		// Spans imply metrics, so there is nothing to stamp either.
 		slot.resp = s.execute(slot.resp[:0], &slot.req)
@@ -781,7 +613,7 @@ func (s *Server) run(slot *request, shard int) {
 	}
 	slot.resp = s.execute(slot.resp[:0], &slot.req)
 	if h := s.opHist(slot.req.Op); h != nil {
-		h.Record(shard, uint64(time.Since(t0)))
+		h.Record(slot.idx, uint64(time.Since(t0)))
 	}
 	if s.spans != nil {
 		slot.span.DoneNS = time.Now().UnixNano()
@@ -877,10 +709,7 @@ func (s *Server) statsText() string {
 		fmt.Sprintf("sets:%d", s.stats.sets.Load()),
 		fmt.Sprintf("dels:%d", s.stats.dels.Load()),
 		fmt.Sprintf("pings:%d", s.stats.pings.Load()),
-		fmt.Sprintf("requests_inline:%d", s.stats.inline.Load()),
 		fmt.Sprintf("errors:%d", s.stats.errs.Load()),
-		fmt.Sprintf("queue_len:%d", s.pool.Len()),
-		fmt.Sprintf("workers:%d", s.cfg.Workers),
 		fmt.Sprintf("slab_free:%d", len(s.free)),
 		fmt.Sprintf("slab_cap:%d", cap(s.free)),
 	}
@@ -902,11 +731,6 @@ func (s *Server) statsText() string {
 			fmt.Sprintf("journal_reads:%d", js.Reads),
 			fmt.Sprintf("journal_dropped:%d", s.stats.journalDrops.Load()),
 		)
-	}
-	ps := s.pool.Stats()
-	lines = append(lines, fmt.Sprintf("pool_steals:%d", ps.Steals), fmt.Sprintf("workers_parked:%d", ps.Parked))
-	for i, sh := range ps.Shards {
-		lines = append(lines, fmt.Sprintf("pool_shard%d:len=%d steals=%d enq=%d deq=%d", i, sh.Len, sh.Steals, sh.Enqueues, sh.Dequeues))
 	}
 	if os := s.mgr.Observe(); os.Enabled {
 		lines = append(lines,
@@ -952,9 +776,11 @@ func (s *Server) statsText() string {
 
 // Shutdown drains the server: listeners close (new connections are
 // refused), connection readers stop at their next command boundary,
-// every dispatched request completes and is written, writers flush,
-// and only then do the backend workers stop. ctx bounds the wait;
-// expiry force-closes what remains and returns ctx.Err().
+// and every request already read runs, is written back and flushed
+// before its writer exits. ctx bounds the wait; expiry force-closes the
+// connections, releases readers parked on the slab and returns
+// ctx.Err(). A writer inside the backend at that moment exits once its
+// request returns.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -976,10 +802,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.connsWG.Wait()
-		// All readers and writers are gone, so no request is in flight;
-		// now the workers can stop.
-		s.workerCancel()
-		s.workersWG.Wait()
 		close(done)
 	}()
 	select {
@@ -991,7 +813,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			conn.Close()
 		}
 		s.mu.Unlock()
-		s.workerCancel()
+		close(s.forced)
 		return ctx.Err()
 	}
 }

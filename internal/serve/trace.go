@@ -17,10 +17,9 @@ import (
 //   - pid 1 "requests": one thread lane per slab slot (a slot holds
 //     exactly one request at a time, so slices on a lane never overlap
 //     and nest soundly). Each request renders as a whole-pipeline slice
-//     named by its op, with nested "queue" (enqueue → dequeue) and
-//     "exec" (backend call) slices; a request the connection's writer
-//     ran inline never queued, so it has no "queue" slice and no
-//     worker arg. Args carry the request id, conn, worker, key hash
+//     named by its op, with nested "wait" (admission → execution: the
+//     time spent behind the connection's earlier requests) and "exec"
+//     (backend call) slices. Args carry the request id, conn, key hash
 //     and — the correlation key — the shard lock id.
 //
 //   - pid 2 "lock attempts": one thread lane per lock-layer process id.
@@ -73,18 +72,15 @@ func spanTraceEvents(out []traceEvent, sp obs.Span) []traceEvent {
 		"lock": sp.LockID,
 		"key":  sp.KeyHash,
 	}
-	if sp.Worker >= 0 {
-		args["worker"] = sp.Worker
-	}
 	out = append(out, traceEvent{
 		Name: sp.Op, Ph: "X",
 		Ts: usec(sp.ReadNS), Dur: usec(sp.WriteNS - sp.ReadNS),
 		Pid: tracePidRequests, Tid: sp.Slot, Args: args,
 	})
-	if sp.EnqNS != 0 && sp.DeqNS >= sp.EnqNS {
+	if sp.AdmitNS != 0 && sp.ExecNS >= sp.AdmitNS {
 		out = append(out, traceEvent{
-			Name: "queue", Ph: "X",
-			Ts: usec(sp.EnqNS), Dur: usec(sp.DeqNS - sp.EnqNS),
+			Name: "wait", Ph: "X",
+			Ts: usec(sp.AdmitNS), Dur: usec(sp.ExecNS - sp.AdmitNS),
 			Pid: tracePidRequests, Tid: sp.Slot,
 			Args: map[string]any{"req": sp.ID},
 		})

@@ -16,20 +16,21 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the trace-export golden file")
 
 // goldenSpans is a deterministic request history: two complete requests
-// sharing slab slot 0 back to back, one on slot 1 that never reached a
-// worker (enqueue refused at shutdown), all times hand-picked so the
-// GET on lock 5 overlaps the help run on lock 5 below.
+// sharing slab slot 0 back to back, each waiting behind its connection's
+// earlier replies before it runs, and one on slot 1 without execute
+// stamps (the export skips stages a span lacks), all times hand-picked
+// so the GET on lock 5 overlaps the help run on lock 5 below.
 func goldenSpans() []obs.Span {
 	ms := func(m int64) int64 { return m * int64(time.Millisecond) }
 	return []obs.Span{
-		{ID: 1, Conn: 1, Slot: 0, Worker: 2, Op: "GET", LockID: 5, KeyHash: 0xabcd,
-			ReadNS: ms(10), AdmitNS: ms(10) + 50_000, EnqNS: ms(10) + 50_000,
-			DeqNS: ms(11), ExecNS: ms(11) + 20_000, DoneNS: ms(14), WriteNS: ms(15)},
-		{ID: 2, Conn: 1, Slot: 0, Worker: 0, Op: "SET", LockID: 7, KeyHash: 0x1234,
-			ReadNS: ms(16), AdmitNS: ms(16) + 10_000, EnqNS: ms(16) + 10_000,
-			DeqNS: ms(17), ExecNS: ms(17) + 5_000, DoneNS: ms(18), WriteNS: ms(19)},
-		{ID: 3, Conn: 2, Slot: 1, Worker: -1, Op: "DEL", LockID: 5, KeyHash: 0xabcd,
-			ReadNS: ms(20), AdmitNS: ms(20) + 1_000, EnqNS: ms(20) + 1_000,
+		{ID: 1, Conn: 1, Slot: 0, Op: "GET", LockID: 5, KeyHash: 0xabcd,
+			ReadNS: ms(10), AdmitNS: ms(10) + 50_000,
+			ExecNS: ms(11) + 20_000, DoneNS: ms(14), WriteNS: ms(15)},
+		{ID: 2, Conn: 1, Slot: 0, Op: "SET", LockID: 7, KeyHash: 0x1234,
+			ReadNS: ms(16), AdmitNS: ms(16) + 10_000,
+			ExecNS: ms(17) + 5_000, DoneNS: ms(18), WriteNS: ms(19)},
+		{ID: 3, Conn: 2, Slot: 1, Op: "DEL", LockID: 5, KeyHash: 0xabcd,
+			ReadNS: ms(20), AdmitNS: ms(20) + 1_000,
 			WriteNS: ms(21)},
 	}
 }
@@ -124,7 +125,7 @@ func TestTraceGolden(t *testing.T) {
 			if ev.Ts+ev.Dur > lastTs[l] {
 				open[l] = ev
 			}
-			if ev.Pid == tracePidRequests && ev.Name != "queue" && ev.Name != "exec" {
+			if ev.Pid == tracePidRequests && ev.Name != "wait" && ev.Name != "exec" {
 				reqSpans = append(reqSpans, ev)
 			}
 			if ev.Pid == tracePidLocks && ev.Name == "help" {

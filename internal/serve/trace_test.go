@@ -44,7 +44,6 @@ func TestTraceLiveOverlap(t *testing.T) {
 	srv, lis := startServer(t, serve.Config{
 		Backend:         serve.BackendCache,
 		Shards:          1, // every key contends on one lock
-		Workers:         8,
 		TraceSample:     1,
 		WatchdogHelpRun: 50 * time.Microsecond,
 		Stall:           func() { time.Sleep(200 * time.Microsecond) },
@@ -140,7 +139,7 @@ func TestTraceLiveOverlap(t *testing.T) {
 // TestTraceDisabled: without TraceSample the span ring is absent and
 // the export degrades to a metadata-only document instead of failing.
 func TestTraceDisabled(t *testing.T) {
-	srv, lis := startServer(t, serve.Config{Workers: 4})
+	srv, lis := startServer(t, serve.Config{})
 	c := dial(t, lis)
 	if r := c.do(t, "SET", "k", "v"); r.Str != "OK" {
 		t.Fatalf("SET = %+v", r)
