@@ -948,7 +948,7 @@ func TestCacheEvictionReplaysSameVictim(t *testing.T) {
 	defer m.Release(p)
 	defer m.Release(q)
 	body, word := c.storeSection(p, 0, c.eng.HashIn(p.env, 5), 5, 500, 0, 0, nil)
-	x := idem.NewExecIn(p.env, body, c.opBudget)
+	x := idem.NewExec(body.RunThunk, c.opBudget)
 	x.Execute(p.env)
 	first := word.Load()
 	sh.ref[0].Store(^sh.ref[0].Load())

@@ -388,8 +388,9 @@
 // wait-free step bound still holds because the fast attempt is a
 // strict prefix of a slow one. StatsSnapshot.FastPath counts the
 // skips. Second, the hot paths are allocation-free: process handles
-// are pooled per goroutine, execution descriptors and map-operation
-// frames come from per-process bump arenas, and the single-key
+// are pooled per goroutine, each attempt is one record (its descriptor
+// and the thunk's execution) from a per-process bump arena, as are the
+// log slots, boxes and map-operation frames, and the single-key
 // Map/Cell paths run at 0 allocs/op (pinned by testing.AllocsPerRun
 // regression tests). Arenas never recycle a published object — the
 // idempotence layer's correctness rests on pointer freshness — they

@@ -20,9 +20,8 @@ func newSystem(t *testing.T) *core.System {
 	return sys
 }
 
-func noopThunk() *idem.Exec {
-	return idem.NewExec(func(r *idem.Run) {}, 0)
-}
+// noop is the empty critical section.
+var noop = idem.Body(func(r *idem.Run) {})
 
 func TestTrackerPublishClear(t *testing.T) {
 	var tr Tracker
@@ -31,7 +30,7 @@ func TestTrackerPublishClear(t *testing.T) {
 	}
 	sys := newSystem(t)
 	l := sys.NewLock()
-	a := sys.NewAttempt([]*core.Lock{l}, noopThunk())
+	a := sys.NewAttempt([]*core.Lock{l}, noop, 0)
 	tr.Publish(a.Descriptor())
 	if tr.Current() != a.Descriptor() {
 		t.Fatal("Publish not visible")
@@ -52,7 +51,7 @@ func TestAwaitStrongRivalFindsAmbushPoint(t *testing.T) {
 	found := false
 	sim.Spawn(func(e env.Env) {
 		for k := 0; k < 30; k++ {
-			a := sys.NewAttempt([]*core.Lock{l}, noopThunk())
+			a := sys.NewAttempt([]*core.Lock{l}, noop, 0)
 			tr.Publish(a.Descriptor())
 			a.Run(e)
 			tr.Clear()
@@ -88,7 +87,7 @@ func TestAwaitPendingSeesPendingWindow(t *testing.T) {
 	found := false
 	sim.Spawn(func(e env.Env) {
 		for k := 0; k < 10; k++ {
-			a := sys.NewAttempt([]*core.Lock{l}, noopThunk())
+			a := sys.NewAttempt([]*core.Lock{l}, noop, 0)
 			tr.Publish(a.Descriptor())
 			a.Run(e)
 			tr.Clear()
@@ -134,7 +133,7 @@ func TestAttemptRunTwicePanics(t *testing.T) {
 	sys := newSystem(t)
 	l := sys.NewLock()
 	e := env.NewNative(0, 1)
-	a := sys.NewAttempt([]*core.Lock{l}, noopThunk())
+	a := sys.NewAttempt([]*core.Lock{l}, noop, 0)
 	a.Run(e)
 	defer func() {
 		if recover() == nil {

@@ -13,36 +13,50 @@
 // allocator cost to one heap allocation per chunk instead of one per
 // object.
 //
+// Chunks fit their size class (chunkLen): Go puts an 8-byte header on
+// pointerful objects over 512 B, so a power of two bytes would round up
+// one class (+12 to +19 %).
+//
 // The trade-off is retention granularity: the garbage collector frees a
 // chunk only once every object in it is unreachable, so one interior
 // pointer keeps the whole chunk, and everything its objects point at,
-// alive. Fresh is not immortal, and the callers keep it that way with
-// one rule: a chunk whose objects hold pointers must only point at
-// objects whose own reach is bounded. Objects that long-lived state
-// points at get arenas of their own whose chunks hold no pointers
-// (idem's committed value boxes, which live cells point at; activeset's
-// empty snapshots, which idle locks point at); a log records an
-// operation's outcome by pointing at such a value box and never at a
-// descriptor, so a log chunk reaches no earlier attempt (idem's log
-// slots); and lists that are private to an attempt live in reused
-// buffers, not in a chunk that stays current for as long as it takes
-// to fill. Measured on a structure kept alive while one goroutine
-// drives it for 1M operations, the live heap of every structure stays
-// flat at 0.1-0.5 MB (TestSoakHeapBounded), where it used to grow by
-// 0.2-5 KB per operation. What is left is bounded by the number of
-// processes (each one's current chunks and what they reach) and, while
-// locks are busy, by their non-empty snapshots.
+// alive. The callers' rule: a chunk whose objects hold pointers only
+// points at objects whose own reach is bounded. Objects that long-lived
+// state points at get arenas whose chunks hold no pointers (idem's
+// value boxes; activeset's empty snapshots), lists private to an
+// attempt live in reused buffers, and objects drawn in lockstep, one
+// pointing at the other, are best one object (idem's descriptor
+// boxes): as two, a chunk of the first spans chunks of the second as
+// soon as their lengths differ. What is left is bounded by the number
+// of processes (each one's current chunks and what they reach) and,
+// while locks are busy, by their non-empty snapshots
+// (TestSoakHeapBounded).
 //
 // An Arena must only be used by a single goroutine at a time; arenas
 // live in per-process env scratch slots (env.Scratcher) or in
 // per-goroutine pooled handles, both of which guarantee that.
 package arena
 
-// chunkObjs is the number of objects carved from each chunk. 256 keeps
-// per-object amortized cost negligible while bounding the memory a
-// single long-lived object can pin to its chunk and what the chunk
-// reaches.
+import (
+	"math/bits"
+	"unsafe"
+)
+
+// chunkObjs bounds the objects carved from each chunk: per-object
+// cost stays negligible, and so does what one long-lived object pins.
 const chunkObjs = 256
+
+// chunkLen returns how many Ts a chunk of at most limit of them holds:
+// as many as fit in the largest power of two bytes they reach, less 8,
+// which fills a size class (up to 32 KB) or whole pages (above).
+func chunkLen[T any](limit int) int {
+	size := int(unsafe.Sizeof(*new(T)))
+	if size == 0 {
+		return limit
+	}
+	pow2 := 1 << (bits.Len(uint(limit*size)) - 1)
+	return max((pow2-8)/size, 1)
+}
 
 // Arena is a bump allocator for values of type T. The zero value is
 // ready to use.
@@ -55,7 +69,7 @@ type Arena[T any] struct {
 // returned before by any Arena and never will be again.
 func (a *Arena[T]) New() *T {
 	if a.n == len(a.chunk) {
-		a.chunk = make([]T, chunkObjs)
+		a.chunk = make([]T, chunkLen[T](chunkObjs))
 		a.n = 0
 	}
 	p := &a.chunk[a.n]
@@ -63,21 +77,17 @@ func (a *Arena[T]) New() *T {
 	return p
 }
 
-// Slices is a bump allocator for small slices of type T. Like Arena,
-// backing memory is abandoned, never reused, so a returned slice stays
-// valid (and private to its requester) forever.
+// Slices is a bump allocator for small slices of type T. Like Arena's,
+// its chunks are abandoned, never reused.
 type Slices[T any] struct {
 	chunk []T
 	n     int
 }
 
-// sliceChunk is the backing-array length for slice chunks. A request
-// for more than a quarter of it falls back to a direct make, so that a
-// chunk always serves several requests. The callers' steady-state
-// requests are far below that: lock sets of a few entries, and idem's
-// log segments, which start at 16 slots and double only as a
-// body keeps running — the fallback is for the segments past the
-// ~500th operation of a genuinely long body, one allocation each.
+// sliceChunk bounds the backing-array length of slice chunks. A
+// request for more than a quarter of it falls back to a direct make, so
+// that a chunk always serves several requests: idem's log segments
+// reach that only past a body's ~500th operation.
 const sliceChunk = 1024
 
 // Make returns a fresh zeroed slice of length n whose backing memory
@@ -86,15 +96,14 @@ func (s *Slices[T]) Make(n int) []T {
 	return s.MakeCap(n)[:n]
 }
 
-// MakeCap returns a fresh zero-length slice with capacity n; appending
-// up to n elements stays within the reserved region. Like Make, the
-// backing memory is never handed out twice.
+// MakeCap returns a fresh zero-length slice with capacity n, whose
+// backing memory, like Make's, is never handed out twice.
 func (s *Slices[T]) MakeCap(n int) []T {
 	if n > sliceChunk/4 {
 		return make([]T, 0, n)
 	}
 	if s.n+n > len(s.chunk) {
-		s.chunk = make([]T, sliceChunk)
+		s.chunk = make([]T, chunkLen[T](sliceChunk))
 		s.n = 0
 	}
 	out := s.chunk[s.n : s.n : s.n+n]

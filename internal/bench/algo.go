@@ -16,11 +16,23 @@ import (
 type Algorithm interface {
 	// Name identifies the algorithm in tables.
 	Name() string
-	// TryLocks attempts the locks at the given indices with the thunk.
-	TryLocks(e env.Env, lockIdx []int, thunk *idem.Exec) bool
+	// TryLocks attempts the locks at the given indices with the
+	// critical section.
+	TryLocks(e env.Env, lockIdx []int, cs Section) bool
 	// WaitFree reports whether every attempt has a bounded step count.
 	WaitFree() bool
 }
+
+// Section is a critical section as the harness hands it to an
+// algorithm: an idempotent body and its operation budget. The wait-free
+// locks run it inside each attempt's own record; the baselines take it
+// as one heap-allocated exec per attempt (exec).
+type Section struct {
+	Body   idem.Body
+	MaxOps int
+}
+
+func (cs Section) exec() *idem.Exec { return idem.NewExec(cs.Body, cs.MaxOps) }
 
 // wfAlgo adapts a core.System to the Algorithm interface.
 type wfAlgo struct {
@@ -67,12 +79,12 @@ func WFForWorkload(w *workload.Workload, thunkSteps int, unknown bool) Algorithm
 func (a *wfAlgo) Name() string   { return a.name }
 func (a *wfAlgo) WaitFree() bool { return true }
 
-func (a *wfAlgo) TryLocks(e env.Env, lockIdx []int, thunk *idem.Exec) bool {
+func (a *wfAlgo) TryLocks(e env.Env, lockIdx []int, cs Section) bool {
 	ls := make([]*core.Lock, len(lockIdx))
 	for i, li := range lockIdx {
 		ls[i] = a.locks[li]
 	}
-	return a.sys.TryLocks(e, ls, thunk)
+	return a.sys.TryLocks(e, ls, cs.Body, cs.MaxOps)
 }
 
 // System exposes the underlying core system (for counters).
@@ -88,8 +100,8 @@ func NewTAS(numLocks int) Algorithm { return tasAlgo{t: baseline.NewTAS(numLocks
 
 func (a tasAlgo) Name() string   { return "tas" }
 func (a tasAlgo) WaitFree() bool { return false }
-func (a tasAlgo) TryLocks(e env.Env, lockIdx []int, thunk *idem.Exec) bool {
-	return a.t.TryLocks(e, lockIdx, thunk)
+func (a tasAlgo) TryLocks(e env.Env, lockIdx []int, cs Section) bool {
+	return a.t.TryLocks(e, lockIdx, cs.exec())
 }
 
 // tspAlgo adapts baseline.TSP.
@@ -102,8 +114,8 @@ func NewTSP(numLocks int) Algorithm { return tspAlgo{t: baseline.NewTSP(numLocks
 
 func (a tspAlgo) Name() string   { return "tsp-lockfree" }
 func (a tspAlgo) WaitFree() bool { return false }
-func (a tspAlgo) TryLocks(e env.Env, lockIdx []int, thunk *idem.Exec) bool {
-	return a.t.TryLocks(e, lockIdx, thunk)
+func (a tspAlgo) TryLocks(e env.Env, lockIdx []int, cs Section) bool {
+	return a.t.TryLocks(e, lockIdx, cs.exec())
 }
 
 // stAlgo adapts baseline.ST (Shavit–Touitou selfish helping).
@@ -116,8 +128,8 @@ func NewST(numLocks int) Algorithm { return stAlgo{t: baseline.NewST(numLocks)} 
 
 func (a stAlgo) Name() string   { return "st-selfish" }
 func (a stAlgo) WaitFree() bool { return false }
-func (a stAlgo) TryLocks(e env.Env, lockIdx []int, thunk *idem.Exec) bool {
-	return a.t.TryLocks(e, lockIdx, thunk)
+func (a stAlgo) TryLocks(e env.Env, lockIdx []int, cs Section) bool {
+	return a.t.TryLocks(e, lockIdx, cs.exec())
 }
 
 // herlihyAlgo adapts baseline.Herlihy (single-lock universal
@@ -133,11 +145,11 @@ func NewHerlihy(p int) Algorithm { return herlihyAlgo{h: baseline.NewHerlihy(p)}
 
 func (a herlihyAlgo) Name() string   { return "herlihy-universal" }
 func (a herlihyAlgo) WaitFree() bool { return true }
-func (a herlihyAlgo) TryLocks(e env.Env, lockIdx []int, thunk *idem.Exec) bool {
+func (a herlihyAlgo) TryLocks(e env.Env, lockIdx []int, cs Section) bool {
 	if len(lockIdx) != 1 {
 		panic("bench: herlihy-universal supports single-lock workloads only")
 	}
-	a.h.Do(e, thunk)
+	a.h.Do(e, cs.exec())
 	return true
 }
 
@@ -151,6 +163,6 @@ func NewSpin(numLocks int) Algorithm { return spinAlgo{s: baseline.NewSpin(numLo
 
 func (a spinAlgo) Name() string   { return "spin-2pl" }
 func (a spinAlgo) WaitFree() bool { return false }
-func (a spinAlgo) TryLocks(e env.Env, lockIdx []int, thunk *idem.Exec) bool {
-	return a.s.TryLocks(e, lockIdx, thunk)
+func (a spinAlgo) TryLocks(e env.Env, lockIdx []int, cs Section) bool {
+	return a.s.TryLocks(e, lockIdx, cs.exec())
 }

@@ -43,7 +43,7 @@ func runAmbush(scale Scale, disableDelays bool) (float64, int, error) {
 		// Rival: continuous attempts, observable.
 		sim.Spawn(func(e env.Env) {
 			for !stop {
-				a := sys.NewAttempt(locks, noopThunk())
+				a := sys.NewAttempt(locks, noop, 1)
 				tr.Publish(a.Descriptor())
 				a.Run(e)
 				tr.Clear()
@@ -60,7 +60,7 @@ func runAmbush(scale Scale, disableDelays bool) (float64, int, error) {
 				// every target attempt is counted either way.
 				adversary.AwaitStrongRival(e, &tr, ambushThreshold, 500_000)
 				seedTotal++
-				if sys.TryLocks(e, locks, noopThunk()) {
+				if sys.TryLocks(e, locks, noop, 1) {
 					seedWins++
 				}
 			}
@@ -74,7 +74,5 @@ func runAmbush(scale Scale, disableDelays bool) (float64, int, error) {
 	return float64(wins) / float64(total), total, nil
 }
 
-// noopThunk returns a fresh empty critical section.
-func noopThunk() *idem.Exec {
-	return idem.NewExec(func(r *idem.Run) {}, 1)
-}
+// noop is the empty critical section.
+var noop = idem.Body(func(r *idem.Run) {})

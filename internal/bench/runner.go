@@ -108,8 +108,8 @@ func newInstrumentation(numLocks int) *instrumentation {
 // thunk builds the standard critical section: open each lock's
 // held-flag (recording a violation if already open), bump each lock's
 // counter, pad with extra reads, close the flags.
-func (ins *instrumentation) thunk(lockIdx []int, extra int) *idem.Exec {
-	return idem.NewExec(func(r *idem.Run) {
+func (ins *instrumentation) thunk(lockIdx []int, extra int) Section {
+	return Section{func(r *idem.Run) {
 		for _, li := range lockIdx {
 			if r.Read(ins.held[li]) != 0 {
 				r.Write(ins.violation, 1)
@@ -127,7 +127,7 @@ func (ins *instrumentation) thunk(lockIdx []int, extra int) *idem.Exec {
 		for _, li := range lockIdx {
 			r.Write(ins.held[li], 0)
 		}
-	}, ThunkOps(len(lockIdx), extra))
+	}, ThunkOps(len(lockIdx), extra)}
 }
 
 // RunSim executes the workload on the algorithm under an oblivious

@@ -4,9 +4,10 @@
 // unknown-bounds variant of Section 6.2 (Theorem 6.10).
 //
 // Each lock is an active set object (Algorithm 1); the system of locks
-// forms a multi active set (Algorithm 2). A tryLock attempt creates a
-// descriptor carrying its lock set, its critical-section thunk (made
-// idempotent by internal/idem), a priority, and a status. The attempt:
+// forms a multi active set (Algorithm 2). A tryLock attempt publishes
+// one record, its descriptor: the lock set, the execution of its
+// critical-section thunk (an idem.Exec), a priority, and a status. The
+// attempt:
 //
 //  1. helps every revealed descriptor currently on any of its locks run
 //     to a decision, so that no descriptor whose priority the player
@@ -64,18 +65,38 @@ type padCounter struct {
 }
 
 // scratch is the per-process allocation state for attempt records.
-// Descriptors (and the lock-set slices they publish) are read by
-// helpers at unbounded staleness, so they are never recycled; the
-// bump arenas hand each pointer out once and abandon full chunks
-// (internal/arena), amortizing descriptor allocation to near zero.
-// members is not published: it is the helping phase's reused buffer
-// (see revealedMembers).
+// Descriptors (with their execs) and the lock sets they publish are
+// read by helpers at unbounded staleness, so the bump arenas hand each
+// out once and never recycle it (internal/arena). members is not
+// published: it is the helping phase's reused buffer (revealedMembers).
 type scratch struct {
-	descs   arena.Arena[Descriptor]
+	records arena.Arena[Descriptor]
 	locks   arena.Slices[*Lock]
 	sets    arena.Slices[*activeset.Set[Descriptor]]
 	slots   arena.Slices[int]
 	members []*Descriptor
+}
+
+// newDescriptor validates locks and returns a fresh pending descriptor
+// running thunk within maxOps operations, from e's process arena (the
+// heap when e carries none). The lock set is copied.
+func (s *System) newDescriptor(e env.Env, locks []*Lock, thunk idem.Thunk, maxOps int) *Descriptor {
+	if len(locks) == 0 || len(locks) > s.cfg.MaxLocks {
+		panic(fmt.Sprintf("core: lock set size %d outside [1, %d]", len(locks), s.cfg.MaxLocks))
+	}
+	var p *Descriptor
+	if sc := scratchOf(e); sc != nil {
+		p = sc.records.New()
+		p.locks = sc.locks.Make(len(locks))
+		copy(p.locks, locks)
+	} else {
+		p = &Descriptor{locks: append([]*Lock(nil), locks...)}
+	}
+	p.sys = s
+	p.thunk.Init(e, thunk, maxOps)
+	p.priority.Store(priorityPending)
+	p.status.Store(StatusActive)
+	return p
 }
 
 // scratchOf returns e's core scratch, or nil when e carries none (the
@@ -316,12 +337,12 @@ func (l *Lock) Counters() (attempts, wins, helps, completions uint64) {
 }
 
 // Descriptor is a tryLock attempt's shared record (Algorithm 3): the
-// lock set, the thunk, the priority (doubling as the multi-active-set
-// flag) and the status.
+// lock set, the thunk's execution, the priority (doubling as the
+// multi-active-set flag) and the status.
 type Descriptor struct {
 	sys      *System
 	locks    []*Lock
-	thunk    *idem.Exec
+	thunk    idem.Exec
 	priority atomic.Int64
 	status   atomic.Int32
 
@@ -462,42 +483,23 @@ func (p *Descriptor) ClearFlag(e env.Env) {
 var _ multiset.Flagged = (*Descriptor)(nil)
 
 // TryLocks performs one tryLock attempt (Algorithm 3, tryLocks): it
-// tries to acquire every lock in locks and, on success, the thunk has
-// been executed (possibly by a helper) before TryLocks returns true.
-// On failure the thunk has not run and will never run.
+// tries to acquire every lock in locks and, on success, thunk has been
+// executed (possibly by a helper) before TryLocks returns true. On
+// failure the thunk has not run and will never run. It must perform at
+// most maxOps shared-memory operations and MaxThunkSteps simulated
+// steps. locks must hold at most MaxLocks locks of this System, with
+// no duplicates.
 //
-// The thunk must be a fresh idem.Exec per attempt and must perform at
-// most MaxThunkSteps simulated steps. locks must contain at most
-// MaxLocks locks, all created by this System, with no duplicates.
-//
-// Uncontended fast path: when every lock's announcement array is
-// observed empty at the start of the attempt, the attempt skips all
-// delay stalls (the T0/T1 fixed delays, or the power-of-two padding in
-// unknown-bounds mode) and runs only the protocol itself. Safety is
-// unaffected — the attempt still announces itself, competes by
-// priority, and executes the thunk idempotently, so mutual exclusion
-// and wait-freedom hold exactly as before (delays only ever burn the
-// owner's private steps; cf. the DisableDelays ablation). What the
-// skip gives up is the fairness bound in the window where two attempts
-// race from an observed-free state: both take the fast path and the
-// race is settled by their random priorities, which is symmetric-fair
-// but outside the paper's adversarial guarantee. Attempts that observe
-// any competitor keep the full delay schedule.
-func (s *System) TryLocks(e env.Env, locks []*Lock, thunk *idem.Exec) bool {
-	if len(locks) == 0 || len(locks) > s.cfg.MaxLocks {
-		panic(fmt.Sprintf("core: lock set size %d outside [1, %d]", len(locks), s.cfg.MaxLocks))
-	}
-	var p *Descriptor
-	if sc := scratchOf(e); sc != nil {
-		p = sc.descs.New()
-		inner := sc.locks.Make(len(locks))
-		copy(inner, locks)
-		p.sys, p.locks, p.thunk = s, inner, thunk
-	} else {
-		p = &Descriptor{sys: s, locks: append([]*Lock(nil), locks...), thunk: thunk}
-	}
-	p.priority.Store(priorityPending)
-	p.status.Store(StatusActive)
+// Uncontended fast path (Config.FastPath): an attempt that observes
+// every lock's announcement array empty at its start skips all delay
+// stalls (T0/T1, or the power-of-two padding) and runs only the
+// protocol. Mutual exclusion and wait-freedom hold as before (delays
+// only burn the owner's private steps; cf. DisableDelays); what the
+// skip gives up is the fairness bound when two attempts race from an
+// observed-free state, which their random priorities settle
+// symmetrically but outside the paper's adversarial guarantee.
+func (s *System) TryLocks(e env.Env, locks []*Lock, thunk idem.Thunk, maxOps int) bool {
+	p := s.newDescriptor(e, locks, thunk, maxOps)
 	s.attempts.Add(1)
 	p.startStep = e.Steps()
 	if rec := s.cfg.Obs; rec != nil {
@@ -523,18 +525,8 @@ type Attempt struct {
 }
 
 // NewAttempt prepares (but does not start) a tryLock attempt.
-func (s *System) NewAttempt(locks []*Lock, thunk *idem.Exec) *Attempt {
-	if len(locks) == 0 || len(locks) > s.cfg.MaxLocks {
-		panic(fmt.Sprintf("core: lock set size %d outside [1, %d]", len(locks), s.cfg.MaxLocks))
-	}
-	p := &Descriptor{
-		sys:   s,
-		locks: append([]*Lock(nil), locks...), // copy at the boundary
-		thunk: thunk,
-	}
-	p.priority.Store(priorityPending)
-	p.status.Store(StatusActive)
-	return &Attempt{s: s, p: p}
+func (s *System) NewAttempt(locks []*Lock, thunk idem.Thunk, maxOps int) *Attempt {
+	return &Attempt{s: s, p: s.newDescriptor(nil, locks, thunk, maxOps)}
 }
 
 // Descriptor exposes the attempt's descriptor for observation.

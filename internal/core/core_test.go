@@ -42,8 +42,8 @@ func newHarness(t *testing.T, cfg Config, numLocks int) *harness {
 // subset: it checks no shared lock's critical section is already open,
 // opens them, bumps each lock's win counter, and closes them. 5 ops per
 // lock.
-func (h *harness) thunkFor(lockIdx []int) *idem.Exec {
-	return idem.NewExec(func(r *idem.Run) {
+func (h *harness) thunkFor(lockIdx []int) idem.Body {
+	return func(r *idem.Run) {
 		for _, li := range lockIdx {
 			if r.Read(h.cells[li].held) != 0 {
 				r.Write(h.violation, 1)
@@ -58,7 +58,13 @@ func (h *harness) thunkFor(lockIdx []int) *idem.Exec {
 		for _, li := range lockIdx {
 			r.Write(h.cells[li].held, 0)
 		}
-	}, 6*len(lockIdx))
+	}
+}
+
+// tryLocks makes one attempt on the locks in lockIdx with thunkFor's
+// critical section and its budget.
+func (h *harness) tryLocks(e env.Env, lockIdx []int) bool {
+	return h.sys.TryLocks(e, h.locksFor(lockIdx), h.thunkFor(lockIdx), 6*len(lockIdx))
 }
 
 func (h *harness) locksFor(lockIdx []int) []*Lock {
@@ -102,7 +108,7 @@ func TestSingleProcessAlwaysWins(t *testing.T) {
 	h := newHarness(t, Config{Kappa: 2, MaxLocks: 2, MaxThunkSteps: 64}, 2)
 	e := env.NewNative(0, 1)
 	for k := 0; k < 20; k++ {
-		ok := h.sys.TryLocks(e, h.locksFor([]int{0, 1}), h.thunkFor([]int{0, 1}))
+		ok := h.tryLocks(e, []int{0, 1})
 		if !ok {
 			t.Fatalf("uncontended attempt %d failed", k)
 		}
@@ -124,16 +130,18 @@ func TestFailedAttemptThunkNeverRuns(t *testing.T) {
 		h := newHarness(t, Config{Kappa: 2, MaxLocks: 1, MaxThunkSteps: 64}, 1)
 		sim := sched.New(sched.NewRandom(2, seed), seed)
 		type result struct {
-			ok    bool
-			thunk *idem.Exec
+			ok, ran bool
 		}
 		results := make([]result, 2)
 		for i := 0; i < 2; i++ {
 			i := i
 			sim.Spawn(func(e env.Env) {
 				th := h.thunkFor([]int{0})
-				ok := h.sys.TryLocks(e, h.locksFor([]int{0}), th)
-				results[i] = result{ok, th}
+				ok := h.sys.TryLocks(e, h.locksFor([]int{0}), idem.Body(func(r *idem.Run) {
+					th(r)
+					results[i].ran = true
+				}), 6)
+				results[i].ok = ok
 			})
 		}
 		if err := sim.Run(50_000_000); err != nil {
@@ -143,7 +151,7 @@ func TestFailedAttemptThunkNeverRuns(t *testing.T) {
 		for i, r := range results {
 			if !r.ok {
 				sawFailure = true
-				if r.thunk.Finished() {
+				if r.ran {
 					t.Fatalf("seed %d: failed attempt %d's thunk ran", seed, i)
 				}
 			}
@@ -175,8 +183,7 @@ func runWorkload(t *testing.T, h *harness, seed uint64, rounds int, lockSets [][
 		i := i
 		sim.Spawn(func(e env.Env) {
 			for k := 0; k < rounds; k++ {
-				th := h.thunkFor(lockSets[i])
-				if h.sys.TryLocks(e, h.locksFor(lockSets[i]), th) {
+				if h.tryLocks(e, lockSets[i]) {
 					winCounts[i]++
 				}
 			}
@@ -290,7 +297,7 @@ func TestStepBoundPerAttempt(t *testing.T) {
 			sim.Spawn(func(e env.Env) {
 				for k := 0; k < 4; k++ {
 					before := e.Steps()
-					h.sys.TryLocks(e, h.locksFor(lockSets[i]), h.thunkFor(lockSets[i]))
+					h.tryLocks(e, lockSets[i])
 					if d := e.Steps() - before; d > maxSteps {
 						maxSteps = d
 					}
@@ -325,7 +332,7 @@ func TestFixedStepsToReveal(t *testing.T) {
 			sim.Spawn(func(e env.Env) {
 				for k := 0; k < 3; k++ {
 					before := e.Steps()
-					h.sys.TryLocks(e, h.locksFor(lockSets[i]), h.thunkFor(lockSets[i]))
+					h.tryLocks(e, lockSets[i])
 					lengths = append(lengths, e.Steps()-before)
 				}
 			})
@@ -387,7 +394,7 @@ func TestWaitFreedomUnderStalledProcess(t *testing.T) {
 					rounds = 1000 // will be cut off by the stall window
 				}
 				for k := 0; k < rounds; k++ {
-					h.sys.TryLocks(e, h.locksFor(lockSets[i]), h.thunkFor(lockSets[i]))
+					h.tryLocks(e, lockSets[i])
 				}
 				finished[i] = true
 			})
@@ -458,14 +465,14 @@ func TestTryLocksPanicsOnBadLockSet(t *testing.T) {
 			t.Fatal("expected panic for empty lock set")
 		}
 	}()
-	sys.TryLocks(e, nil, idem.NewExec(func(r *idem.Run) {}, 0))
+	sys.TryLocks(e, nil, idem.Body(func(r *idem.Run) {}), 0)
 }
 
 func TestAttemptAndWinCounters(t *testing.T) {
 	h := newHarness(t, Config{Kappa: 2, MaxLocks: 1, MaxThunkSteps: 64}, 1)
 	e := env.NewNative(0, 1)
 	for k := 0; k < 5; k++ {
-		h.sys.TryLocks(e, h.locksFor([]int{0}), h.thunkFor([]int{0}))
+		h.tryLocks(e, []int{0})
 	}
 	if h.sys.Attempts() != 5 || h.sys.Wins() != 5 {
 		t.Fatalf("attempts/wins = %d/%d, want 5/5", h.sys.Attempts(), h.sys.Wins())
@@ -481,27 +488,28 @@ func TestCountHelp(t *testing.T) {
 	}
 	l := sys.NewLock()
 	e := env.NewNative(0, 1)
-	finished := idem.NewExec(func(r *idem.Run) {}, 0)
-	finished.Execute(e)
 	// The lock's counters accumulate over the cases.
 	for _, tc := range []struct {
 		status             int32
-		thunk              *idem.Exec
+		finished           bool
 		active             bool
 		helps, completions uint64
 	}{
-		{StatusActive, idem.NewExec(func(r *idem.Run) {}, 0), true, 1, 0},
-		{StatusWon, idem.NewExec(func(r *idem.Run) {}, 0), false, 1, 1},
-		{StatusWon, finished, false, 1, 1},
-		{StatusLost, idem.NewExec(func(r *idem.Run) {}, 0), false, 1, 1},
+		{StatusActive, false, true, 1, 0},
+		{StatusWon, false, false, 1, 1},
+		{StatusWon, true, false, 1, 1},
+		{StatusLost, false, false, 1, 1},
 	} {
-		q := &Descriptor{sys: sys, thunk: tc.thunk}
+		q := sys.newDescriptor(nil, []*Lock{l}, noop, 0)
+		if tc.finished {
+			q.thunk.Execute(e)
+		}
 		q.status.Store(tc.status)
 		active := countHelp(l, q)
 		_, _, helps, completions := l.Counters()
 		if active != tc.active || helps != tc.helps || completions != tc.completions {
 			t.Fatalf("%s, finished %v: active %v helps %d completions %d, want %v %d %d",
-				StatusName(tc.status), tc.thunk.Finished(), active, helps, completions,
+				StatusName(tc.status), tc.finished, active, helps, completions,
 				tc.active, tc.helps, tc.completions)
 		}
 	}

@@ -9,8 +9,8 @@ import (
 	"wflocks/internal/sched"
 )
 
-// noopExec returns a fresh empty critical section.
-func noopExec() *idem.Exec { return idem.NewExec(func(r *idem.Run) {}, 1) }
+// noop is the empty critical section.
+var noop = idem.Body(func(r *idem.Run) {})
 
 // TestPhaseSweepStalls freezes one process forever at a sweep of stall
 // points — hitting every phase of an attempt: helping, insertion,
@@ -43,8 +43,7 @@ func TestPhaseSweepStalls(t *testing.T) {
 			i := i
 			sim.Spawn(func(e env.Env) {
 				for k := 0; k < 3; k++ {
-					th := h.thunkFor(lockSets[i])
-					if h.sys.TryLocks(e, h.locksFor(lockSets[i]), th) {
+					if h.tryLocks(e, lockSets[i]) {
 						winCounts[i]++
 					}
 				}
@@ -97,7 +96,7 @@ func TestPhaseSweepStallsUnknownBounds(t *testing.T) {
 			i := i
 			sim.Spawn(func(e env.Env) {
 				for k := 0; k < 3; k++ {
-					h.sys.TryLocks(e, h.locksFor(lockSets[i]), h.thunkFor(lockSets[i]))
+					h.tryLocks(e, lockSets[i])
 				}
 				finished[i] = true
 			})
@@ -135,7 +134,7 @@ func TestTwoStalledProcesses(t *testing.T) {
 		i := i
 		sim.Spawn(func(e env.Env) {
 			for k := 0; k < 3; k++ {
-				h.sys.TryLocks(e, h.locksFor(lockSets[i]), h.thunkFor(lockSets[i]))
+				h.tryLocks(e, lockSets[i])
 			}
 			finished[i] = true
 		})
@@ -167,14 +166,11 @@ func TestTiedPrioritiesBothLose(t *testing.T) {
 	// Hand-craft two revealed descriptors with identical priorities,
 	// both inserted into the lock's active set.
 	mk := func() *Descriptor {
-		p := &Descriptor{sys: sys, locks: []*Lock{l}, thunk: nil}
-		p.status.Store(StatusActive)
+		p := sys.newDescriptor(nil, []*Lock{l}, noop, 1)
 		p.priority.Store(42)
 		return p
 	}
 	p, q := mk(), mk()
-	p.thunk = noopExec()
-	q.thunk = noopExec()
 	l.set.Insert(e, p)
 	l.set.Insert(e, q)
 
@@ -192,8 +188,6 @@ func TestTiedPrioritiesBothLose(t *testing.T) {
 	// Truly concurrent tie: interleave two fresh tied descriptors' runs
 	// so each sees the other active. Both must lose.
 	r, s := mk(), mk()
-	r.thunk = noopExec()
-	s.thunk = noopExec()
 	l2 := sys.NewLock()
 	l2.set.Insert(e, r)
 	l2.set.Insert(e, s)

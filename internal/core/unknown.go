@@ -98,11 +98,9 @@ func (s *System) tryLocksUnknown(e env.Env, p *Descriptor) bool {
 
 // revealedMembers returns the lock's members whose priority is revealed
 // (strictly positive). The list is private to the attempt and only read
-// until the next call, so it is built in a buffer the process reuses
-// rather than in fresh memory: a fresh arena chunk of descriptor
-// pointers, filled only by contended attempts, would stay current for
-// a long stretch and keep every descriptor named in it reachable, and
-// through them all they point at.
+// until the next call, so it lives in a buffer the process reuses: an
+// arena chunk of descriptor pointers, filled only by contended
+// attempts, would keep every descriptor named in it reachable.
 func (s *System) revealedMembers(e env.Env, l *Lock) []*Descriptor {
 	snapshot := l.set.GetSet(e)
 	if len(snapshot) == 0 {

@@ -25,12 +25,13 @@
 //
 // The log grows on demand, so an execution pays for the operations it
 // performs and not for its budget (the T bound is a step count, not a
-// memory size). It is a chain of segments: the first holds
-// min(maxOps, 16) slots and is created with the Exec; each further one
-// is twice the size of its predecessor (clamped to what is left of
-// maxOps) and is installed by the first run to cross the boundary with
-// one CAS on the predecessor's next pointer. Losers of that CAS adopt
-// the winner's segment, so all runs agree on the slot of operation i,
+// memory size). It is a chain of segments: the first is created with
+// the Exec and sized to the body (a Sized frame's expected operation
+// count, or firstSegOps, never above maxOps); each further one is twice
+// the size of its predecessor (clamped to what is left of maxOps) and
+// is installed by the first run to cross the boundary with one CAS on
+// the predecessor's next pointer. Losers of that CAS adopt the
+// winner's segment, so all runs agree on the slot of operation i,
 // and a segment, like every other published object here, is never
 // recycled. Each run keeps a cursor into the chain, and an installed
 // descriptor carries the address of its slot, so finding a slot is
@@ -94,30 +95,34 @@ import (
 )
 
 // arenas is the per-process allocation state for the construction's
-// published objects. Boxes, descriptors, execs and logs are all read by
+// published objects. Boxes, descriptors and log segments are read by
 // helpers at unbounded staleness, so none of them may ever be recycled
 // — the bump arenas hand out each pointer exactly once and abandon full
 // chunks to the garbage collector, which preserves the freshness
 // invariant (see the ABA discussion above) while amortizing the hot
-// path to ~1/256 of a heap allocation per object.
+// path to a fraction of a heap allocation per object. An Exec lives in
+// its caller's attempt record (Init).
 //
 // Fresh is not immortal: the collector frees a chunk once nothing
 // points into it, and live cells and log slots point into the chunks
 // of value boxes. So value boxes have an arena of their own, whose
 // chunks hold no pointer at all, and nothing they reach leads back
-// into the attempts that made them.
+// into the attempts that made them. Log slots, the first segment's
+// too, stay out of the attempt record for the same reason: each
+// installed descriptor in a process's current chunk points at its
+// slot, and a chunk of slots reaches only value boxes.
+//
+// run is the Run of the execution the process is running: never
+// published, and a process runs one thunk at a time, so one serves.
 type arenas struct {
-	vals  arena.Arena[box] // committed values: desc == nil
-	boxes arena.Arena[box] // installed descriptors: desc != nil
-	descs arena.Arena[opDesc]
-	execs arena.Arena[Exec]
-	runs  arena.Arena[Run]
+	vals  arena.Arena[box]     // committed values: desc == nil
+	boxes arena.Arena[descBox] // installed descriptors
 	segs  arena.Arena[logSeg]
-	// logs backs the segments' slots. Segments double from firstSegOps,
-	// so only the sixth and later ones (a run past ~500 operations)
-	// exceed what arena.Slices carves from a chunk and take its direct
-	// make: one heap allocation per several hundred operations.
+	// logs backs the segments' slots. Segments double from the first,
+	// so only a run past a few hundred operations has one that exceeds
+	// what arena.Slices carves from a chunk and takes its direct make.
 	logs arena.Slices[atomic.Pointer[box]]
+	run  Run
 }
 
 // arenasOf returns e's idem arenas, creating them on first use, or nil
@@ -150,14 +155,15 @@ func (a *arenas) newVal(v uint64) *box {
 // newDescBox returns a fresh box carrying a fresh descriptor that
 // installs v over prev for the operation logged in slot.
 func (a *arenas) newDescBox(slot *atomic.Pointer[box], v uint64, prev *box) *box {
+	var db *descBox
 	if a == nil {
-		return &box{desc: &opDesc{slot: slot, commit: &box{val: v}, prev: prev}}
+		db = &descBox{}
+	} else {
+		db = a.boxes.New()
 	}
-	d := a.descs.New()
-	d.slot, d.commit, d.prev = slot, a.newVal(v), prev
-	b := a.boxes.New()
-	b.desc = d
-	return b
+	db.d = opDesc{slot: slot, commit: a.newVal(v), prev: prev}
+	db.desc = &db.d
+	return &db.box
 }
 
 // makeSlots returns n fresh empty log slots.
@@ -169,12 +175,10 @@ func (a *arenas) makeSlots(n int) []atomic.Pointer[box] {
 }
 
 func (a *arenas) newSeg(n int) *logSeg {
-	var s *logSeg
 	if a == nil {
-		s = &logSeg{}
-	} else {
-		s = a.segs.New()
+		return &logSeg{slots: a.makeSlots(n)}
 	}
+	s := a.segs.New()
 	s.slots = a.makeSlots(n)
 	return s
 }
@@ -210,6 +214,13 @@ type opDesc struct {
 	slot   *atomic.Pointer[box]
 	commit *box
 	prev   *box // box displaced by the installation, for undo
+}
+
+// descBox is an installed descriptor's box and the descriptor, drawn
+// as one object (see internal/arena): desc points at d.
+type descBox struct {
+	box
+	d opDesc
 }
 
 // Cell is a shared memory location usable inside idempotent thunks.
@@ -275,33 +286,43 @@ func (c *Cell) CompareAndSwap(e env.Env, old, new uint64) bool {
 	}
 }
 
-// Body is the code of a thunk. It must be deterministic: all decisions
-// must derive from the responses of the Run's shared-memory operations
-// (plus values captured at construction). It must not perform any other
-// shared-memory access, must not block, and must not start nested
-// tryLocks (the paper forbids lock nesting).
+// Thunk is the code of a thunk: RunThunk performs one run. It must be
+// deterministic: all decisions must derive from the responses of the
+// Run's shared-memory operations (plus the frame's fields). It must not
+// perform any other shared-memory access, must not block, and must not
+// start nested tryLocks (the paper forbids lock nesting).
 //
 // One relaxation is permitted: because every run derives the same
 // values from the canonical log, a body may publish results through
 // plain atomic stores into per-execution result fields — all runs
 // store the identical value, so the stores are race-free in effect and
 // idempotent by construction.
-type Body func(r *Run)
-
-// Thunk is the allocation-free alternative to Body: a pre-built frame
-// whose RunThunk method is the thunk's code, subject to the same
-// determinism rules. Using a frame object (typically arena-allocated
-// per call) instead of a fresh closure keeps the hot path free of
-// closure captures.
 type Thunk interface {
 	RunThunk(r *Run)
 }
 
+// Body adapts a closure to Thunk; being pointer-shaped, it converts to
+// the interface without allocating.
+type Body func(r *Run)
+
+// RunThunk implements Thunk.
+func (b Body) RunThunk(r *Run) { b(r) }
+
+// Sized is implemented by thunk frames that know how many operations a
+// run of theirs usually performs; the first log segment is sized to it.
+type Sized interface {
+	ExpectedOps() int
+}
+
+// firstSegOps is the first segment's length for a thunk that is not
+// Sized, such as a closure: most closure bodies stay within it or the
+// second, and the simulator's thunks keep their segment boundaries.
+const firstSegOps = 16
+
 // Exec is one logical execution of a thunk, shared by its initiating
 // process and any helpers. All of them call Execute; the combined
-// effect equals exactly one run of the body.
+// effect equals exactly one run of the thunk.
 type Exec struct {
-	body   Body
 	thunk  Thunk
 	maxOps int
 	log    logSeg // first segment of the log
@@ -317,45 +338,29 @@ type logSeg struct {
 	next  atomic.Pointer[logSeg]
 }
 
-// firstSegOps is the size of a log's first segment. The structures'
-// common bodies perform 4 to 50 operations, so most runs stay within
-// the first segment or the second.
-const firstSegOps = 16
-
-// NewExec creates an execution of body that performs at most maxOps
-// shared-memory operations (the paper's T bound).
+// NewExec returns a heap-allocated execution of body within maxOps
+// shared-memory operations (the paper's T bound), for callers without
+// an attempt record: the simulator harness, the baselines and tests.
 func NewExec(body Body, maxOps int) *Exec {
-	x := newExec(nil, maxOps)
-	x.body = body
+	x := &Exec{}
+	x.Init(nil, body, maxOps)
 	return x
 }
 
-// NewExecIn creates an execution of frame t performing at most maxOps
-// shared-memory operations, drawing the exec and its log from e's
-// process arena when available. Exec objects are published to helpers
-// and read at unbounded staleness, so they are never recycled; the
-// arena only amortizes their allocation.
-func NewExecIn(e env.Env, t Thunk, maxOps int) *Exec {
-	x := newExec(arenasOf(e), maxOps)
-	x.thunk = t
-	return x
-}
-
-// newExec returns a fresh Exec with its budget and first log segment
-// set, from a when non-nil.
-func newExec(a *arenas, maxOps int) *Exec {
+// Init makes the zero x, in place, an execution of t within maxOps
+// operations, with a first log segment from e's arena (the heap when e
+// has none). Helpers read an Exec at unbounded staleness, so it is
+// never reused: core embeds each in a fresh attempt record.
+func (x *Exec) Init(e env.Env, t Thunk, maxOps int) {
 	if maxOps < 0 {
 		panic("idem: negative maxOps")
 	}
-	var x *Exec
-	if a == nil {
-		x = &Exec{}
-	} else {
-		x = a.execs.New()
+	n := firstSegOps
+	if s, ok := t.(Sized); ok {
+		n = max(s.ExpectedOps(), 1)
 	}
-	x.maxOps = maxOps
-	x.log.slots = a.makeSlots(min(maxOps, firstSegOps))
-	return x
+	x.thunk, x.maxOps = t, maxOps
+	x.log.slots = arenasOf(e).makeSlots(min(n, maxOps))
 }
 
 // Execute runs or helps the thunk to completion. It may be called any
@@ -366,16 +371,12 @@ func (x *Exec) Execute(e env.Env) {
 	a := arenasOf(e)
 	var r *Run
 	if a == nil {
-		r = &Run{e: e, x: x, seg: &x.log}
+		r = new(Run)
 	} else {
-		r = a.runs.New()
-		*r = Run{e: e, x: x, ar: a, seg: &x.log}
+		r = &a.run
 	}
-	if x.thunk != nil {
-		x.thunk.RunThunk(r)
-	} else {
-		x.body(r)
-	}
+	*r = Run{e: e, x: x, ar: a, seg: &x.log}
+	x.thunk.RunThunk(r)
 	d := r.digest | 1
 	if !x.finished.CompareAndSwap(0, d) && x.finished.Load() != d {
 		panic(fmt.Sprintf(
@@ -388,8 +389,8 @@ func (x *Exec) Execute(e env.Env) {
 func (x *Exec) Finished() bool { return x.finished.Load() != 0 }
 
 // Run is one process's run of an Exec; it carries the op cursor: the
-// index of the next operation and where its slot is in the log. It is
-// created by Execute and passed to the Body.
+// index of the next operation and where its slot is in the log. Execute
+// passes it to the thunk, and it is valid until the run returns.
 type Run struct {
 	e    env.Env
 	x    *Exec

@@ -655,3 +655,122 @@ func TestServeJournalOff(t *testing.T) {
 		t.Fatalf("STATS carries journal lines without a journal:\n%s", r.Str)
 	}
 }
+
+// statsField returns the integer value of one "name:value" line of a
+// STATS reply.
+func statsField(t *testing.T, c *client, name string) int {
+	t.Helper()
+	r := c.do(t, "STATS")
+	for _, line := range strings.Split(r.Str, "\n") {
+		if v, ok := strings.CutPrefix(strings.TrimSpace(line), name+":"); ok {
+			var n int
+			if _, err := fmt.Sscan(v, &n); err != nil {
+				t.Fatalf("STATS %s: %q: %v", name, v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("STATS has no %s line: %q", name, r.Str)
+	return 0
+}
+
+// TestServeIdleTimeout: a connection idle past ReadTimeout is dropped
+// (no sooner than 7/8 of it: the deadline is re-armed lazily), and one
+// that keeps sending commands within it is kept for many timeouts.
+func TestServeIdleTimeout(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	_, lis := startServer(t, serve.Config{Backend: serve.BackendMutex, ReadTimeout: timeout})
+	idle, active := dial(t, lis), dial(t, lis)
+	if r := idle.do(t, "PING"); r.Str != "PONG" {
+		t.Fatalf("idle PING = %+v", r)
+	}
+	last := time.Now()
+	dropped := make(chan time.Duration, 1)
+	go func() {
+		idle.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		_, err := idle.br.ReadByte()
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			dropped <- -1
+			return
+		}
+		dropped <- time.Since(last)
+	}()
+	for i := 0; i < 12; i++ {
+		time.Sleep(timeout / 4)
+		if r := active.do(t, "PING"); r.Str != "PONG" {
+			t.Fatalf("active PING %d after %v = %+v", i, time.Duration(i+1)*timeout/4, r)
+		}
+	}
+	select {
+	case d := <-dropped:
+		if d < 0 {
+			t.Fatal("idle connection still open 10s after its last command")
+		}
+		if d < timeout*7/8-10*time.Millisecond {
+			t.Fatalf("idle connection dropped %v after its last command, want >= 7/8 of %v", d, timeout)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("idle connection never dropped")
+	}
+	if n := statsField(t, active, "conns"); n != 1 {
+		t.Fatalf("conns = %d after the idle connection was dropped, want 1", n)
+	}
+}
+
+// TestServeSlowClientWriteTimeout: a client that sends requests and
+// never reads a reply blocks the writer's flush; after WriteTimeout the
+// connection is dropped. Every request the server read ran exactly
+// once, and every slab slot returns.
+func TestServeSlowClientWriteTimeout(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	var writes atomic.Int64 // backend value writes: one per SET run
+	_, lis := startServer(t, serve.Config{
+		Backend:       serve.BackendMutex,
+		WriteTimeout:  timeout,
+		MaxInFlight:   4,
+		PipelineDepth: 4,
+		Stall:         func() { writes.Add(1) },
+	})
+	slow := dial(t, lis)
+	// net.Pipe: a write returns once the server has read it, so the
+	// sent count is what the server accepted; once the reader is parked
+	// behind the blocked writer, writes time out.
+	slow.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
+	sent := 0
+	for ; sent < 200; sent++ {
+		if _, err := slow.conn.Write(serve.AppendCommand(nil, "SET", fmt.Sprintf("k%d", sent), "v")); err != nil {
+			break
+		}
+	}
+	if sent == 0 || sent == 200 {
+		t.Fatalf("slow client sent %d of 200 SETs, want the server to stop reading in between", sent)
+	}
+	// Dropped: the replies the writer could not flush are gone, and the
+	// read ends in EOF rather than in the client's own deadline.
+	slow.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for {
+		if _, err := slow.br.ReadByte(); err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatal("slow client still connected 10s after it stopped reading")
+			}
+			break
+		}
+	}
+	c := dial(t, lis)
+	deadline := time.Now().Add(5 * time.Second)
+	for statsField(t, c, "slab_free") != statsField(t, c, "slab_cap") {
+		if time.Now().After(deadline) {
+			t.Fatalf("slab_free %d never returned to slab_cap %d",
+				statsField(t, c, "slab_free"), statsField(t, c, "slab_cap"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := writes.Load(); got != int64(sent) {
+		t.Fatalf("%d SETs accepted, %d ran", sent, got)
+	}
+	for i := 0; i < sent; i++ {
+		if r := c.do(t, "GET", fmt.Sprintf("k%d", i)); r.Str != "v" {
+			t.Fatalf("GET k%d = %+v after the slow client was dropped", i, r)
+		}
+	}
+}

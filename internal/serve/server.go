@@ -63,7 +63,10 @@ type Config struct {
 	MaxConns int
 	// ReadTimeout caps how long a connection may sit idle between
 	// commands; WriteTimeout caps each response flush (defaults 60s and
-	// 10s; zero keeps the default, negative disables).
+	// 10s; zero keeps the default, negative disables). A deadline is
+	// re-armed only once the armed one is more than 1/8 of its timeout
+	// old, not per command or flush, so the limit actually applied lies
+	// in [7/8·T, T].
 	ReadTimeout, WriteTimeout time.Duration
 	// Stall, when non-nil, is called on every backend value write while
 	// the protecting lock (or mutex) is held — the benchmark harness's
@@ -201,7 +204,9 @@ type Server struct {
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
-	draining  bool
+	// draining is set once, under mu, by Shutdown; readers load it per
+	// command without taking mu.
+	draining atomic.Bool
 
 	stats serverStats
 	start time.Time
@@ -372,7 +377,7 @@ func (s *Server) journalAppend(key string, set bool) {
 // returns nil after a graceful Shutdown.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		lis.Close()
 		return errors.New("serve: server is shut down")
@@ -385,7 +390,7 @@ func (s *Server) Serve(lis net.Listener) error {
 		if err != nil {
 			s.mu.Lock()
 			delete(s.listeners, lis)
-			draining := s.draining
+			draining := s.draining.Load()
 			s.mu.Unlock()
 			if draining {
 				return nil
@@ -393,7 +398,7 @@ func (s *Server) Serve(lis net.Listener) error {
 			return err
 		}
 		s.mu.Lock()
-		if s.draining {
+		if s.draining.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			continue
@@ -453,13 +458,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		r.more = br.Buffered() > 0
 		pending <- r
 	}
+	idle := deadline{set: conn.SetReadDeadline, timeout: s.cfg.ReadTimeout}
 	for {
-		if s.isDraining() {
+		if s.draining.Load() {
 			return
 		}
-		if s.cfg.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		}
+		idle.arm()
 		req, err := ReadCommand(br)
 		if err != nil {
 			if IsProtoError(err) {
@@ -531,13 +535,12 @@ func (s *Server) connWriter(conn net.Conn, pending chan *request) {
 	defer s.connsWG.Done()
 	defer s.dropConn(conn)
 	bw := bufio.NewWriter(conn)
+	slow := deadline{set: conn.SetWriteDeadline, timeout: s.cfg.WriteTimeout}
 	flush := func() bool {
 		if bw.Buffered() == 0 {
 			return true
 		}
-		if s.cfg.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
+		slow.arm()
 		return bw.Flush() == nil
 	}
 	hold := false // the last request's more: the reader is still parsing
@@ -549,7 +552,7 @@ func (s *Server) connWriter(conn net.Conn, pending chan *request) {
 		default:
 			// Nothing queued: flush what we have before blocking.
 			if !hold && !flush() {
-				s.discard(pending)
+				s.discard(conn, pending)
 				return
 			}
 			r, ok = <-pending
@@ -571,7 +574,7 @@ func (s *Server) connWriter(conn net.Conn, pending chan *request) {
 		hold = r.more
 		s.retire(r)
 		if err != nil {
-			s.discard(pending)
+			s.discard(conn, pending)
 			return
 		}
 	}
@@ -586,9 +589,13 @@ func (s *Server) retire(r *request) {
 }
 
 // discard runs and retires whatever is still pending after a write
-// failure: the client is gone, but every request the reader accepted
-// executes exactly once, and no slot is leaked.
-func (s *Server) discard(pending chan *request) {
+// failure: the client is gone or not reading, but every request the
+// reader accepted executes exactly once, and no slot is leaked. It
+// closes the connection first, so the reader's next read fails and it
+// stops accepting: a client that keeps writing without reading would
+// otherwise keep its requests running here for as long as it writes.
+func (s *Server) discard(conn net.Conn, pending chan *request) {
+	conn.Close()
 	for r := range pending {
 		if r.idx >= 0 {
 			s.run(r)
@@ -676,11 +683,26 @@ func (s *Server) validate(req *Request) error {
 	return nil
 }
 
-// isDraining reports whether Shutdown has begun.
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
+// deadline arms one of a connection's deadlines (set) timeout ahead,
+// re-arming it only once the armed one is more than timeout/8 old: on
+// some transports (net.Pipe) every set starts a fresh timer, so a set
+// per command or flush would allocate per request. The deadline in
+// force is thus between 7/8 and all of timeout away. A non-positive
+// timeout arms nothing.
+type deadline struct {
+	set     func(time.Time) error
+	timeout time.Duration
+	armed   time.Time
+}
+
+func (d *deadline) arm() {
+	if d.timeout <= 0 {
+		return
+	}
+	if now := time.Now(); now.Sub(d.armed) > d.timeout/8 {
+		d.set(now.Add(d.timeout))
+		d.armed = now
+	}
 }
 
 // statsAlerts bounds the alert lines STATS renders (single digits keep
@@ -783,11 +805,11 @@ func (s *Server) statsText() string {
 // request returns.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		return errors.New("serve: Shutdown called twice")
 	}
-	s.draining = true
+	s.draining.Store(true)
 	for lis := range s.listeners {
 		lis.Close()
 	}

@@ -452,6 +452,11 @@ func (f *logFrame[T]) RunThunk(r *idem.Run) {
 	}
 }
 
+// ExpectedOps implements idem.Sized, sizing the log's first segment: an
+// append's enqueue or a read's cursor step is 6 operations and one per
+// element word, and a multi-word read writes its result cell too.
+func (f *logFrame[T]) ExpectedOps() int { return 6 + 2*f.lg.vc.Words() }
+
 // tryAppendShard appends v to shard s with one acquisition. The frame
 // carries v as a plain field and the outcome is one bit, so it serves
 // every element codec.

@@ -117,6 +117,14 @@ func (f *mapFrame[K, V]) RunThunk(r *idem.Run) {
 	}
 }
 
+// ExpectedOps implements idem.Sized, sizing the log's first segment:
+// an insert behind one occupied bucket costs 4 version operations, a
+// probe of two buckets' metadata and one key, and the insert's 3+kw+vw
+// (12 for single-word keys and values); most calls take no more.
+func (f *mapFrame[K, V]) ExpectedOps() int {
+	return 9 + 2*f.mp.eng.KeyWords() + f.mp.vc.Words()
+}
+
 // frame prepares a fresh operation frame for one single-key call.
 func (mp *Map[K, V]) frame(p *Process, op uint8, sh *table.Shard, h uint64, home int, k K) *mapFrame[K, V] {
 	f := frameFor[mapFrame[K, V]](p)

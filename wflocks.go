@@ -214,11 +214,11 @@ func (m *Manager) TryLock(p *Process, locks []*Lock, maxOps int, body func(*Tx))
 }
 
 // tryLockThunk runs one validated attempt with a prepared thunk frame.
-// This is the allocation-free core of every acquisition: the exec and
-// its log come from the process arena, and the unwrapped lock
-// set reuses the handle's buffer (core copies it before publishing).
+// This is the allocation-free core of every acquisition: the attempt's
+// record (descriptor, exec and first log segment) comes from the
+// process arena, and the unwrapped lock set reuses the handle's buffer
+// (core copies it before publishing).
 func (m *Manager) tryLockThunk(p *Process, locks []*Lock, maxOps int, t idem.Thunk) bool {
-	thunk := idem.NewExecIn(p.env, t, maxOps)
 	if cap(p.lockBuf) < len(locks) {
 		p.lockBuf = make([]*core.Lock, len(locks))
 	}
@@ -226,7 +226,7 @@ func (m *Manager) tryLockThunk(p *Process, locks []*Lock, maxOps int, t idem.Thu
 	for i, l := range locks {
 		inner[i] = l.inner
 	}
-	return m.sys.TryLocks(p.env, inner, thunk)
+	return m.sys.TryLocks(p.env, inner, t, maxOps)
 }
 
 // Lock acquires the locks with an explicit process handle, retrying

@@ -580,6 +580,44 @@ func TestTryDequeueEmptyAllocs(t *testing.T) {
 	}
 }
 
+// TestAttemptAllocsBytes pins what one uncontended attempt allocates:
+// a 1-lock Do of 2 reads and 2 writes draws one attempt record (the
+// descriptor with its exec), its 4 log slots, its lock set, a Tx
+// handle and each write's descriptor and commit boxes, all from arena
+// chunks that fill their size class, so it stays within 500 B.
+func TestAttemptAllocsBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	m := newManager(t, WithKappa(4), WithMaxLocks(4), WithMaxCriticalSteps(64))
+	locks := []*Lock{m.NewLock()}
+	a, b := NewCell(uint64(0)), NewCell(uint64(0))
+	body := func(tx *Tx) {
+		Put(tx, a, Get(tx, a)+1)
+		Put(tx, b, Get(tx, b)+1)
+	}
+	for i := 0; i < 1024; i++ {
+		if err := m.Do(locks, 4, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const ops = 8192
+	attempts0 := m.Stats().Attempts
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ops; i++ {
+		if err := m.Do(locks, 4, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perAttempt := float64(after.TotalAlloc-before.TotalAlloc) / float64(m.Stats().Attempts-attempts0)
+	t.Logf("%.1f B per attempt", perAttempt)
+	if perAttempt > 500 {
+		t.Fatalf("an uncontended 1-lock, 4-op Do allocates %.0f B per attempt, want <= 500", perAttempt)
+	}
+}
+
 // TestDoAllocsBytesIndependentOfBudget is the bytes half of the gate
 // (the 'Allocs' in the name keeps it under the CI allocation step): the
 // budget bounds a section's steps, not its memory, so the same 4-op Do
