@@ -30,8 +30,16 @@ import (
 
 // members is an immutable snapshot of a member list. Snapshots are
 // never mutated after publication; climb installs fresh ones by CAS.
+// A one-member snapshot, what an uncontended lock's slots hold, keeps
+// its member in one and items points there, so it reaches that member
+// and nothing else. A longer list, which only contention builds, is
+// its own heap object: carved from a chunk, it would share the chunk
+// with lists built long before and after it (contended climbs are
+// rare, so such a chunk stays current for long), and one live snapshot
+// would keep every member the chunk names reachable.
 type members[T any] struct {
 	items []*T
+	one   [1]*T
 }
 
 // scratch is the per-process allocation state for climb's published
@@ -45,7 +53,6 @@ type members[T any] struct {
 type scratch[T any] struct {
 	members arena.Arena[members[T]]
 	empties arena.Arena[members[T]]
-	items   arena.Slices[*T]
 }
 
 // scratchOf returns e's active-set scratch for element type T, or nil
@@ -144,26 +151,30 @@ func (s *Set[T]) climb(e env.Env, i int) {
 			}
 			e.Step()
 			newMember := s.slots[j].owner.Load()
-			items := above
-			if newMember != nil && !contains(above, newMember) {
-				var fresh []*T
-				if sc != nil {
-					fresh = sc.items.MakeCap(len(above) + 1)
-				} else {
-					fresh = make([]*T, 0, len(above)+1)
-				}
-				fresh = append(fresh, above...)
-				items = append(fresh, newMember)
+			items, one := above, (*T)(nil)
+			switch {
+			case newMember == nil || contains(above, newMember):
+			case len(above) == 0:
+				items, one = nil, newMember
+			default:
+				items = append(append(make([]*T, 0, len(above)+1), above...), newMember)
+			}
+			if len(items) == 1 {
+				one = items[0]
 			}
 			var newSet *members[T]
 			switch {
 			case sc == nil:
 				newSet = &members[T]{items: items}
-			case len(items) == 0:
+			case len(items) == 0 && one == nil:
 				newSet = sc.empties.New()
 			default:
 				newSet = sc.members.New()
 				newSet.items = items
+			}
+			if one != nil {
+				newSet.one[0] = one
+				newSet.items = newSet.one[:]
 			}
 			e.Step()
 			s.slots[j].set.CompareAndSwap(curSet, newSet)

@@ -23,14 +23,14 @@
 // alive. The callers' rule: a chunk whose objects hold pointers only
 // points at objects whose own reach is bounded. Objects that long-lived
 // state points at get arenas whose chunks hold no pointers (idem's
-// value boxes; activeset's empty snapshots), lists private to an
-// attempt live in reused buffers, and objects drawn in lockstep, one
-// pointing at the other, are best one object (idem's descriptor
-// boxes): as two, a chunk of the first spans chunks of the second as
-// soon as their lengths differ. What is left is bounded by the number
-// of processes (each one's current chunks and what they reach) and,
-// while locks are busy, by their non-empty snapshots
-// (TestSoakHeapBounded).
+// value boxes; activeset's empty snapshots), rare objects that would
+// keep a chunk current for long are not drawn from one, and objects
+// drawn in lockstep, one pointing at the other, are one object (idem's
+// descriptor boxes, activeset's one-member snapshots): as two, a chunk
+// of the first spans chunks of the second once their lengths differ.
+// What is left is bounded by the number of processes (each one's
+// current chunks and what they reach) and, while locks are busy, by
+// their non-empty snapshots (TestSoakHeapBounded).
 //
 // An Arena must only be used by a single goroutine at a time; arenas
 // live in per-process env scratch slots (env.Scratcher) or in

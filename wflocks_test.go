@@ -582,9 +582,10 @@ func TestTryDequeueEmptyAllocs(t *testing.T) {
 
 // TestAttemptAllocsBytes pins what one uncontended attempt allocates:
 // a 1-lock Do of 2 reads and 2 writes draws one attempt record (the
-// descriptor with its exec), its 4 log slots, its lock set, a Tx
-// handle and each write's descriptor and commit boxes, all from arena
-// chunks that fill their size class, so it stays within 500 B.
+// descriptor with its exec), its 4 log slots, its lock set, the lock's
+// active-set snapshots, a Tx handle and each write's descriptor and
+// commit boxes, all from arena chunks that fill their size class, so
+// it stays within 500 B.
 func TestAttemptAllocsBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
