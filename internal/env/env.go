@@ -4,7 +4,7 @@
 // The paper's model (Section 4) measures cost in per-process steps: a
 // step is a shared-memory operation, a local operation, or a stall.
 // Every algorithm in this repository is written once against the Env
-// interface and can run either on the deterministic step-token
+// interface and can run either on the deterministic step
 // simulator (internal/sched), which realizes the paper's oblivious
 // scheduler adversary exactly, or natively on goroutines for
 // wall-clock benchmarks.
@@ -13,13 +13,14 @@ package env
 // Env is the per-process execution environment.
 //
 // Algorithm code must call Step before every shared-memory operation
-// and for every explicit stall step. In the simulator, Step blocks
-// until the oblivious scheduler grants the process its next step, which
-// serializes all shared-memory operations into the schedule order. In
-// the native environment, Step merely counts.
+// and for every explicit stall step. In the simulator, Step yields to
+// the scheduler and resumes when the oblivious schedule grants the
+// process its next step, which serializes all shared-memory operations
+// into the schedule order. In the native environment, Step merely
+// counts.
 type Env interface {
 	// Step accounts one step of the owning process. In simulation it
-	// also yields until the scheduler grants the next step.
+	// also yields to the scheduler until it grants the next step.
 	Step()
 
 	// Steps reports the number of steps this process has taken so far.

@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"wflocks/internal/env"
 )
@@ -89,18 +92,50 @@ func TestNumProcs(t *testing.T) {
 
 func TestAbortedProcessesDoNotLeak(t *testing.T) {
 	// Hitting the step limit with processes mid-stall must tear down
-	// cleanly (no goroutine deadlock; Run returns).
+	// cleanly: Run returns, every aborted body unwinds through its
+	// deferred calls, and no goroutine outlives Run. The same holds
+	// after a normal finish.
+	base := runtime.NumGoroutine()
 	for trial := 0; trial < 20; trial++ {
 		s := New(RoundRobin{N: 4}, uint64(trial))
+		unwound := 0
 		for i := 0; i < 4; i++ {
 			s.Spawn(func(e env.Env) {
+				defer func() { unwound++ }()
 				for {
 					e.Step()
 				}
 			})
 		}
-		if err := s.Run(500); err == nil {
-			t.Fatal("expected step-limit error")
+		if err := s.Run(500); !errors.Is(err, ErrStepLimit) {
+			t.Fatalf("err = %v, want ErrStepLimit", err)
 		}
+		if unwound != 4 {
+			t.Fatalf("trial %d: %d of 4 aborted bodies ran their deferred calls", trial, unwound)
+		}
+		waitGoroutines(t, base, "step-limit teardown")
+
+		s = New(RoundRobin{N: 4}, uint64(trial))
+		for i := 0; i < 4; i++ {
+			s.Spawn(func(e env.Env) { env.StallSteps(e, 10) })
+		}
+		if err := s.Run(500); err != nil {
+			t.Fatal(err)
+		}
+		waitGoroutines(t, base, "normal finish")
+	}
+}
+
+// waitGoroutines polls briefly for the goroutine count to fall back to
+// base: an exiting goroutine runs its deferred calls before the runtime
+// stops counting it.
+func waitGoroutines(t *testing.T, base int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %s: %d goroutines, want %d", after, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

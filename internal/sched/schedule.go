@@ -2,12 +2,12 @@
 // asynchronous shared-memory machine driven by an oblivious scheduler
 // adversary (Section 2, Section 4).
 //
-// Processes run as coroutines. A single step token circulates: the
-// scheduler grants the token to the process named by the schedule, the
-// process executes until its next call to Env.Step (performing exactly
-// the shared-memory or local work of one step), and returns the token.
-// Because only one process ever holds the token, every execution is a
-// deterministic function of (schedule, seed) and replays exactly.
+// Each process runs as an iter.Pull coroutine. For every step the
+// scheduler resumes the process named by the schedule, which executes
+// until its next call to Env.Step (performing exactly the shared-memory
+// or local work of one step) and yields back. Because only one
+// coroutine ever runs at a time, every execution is a deterministic
+// function of (schedule, seed) and replays exactly.
 //
 // Obliviousness: a Schedule decides the entire interleaving from its
 // own state and the step index only — it never observes memory values

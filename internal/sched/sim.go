@@ -3,7 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"iter"
 
 	"wflocks/internal/env"
 )
@@ -12,13 +12,15 @@ import (
 // before every process finishes.
 var ErrStepLimit = errors.New("sched: step limit reached before all processes finished")
 
-// abortSignal is panicked inside a process goroutine when the simulation
-// is torn down early; the process wrapper recovers it.
+// abortSignal is panicked inside a process's coroutine when its yield
+// reports that the simulation was torn down early; the coroutine's
+// wrapper recovers it after the body's deferred calls have run.
 type abortSignal struct{}
 
 // Sim is a deterministic simulator of the paper's asynchronous
-// shared-memory model. Each registered process runs as a coroutine;
-// a single step token circulates according to the (oblivious) Schedule.
+// shared-memory model. Each registered process runs as an iter.Pull
+// coroutine; only one runs at a time, and the (oblivious) Schedule
+// decides which is resumed for each step.
 type Sim struct {
 	schedule Schedule
 	seed     uint64
@@ -32,9 +34,9 @@ type Sim struct {
 type proc struct {
 	id       int
 	body     func(env.Env)
-	grant    chan struct{}
-	yield    chan struct{}
-	abort    chan struct{}
+	next     func() (struct{}, bool) // grants one step; false once the body returned
+	stop     func()
+	yield    func(struct{}) bool // hands control back to Run; false once stopped
 	steps    uint64
 	rng      env.RNG
 	finished bool
@@ -51,19 +53,16 @@ func New(schedule Schedule, seed uint64) *Sim {
 
 // Spawn registers a process body. The process's id is its registration
 // order. The body receives an env.Env that must only be used from the
-// body's goroutine.
+// body itself.
 func (s *Sim) Spawn(body func(env.Env)) int {
 	if s.started {
 		panic("sched: Spawn after Run")
 	}
 	id := len(s.procs)
 	s.procs = append(s.procs, &proc{
-		id:    id,
-		body:  body,
-		grant: make(chan struct{}),
-		yield: make(chan struct{}),
-		abort: make(chan struct{}),
-		rng:   *env.NewRNG(env.Mix(s.seed, uint64(id)+1)),
+		id:   id,
+		body: body,
+		rng:  *env.NewRNG(env.Mix(s.seed, uint64(id)+1)),
 	})
 	return id
 }
@@ -73,61 +72,42 @@ func (s *Sim) NumProcs() int { return len(s.procs) }
 
 // Run executes the simulation until every process finishes or maxSteps
 // total steps have been granted. It returns ErrStepLimit if the budget
-// ran out first. Run must be called exactly once.
-func (s *Sim) Run(maxSteps uint64) error {
+// ran out first. A body's panic is returned as an error naming its
+// process, while the other processes run on; a body's runtime.Goexit
+// ends the goroutine that called Run. Run must be called exactly once.
+func (s *Sim) Run(maxSteps uint64) (err error) {
 	if s.started {
 		panic("sched: Run called twice")
 	}
 	s.started = true
 
-	var wg sync.WaitGroup
 	for _, p := range s.procs {
-		wg.Add(1)
-		go func(p *proc) {
-			defer wg.Done()
-			aborted := func() (aborted bool) {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(abortSignal); ok {
-							aborted = true
-							return
-						}
-						// The body panicked while holding the token;
-						// record the failure and fall through to the
-						// yield below so the scheduler is released.
-						p.err = fmt.Errorf("sched: process %d panicked: %v", p.id, r)
-					}
-				}()
-				// Wait for the first grant before taking any action, so
-				// that no process runs before the schedule says so.
-				select {
-				case <-p.grant:
-				case <-p.abort:
-					return true
-				}
-				p.steps++
-				p.body(p)
-				return false
-			}()
-			if aborted {
-				return // torn down by the scheduler; nobody awaits a yield
-			}
-			p.finished = true
-			p.yield <- struct{}{}
-		}(p)
+		p.next, p.stop = iter.Pull(p.run)
 	}
+	// However Run leaves, stopping unwinds every unfinished body
+	// through its deferred calls; then a panicked process's error takes
+	// precedence over the step limit.
+	defer func() {
+		for _, p := range s.procs {
+			p.stop()
+		}
+		for _, p := range s.procs {
+			if p.err != nil {
+				err = p.err
+				return
+			}
+		}
+	}()
 
 	running := len(s.procs)
-	var err error
 	for running > 0 {
 		// Burnt slots (schedule entries naming finished or absent
 		// processes) count against the budget too: otherwise a schedule
 		// that permanently stalls the only unfinished process would
 		// spin forever.
 		if s.total+s.burnt >= maxSteps {
-			err = fmt.Errorf("%w (granted %d steps, burnt %d, %d processes unfinished)",
+			return fmt.Errorf("%w (granted %d steps, burnt %d, %d processes unfinished)",
 				ErrStepLimit, s.total, s.burnt, running)
-			break
 		}
 		pid := s.schedule.Next(s.total + s.burnt)
 		if pid < 0 || pid >= len(s.procs) || s.procs[pid].finished {
@@ -136,27 +116,27 @@ func (s *Sim) Run(maxSteps uint64) error {
 		}
 		p := s.procs[pid]
 		s.total++
-		p.grant <- struct{}{}
-		<-p.yield
-		if p.finished {
+		if _, ok := p.next(); !ok {
+			p.finished = true
 			running--
 		}
 	}
+	return nil
+}
 
-	// Tear down any still-blocked processes.
-	for _, p := range s.procs {
-		if !p.finished {
-			close(p.abort)
+// run is the process's coroutine: the first resume is its first step.
+// A body that panics is recorded as finished with an error.
+func (p *proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(abortSignal); !ok {
+				p.err = fmt.Errorf("sched: process %d panicked: %v", p.id, r)
+			}
 		}
-	}
-	wg.Wait()
-
-	for _, p := range s.procs {
-		if p.err != nil {
-			return p.err
-		}
-	}
-	return err
+	}()
+	p.steps++
+	p.body(p)
 }
 
 // TotalSteps reports the total number of steps granted across all
@@ -169,13 +149,10 @@ func (s *Sim) ProcSteps(id int) uint64 { return s.procs[id].steps }
 // Finished reports whether process id ran to completion.
 func (s *Sim) Finished(id int) bool { return s.procs[id].finished }
 
-// Step implements env.Env: the process returns the token and blocks
-// until the scheduler grants its next step.
+// Step implements env.Env: the process yields to the scheduler and
+// resumes when Run grants its next step.
 func (p *proc) Step() {
-	p.yield <- struct{}{}
-	select {
-	case <-p.grant:
-	case <-p.abort:
+	if !p.yield(struct{}{}) {
 		panic(abortSignal{})
 	}
 	p.steps++

@@ -2,8 +2,11 @@ package sched
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"wflocks/internal/env"
 )
@@ -163,14 +166,50 @@ func TestStallingScheduleRedirects(t *testing.T) {
 }
 
 func TestProcessPanicPropagates(t *testing.T) {
-	s := New(RoundRobin{N: 1}, 1)
+	s := New(RoundRobin{N: 2}, 1)
 	s.Spawn(func(e env.Env) {
 		e.Step()
 		panic("boom")
 	})
+	done := false
+	s.Spawn(func(e env.Env) {
+		env.StallSteps(e, 10)
+		done = true
+	})
 	err := s.Run(100)
 	if err == nil {
 		t.Fatal("expected error from panicking process")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "process 0") || !strings.Contains(msg, "boom") {
+		t.Fatalf("error %q does not name the process and the panic value", msg)
+	}
+	if !done || !s.Finished(1) || s.ProcSteps(1) != 11 {
+		t.Fatalf("second process did not run on after the panic (done %v, steps %d)", done, s.ProcSteps(1))
+	}
+}
+
+func TestBodyGoexitDoesNotHangRun(t *testing.T) {
+	// t.Fatal inside a body calls runtime.Goexit; it must end the
+	// goroutine that called Run, not strand it waiting for the body.
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		s := New(RoundRobin{N: 2}, 1)
+		s.Spawn(func(e env.Env) {
+			e.Step()
+			runtime.Goexit()
+		})
+		s.Spawn(func(e env.Env) {
+			for {
+				e.Step()
+			}
+		})
+		_ = s.Run(100)
+	}()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return 5s after a body called runtime.Goexit")
 	}
 }
 
