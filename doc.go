@@ -225,9 +225,9 @@
 // independent of the region size, so CacheCriticalSteps is the same
 // probe term with a larger additive constant. The queue sits at the
 // other extreme: there is no probe at all, so QueueCriticalSteps has
-// no capacity term — a worst-case item is ticket reads, a slot write,
-// a sequence write and counter updates (2·valueWords + a small
-// constant), times the batch size, plus fixed routing overhead.
+// no capacity term — a worst-case item is ticket reads, a slot write
+// and a sequence write (2·valueWords + a small constant, with slack:
+// counters settle outside), times the batch, plus fixed overhead.
 // WorkPoolCriticalSteps is the same formula with the batch floored at
 // the steal section's cost (one dequeue plus stealBatch
 // dequeue/enqueue migration pairs). LogCriticalSteps carries two new
@@ -388,11 +388,11 @@
 // wait-free step bound still holds because the fast attempt is a
 // strict prefix of a slow one. StatsSnapshot.FastPath counts the
 // skips. Second, the hot paths are allocation-free: process handles
-// are pooled per goroutine, each attempt is one record (its descriptor
-// and the thunk's execution) from a per-process bump arena, as are the
-// log slots, boxes and map-operation frames, and the single-key
-// Map/Cell paths run at 0 allocs/op (pinned by testing.AllocsPerRun
-// regression tests). Arenas never recycle a published object — the
+// are pooled per goroutine, each attempt is one record from a bump
+// arena, as are log slots, boxes and the Map, WorkPool, Log and Atomic
+// frames (stats counters settle after the section), and single-key
+// Map/Cell, pool, log and 2-key Atomic paths run at 0 allocs/op
+// (pinned by testing.AllocsPerRun regression tests). Arenas never recycle a published object — the
 // idempotence layer's correctness rests on pointer freshness — they
 // only amortize allocation of fresh ones. Fresh is not immortal: a
 // chunk whose objects hold pointers only points at objects whose own

@@ -15,7 +15,8 @@ const (
 	ScratchActiveSet
 	// ScratchMultiSet holds multiset scratch buffers.
 	ScratchMultiSet
-	// ScratchTx holds the public API layer's transaction-handle arena.
+	// ScratchTx holds the public API layer's arenas: operation frames,
+	// Tx handles and transaction views.
 	ScratchTx
 	// ScratchTable holds the shard-table engine's word buffer for
 	// encoding and decoding multi-word keys and values.

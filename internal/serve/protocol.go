@@ -21,6 +21,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -204,7 +205,8 @@ func parseArgs(args []string) (Request, error) {
 				return Request{}, protoErrorf("syntax error: expected PX, got %q", args[3])
 			}
 			ms, err := strconv.ParseInt(args[4], 10, 64)
-			if err != nil || ms <= 0 {
+			// A TTL past time.Duration's range would wrap to garbage.
+			if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 				return Request{}, protoErrorf("invalid PX value %q", args[4])
 			}
 			req.TTL = time.Duration(ms) * time.Millisecond

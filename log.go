@@ -3,7 +3,7 @@ package wflocks
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -52,14 +52,7 @@ import (
 // WithMaxCriticalSteps bound covering LogCriticalSteps. All methods
 // are safe for concurrent use.
 type Log[T any] struct {
-	m  *Manager
-	vc Codec[T]
-
-	// scalarV is vc when the element codec is single-word: a delivered
-	// entry then rides the next frame's atomic result word, which keeps
-	// the cursor advance allocation-free; nil for multi-word elements,
-	// which the frame routes through a result cell.
-	scalarV ScalarCodec[T]
+	m *Manager
 
 	rings []qring[T]
 	// locks[s] guards rings[s] and every pos[s]/active[s]; locks[s:s+1]
@@ -93,7 +86,7 @@ type logSlot[T any] struct {
 	lock    *Lock
 	active  []*Cell[uint64] // per shard: 1 while a cursor is attached
 	pos     []*Cell[uint64] // per shard: next read ticket
-	reads   *Cell[uint64]   // delivered entries (all shards)
+	reads   atomic.Uint64   // delivered entries (all shards), bumped by owners
 	drops   *Cell[uint64]   // entries lost to TrimTo clamps
 	pairs   [][]*Lock       // per shard: {shard lock, slot lock} in ID order
 	claimed bool            // under Log.mu
@@ -206,11 +199,11 @@ func WithLogConsumers(n int) LogOption {
 // Per-item and fixed overheads of a log critical section, in
 // single-word cell operations. A worst-case item is an append: ticket
 // reads (2), the slot write (valueWords), the sequence write (1), the
-// ticket write (1) and the counter read+write (2); cursor advances
-// cost the element read plus the result write (valueWords each) with
-// the position and counter writes amortized once per section. The
+// ticket write (1) and 2 spare (counters settle after the section);
+// cursor advances cost the element read plus the result write
+// (valueWords each) with the position write once per section. The
 // fixed tail covers the min-cursor scan's tail read, one reclaim's
-// head/counter writes, and the outcome/count routing.
+// head write, and headroom.
 const (
 	logItemOverhead  = 8
 	logFixedOverhead = 16
@@ -281,7 +274,6 @@ func NewLogOf[T any](m *Manager, vc Codec[T], opts ...LogOption) (*Log[T], error
 	}
 	l := &Log[T]{
 		m:           m,
-		vc:          vc,
 		rings:       make([]qring[T], cfg.shards),
 		locks:       make([]*Lock, cfg.shards),
 		shardMask:   uint64(cfg.shards - 1),
@@ -292,9 +284,8 @@ func NewLogOf[T any](m *Manager, vc Codec[T], opts ...LogOption) (*Log[T], error
 		opBudget:    LogCriticalSteps(vc.Words(), 1, cfg.consumers, cfg.segment),
 		batchBudget: batchBudget,
 	}
-	l.scalarV, _ = vc.(ScalarCodec[T])
 	for s := range l.rings {
-		l.rings[s] = newQring(vc, perShard)
+		l.rings[s].init(vc, perShard)
 		l.locks[s] = m.NewLock()
 	}
 	for i := range l.slots {
@@ -302,16 +293,14 @@ func NewLogOf[T any](m *Manager, vc Codec[T], opts ...LogOption) (*Log[T], error
 			lock:   m.NewLock(),
 			active: make([]*Cell[uint64], cfg.shards),
 			pos:    make([]*Cell[uint64], cfg.shards),
-			reads:  NewCell(uint64(0)),
 			drops:  NewCell(uint64(0)),
 			pairs:  make([][]*Lock, cfg.shards),
 		}
 		for s := range l.rings {
 			cs.active[s] = NewCell(uint64(0))
 			cs.pos[s] = NewCell(uint64(0))
-			pair := []*Lock{l.locks[s], cs.lock}
-			sort.Slice(pair, func(a, b int) bool { return pair[a].ID() < pair[b].ID() })
-			cs.pairs[s] = pair
+			cs.pairs[s] = []*Lock{l.locks[s], cs.lock}
+			slices.SortFunc(cs.pairs[s], byID)
 		}
 		l.slots[i] = cs
 	}
@@ -353,128 +342,141 @@ func (l *Log[T]) reclaimSegment(tx *Tx, s int, retain uint64) int {
 	return r.reclaim(tx, min&^l.segMask, l.segment)
 }
 
-// appendOne appends v to shard s inside a critical section, reclaiming
-// one consumed segment on the way if the ring is full; false means the
-// shard stayed full even after reclamation (the slowest cursor pins the
-// segment the append needs).
-func (l *Log[T]) appendOne(tx *Tx, s int, v T) bool {
+// appendItems appends items to shard s inside a section, reclaiming at
+// most one consumed segment (the budget allows one) when the ring
+// fills, and returns the numbers appended and reclaimed. It stops at
+// the first item that does not fit even then.
+func (l *Log[T]) appendItems(tx *Tx, s int, items []T) (moved, freed int) {
 	r := &l.rings[s]
-	if r.enqOne(tx, v) {
-		return true
-	}
-	l.reclaimSegment(tx, s, 0)
-	if r.enqOne(tx, v) {
-		return true
-	}
-	Put(tx, r.fulls, Get(tx, r.fulls)+1)
-	return false
-}
-
-// appendChunk appends chunk to shard s in one critical section,
-// reclaiming at most one consumed segment (the budget allows one), and
-// reports the number moved through n.
-func (l *Log[T]) appendChunk(tx *Tx, s int, chunk []T, n *Cell[uint64]) {
-	r := &l.rings[s]
-	moved := uint64(0)
 	reclaimed := false
-	for _, v := range chunk {
+	for _, v := range items {
 		if !r.enqOne(tx, v) {
-			if !reclaimed {
-				reclaimed = true
-				l.reclaimSegment(tx, s, 0)
-				if r.enqOne(tx, v) {
-					moved++
-					continue
-				}
+			if reclaimed {
+				break
 			}
-			Put(tx, r.fulls, Get(tx, r.fulls)+1)
-			break
+			reclaimed, freed = true, l.reclaimSegment(tx, s, 0)
+			if !r.enqOne(tx, v) {
+				break
+			}
 		}
 		moved++
 	}
-	Put(tx, n, moved)
+	return moved, freed
 }
 
-// Log frame operation kinds and result bits (see mapframe.go for the
-// frame pattern: arena-fresh per call, parameters as plain fields,
-// results through atomic fields every run derives identically).
-const (
-	lopAppend uint8 = iota + 1
-	lopNext
-)
-
-const lresOK uint32 = 1
-
-// logFrame is a single-entry log critical section in frame form.
+// logFrame is a log section in frame form (see mapframe.go): with a
+// nil slot, an append of items to shard s; else an advance of slot's
+// cursor over up to want entries of shard s.
 type logFrame[T any] struct {
-	lg   *Log[T]
-	slot *logSlot[T]
-	s    int
-	op   uint8
-	v    T
+	lg    *Log[T]
+	slot  *logSlot[T]
+	items []T
+	one   [1]T // items of a single append
+	out   handout[T]
+	s     int32
+	want  int32
 
-	// out is lopNext's result cell when the element codec is multi-word;
-	// nil for scalar codecs, whose entry rides resWord instead.
-	out *Cell[T]
-
-	resWord atomic.Uint64
-	resBits atomic.Uint32
+	// Results: entries appended or delivered, entries reclaimed, and
+	// whether an advance found the shard drained.
+	moved, freed atomic.Uint32
+	idle         atomic.Bool
 }
 
 // RunThunk implements idem.Thunk.
 func (f *logFrame[T]) RunThunk(r *idem.Run) {
 	tx := newTx(r)
-	lg := f.lg
-	ring := &lg.rings[f.s]
-	switch f.op {
-	case lopAppend:
-		if lg.appendOne(tx, f.s, f.v) {
-			f.resBits.Store(lresOK)
-		}
-	case lopNext:
-		if Get(tx, f.slot.active[f.s]) == 0 {
-			return
-		}
-		pos := Get(tx, f.slot.pos[f.s])
-		t := Get(tx, ring.tail)
-		if pos == t {
-			Put(tx, ring.empties, Get(tx, ring.empties)+1)
-			return
-		}
-		if v := Get(tx, ring.vals[int(pos&ring.mask)]); f.out != nil {
-			Put(tx, f.out, v)
-		} else {
-			f.resWord.Store(lg.scalarV.EncodeWord(v))
-		}
-		Put(tx, f.slot.pos[f.s], pos+1)
-		Put(tx, f.slot.reads, Get(tx, f.slot.reads)+1)
-		f.resBits.Store(lresOK)
+	s := int(f.s)
+	ring := &f.lg.rings[s]
+	if f.slot == nil {
+		moved, freed := f.lg.appendItems(tx, s, f.items)
+		f.moved.Store(uint32(moved))
+		f.freed.Store(uint32(freed))
+		return
 	}
+	if Get(tx, f.slot.active[s]) == 0 {
+		return
+	}
+	pos := Get(tx, f.slot.pos[s])
+	t := Get(tx, ring.tail)
+	n := 0
+	for ; n < int(f.want) && pos < t; n++ {
+		f.out.put(tx, ring, n, Get(tx, ring.vals[int(pos&ring.mask)]))
+		pos++
+	}
+	if n == 0 {
+		f.idle.Store(true)
+		return
+	}
+	Put(tx, f.slot.pos[s], pos)
+	f.moved.Store(uint32(n))
 }
 
 // ExpectedOps implements idem.Sized, sizing the log's first segment: an
 // append's enqueue or a read's cursor step is 6 operations and one per
 // element word, and a multi-word read writes its result cell too.
-func (f *logFrame[T]) ExpectedOps() int { return 6 + 2*f.lg.vc.Words() }
-
-// tryAppendShard appends v to shard s with one acquisition. The frame
-// carries v as a plain field and the outcome is one bit, so it serves
-// every element codec.
-func (l *Log[T]) tryAppendShard(p *Process, s int, v T) bool {
-	f := frameFor[logFrame[T]](p)
-	f.lg, f.s, f.op, f.v = l, s, lopAppend, v
-	l.m.run(context.Background(), p, l.locks[s:s+1], l.opBudget, f)
-	return f.resBits.Load()&lresOK != 0
+func (f *logFrame[T]) ExpectedOps() int {
+	return max(len(f.items), int(f.want)) * (6 + 2*f.lg.rings[0].vc.Words())
 }
 
-// tryAppendFrom probes each shard once, starting at start.
-func (l *Log[T]) tryAppendFrom(p *Process, start uint64, v T) bool {
-	for j := 0; j < len(l.rings); j++ {
-		if l.tryAppendShard(p, int((start+uint64(j))&l.shardMask), v) {
-			return true
+// section runs f on locks, with the batch budget when it moves more
+// than one entry, settles the counters from its results, and returns
+// the number of entries moved.
+func (l *Log[T]) section(p *Process, f *logFrame[T], locks []*Lock) int {
+	budget := l.opBudget
+	if max(len(f.items), int(f.want)) > 1 {
+		budget = l.batchBudget
+	}
+	l.m.run(context.Background(), p, locks, budget, f)
+	n, ring := int(f.moved.Load()), &l.rings[f.s]
+	if f.slot == nil {
+		ring.enqs.Add(uint64(n))
+		ring.deqs.Add(uint64(f.freed.Load()))
+		if n < len(f.items) {
+			ring.fulls.Add(1)
+		}
+	} else {
+		f.slot.reads.Add(uint64(n))
+		if f.idle.Load() {
+			ring.empties.Add(1)
 		}
 	}
-	return false
+	return n
+}
+
+// appendShard appends items — v alone when items is nil — to shard s
+// with one acquisition and returns the number appended. The frame
+// carries the entries as plain fields, so it serves every codec.
+func (l *Log[T]) appendShard(p *Process, s int, v T, items []T) int {
+	f := frameFor[logFrame[T]](p)
+	f.lg, f.s, f.one[0], f.items = l, int32(s), v, items
+	if items == nil {
+		f.items = f.one[:]
+	}
+	return l.section(p, f, l.locks[s:s+1])
+}
+
+// nextShard delivers up to want unread entries of shard s to c in one
+// two-lock critical section and returns got with them appended.
+func (c *Cursor[T]) nextShard(p *Process, s, want int, got []T) []T {
+	l, ring := c.lg, &c.lg.rings[s]
+	f := frameFor[logFrame[T]](p)
+	f.lg, f.slot, f.s, f.want = l, c.slot, int32(s), int32(want)
+	f.out.init(ring, want)
+	n := l.section(p, f, c.slot.pairs[s])
+	for i := 0; i < n; i++ {
+		got = append(got, f.out.get(p, ring, i))
+	}
+	return got
+}
+
+// appendFrom probes each shard once, starting at start, until one
+// takes items (v alone when items is nil), and returns the number it
+// took.
+func (l *Log[T]) appendFrom(p *Process, start uint64, v T, items []T) (moved int) {
+	for j := 0; j < len(l.rings) && moved == 0; j++ {
+		moved = l.appendShard(p, int((start+uint64(j))&l.shardMask), v, items)
+	}
+	return moved
 }
 
 // TryAppend appends v to the next shard in round-robin order, probing
@@ -485,7 +487,7 @@ func (l *Log[T]) tryAppendFrom(p *Process, start uint64, v T) bool {
 func (l *Log[T]) TryAppend(v T) bool {
 	p := l.m.Acquire()
 	defer l.m.Release(p)
-	return l.tryAppendFrom(p, l.rr.Add(1)-1, v)
+	return l.appendFrom(p, l.rr.Add(1)-1, v, nil) > 0
 }
 
 // TryAppendKeyed appends v to the shard selected by key's low bits,
@@ -498,7 +500,7 @@ func (l *Log[T]) TryAppend(v T) bool {
 func (l *Log[T]) TryAppendKeyed(key uint64, v T) bool {
 	p := l.m.Acquire()
 	defer l.m.Release(p)
-	return l.tryAppendShard(p, int(key&l.shardMask), v)
+	return l.appendShard(p, int(key&l.shardMask), v, nil) > 0
 }
 
 // Append appends v, waiting while the log is full under the manager's
@@ -507,7 +509,7 @@ func (l *Log[T]) TryAppendKeyed(key uint64, v T) bool {
 func (l *Log[T]) Append(ctx context.Context, v T) error {
 	p := l.m.Acquire()
 	defer l.m.Release(p)
-	return l.m.await(ctx, "log", "full", func() bool { return l.tryAppendFrom(p, l.rr.Add(1)-1, v) }, nil)
+	return l.m.await(ctx, "log", "full", func() bool { return l.appendFrom(p, l.rr.Add(1)-1, v, nil) > 0 }, nil)
 }
 
 // AppendKeyed appends v with TryAppendKeyed's strict shard affinity,
@@ -516,7 +518,7 @@ func (l *Log[T]) AppendKeyed(ctx context.Context, key uint64, v T) error {
 	p := l.m.Acquire()
 	defer l.m.Release(p)
 	s := int(key & l.shardMask)
-	return l.m.await(ctx, "log shard", "full", func() bool { return l.tryAppendShard(p, s, v) }, nil)
+	return l.m.await(ctx, "log shard", "full", func() bool { return l.appendShard(p, s, v, nil) > 0 }, nil)
 }
 
 // AppendBatch appends vs, amortizing lock acquisitions: entries are
@@ -528,23 +530,14 @@ func (l *Log[T]) AppendKeyed(ctx context.Context, key uint64, v T) error {
 // Append retry contract. It returns the number appended, which is
 // len(vs) unless ctx was done first.
 func (l *Log[T]) AppendBatch(ctx context.Context, vs []T) (int, error) {
-	items := append([]T(nil), vs...) // bodies must not capture caller-owned memory
+	items := append([]T(nil), vs...) // frames outlive the call (see mapframe.go)
 	p := l.m.Acquire()
 	defer l.m.Release(p)
 	done := 0
 	for done < len(items) {
 		chunk := items[done:min(done+l.batch, len(items))]
 		err := l.m.await(ctx, "log", "full", func() bool {
-			moved := 0
-			start := l.rr.Add(1) - 1
-			for j := 0; j < len(l.rings) && moved == 0; j++ {
-				s := int((start + uint64(j)) & l.shardMask)
-				n := NewCell(uint64(0))
-				l.m.run(context.Background(), p, l.locks[s:s+1], l.batchBudget, txFrame(func(tx *Tx) {
-					l.appendChunk(tx, s, chunk, n)
-				}))
-				moved = int(n.Get(p))
-			}
+			moved := l.appendFrom(p, l.rr.Add(1)-1, chunk[0], chunk)
 			done += moved
 			return moved > 0
 		}, nil)
@@ -612,6 +605,7 @@ func (l *Log[T]) trim(retain uint64, clamp bool) int {
 				Put(tx, freed, uint64(l.reclaimSegment(tx, s, retain)))
 			}))
 			n := int(freed.Get(p))
+			l.rings[s].deqs.Add(uint64(n))
 			total += n
 			if n < l.segment {
 				break
@@ -666,12 +660,12 @@ func (l *Log[T]) newCursor(atTail bool) (*Cursor[T], error) {
 	}
 	p := l.m.Acquire()
 	defer l.m.Release(p)
+	slot.reads.Store(0)
 	for s := range l.rings {
 		s := s
 		ring := &l.rings[s]
 		l.m.run(context.Background(), p, slot.pairs[s], l.opBudget, txFrame(func(tx *Tx) {
 			if s == 0 {
-				Put(tx, slot.reads, 0)
 				Put(tx, slot.drops, 0)
 			}
 			start := Get(tx, ring.head)
@@ -727,33 +721,25 @@ func (c *Cursor[T]) TryNext() (T, bool) {
 }
 
 func (c *Cursor[T]) tryNextWith(p *Process) (T, bool) {
-	var zero T
+	var one [1]T
+	got := c.pass(p, 1, one[:0])
+	return one[0], len(got) > 0
+}
+
+// pass scans the shards once in round-robin order and appends up to
+// max-len(got) entries to got, in chunks of at most WithLogBatch. A
+// drained shard is skipped on a lock-free position/tail check; the
+// section re-checks under the locks.
+func (c *Cursor[T]) pass(p *Process, max int, got []T) []T {
 	l := c.lg
-	slot := c.slot
 	start := c.rr.Add(1) - 1
-	for j := 0; j < len(l.rings); j++ {
+	for j := 0; j < len(l.rings) && len(got) < max; j++ {
 		s := int((start + uint64(j)) & l.shardMask)
-		ring := &l.rings[s]
-		// Advisory lock-free skip of drained shards; the section
-		// re-checks under the locks.
-		if slot.pos[s].Get(p) >= ring.tail.Get(p) {
-			continue
+		if c.slot.pos[s].Get(p) < l.rings[s].tail.Get(p) {
+			got = c.nextShard(p, s, min(max-len(got), l.batch), got)
 		}
-		f := frameFor[logFrame[T]](p)
-		f.lg, f.slot, f.s, f.op = l, slot, s, lopNext
-		if l.scalarV == nil {
-			f.out = newResultCell(l.vc)
-		}
-		l.m.run(context.Background(), p, slot.pairs[s], l.opBudget, f)
-		if f.resBits.Load()&lresOK == 0 {
-			continue
-		}
-		if f.out != nil {
-			return f.out.Get(p), true
-		}
-		return l.scalarV.DecodeWord(f.resWord.Load()), true
 	}
-	return zero, false
+	return got
 }
 
 // Next delivers the next unread entry, waiting while the log is
@@ -802,15 +788,7 @@ func (c *Cursor[T]) NextBatch(ctx context.Context, max int) ([]T, error) {
 				return true
 			}
 			before := len(got)
-			start := c.rr.Add(1) - 1
-			for j := 0; j < len(l.rings) && len(got) < max; j++ {
-				s := int((start + uint64(j)) & l.shardMask)
-				// Advisory lock-free skip of drained shards, as in TryNext.
-				if c.slot.pos[s].Get(p) < l.rings[s].tail.Get(p) {
-					got = c.nextChunk(p, s, min(max-len(got), l.batch), got)
-				}
-			}
-			if len(got) == before {
+			if got = c.pass(p, max, got); len(got) == before {
 				break
 			}
 		}
@@ -820,42 +798,6 @@ func (c *Cursor[T]) NextBatch(ctx context.Context, max int) ([]T, error) {
 		return got, ErrCursorClosed
 	}
 	return got, err
-}
-
-// nextChunk delivers up to want unread entries of shard s in one
-// two-lock critical section and returns got with them appended.
-func (c *Cursor[T]) nextChunk(p *Process, s, want int, got []T) []T {
-	l, slot := c.lg, c.slot
-	ring := &l.rings[s]
-	outs := make([]*Cell[T], want)
-	for i := range outs {
-		outs[i] = newResultCell(l.vc)
-	}
-	n := NewCell(uint64(0))
-	l.m.run(context.Background(), p, slot.pairs[s], l.batchBudget, txFrame(func(tx *Tx) {
-		if Get(tx, slot.active[s]) == 0 {
-			return
-		}
-		pos := Get(tx, slot.pos[s])
-		t := Get(tx, ring.tail)
-		k := uint64(0)
-		for int(k) < want && pos < t {
-			Put(tx, outs[k], Get(tx, ring.vals[int(pos&ring.mask)]))
-			pos++
-			k++
-		}
-		if k > 0 {
-			Put(tx, slot.pos[s], pos)
-			Put(tx, slot.reads, Get(tx, slot.reads)+k)
-		} else {
-			Put(tx, ring.empties, Get(tx, ring.empties)+1)
-		}
-		Put(tx, n, k)
-	}))
-	for _, out := range outs[:n.Get(p)] {
-		got = append(got, out.Get(p))
-	}
-	return got
 }
 
 // Slot reports the consumer-slot index this cursor occupies: its row
@@ -921,7 +863,7 @@ type LogConsumerStats struct {
 }
 
 // LogStats is a point-in-time view of the log's traffic, exact at
-// quiescence (counters are updated inside critical sections).
+// quiescence (counters are settled after each critical section).
 type LogStats struct {
 	// Shards holds one entry per shard; Consumers one per slot.
 	Shards    []LogShardStats
@@ -954,10 +896,10 @@ func (l *Log[T]) Stats() LogStats {
 		ring := &l.rings[s]
 		st := LogShardStats{
 			Lock:        l.locks[s].stats(),
-			Appends:     ring.enqs.Get(p),
-			Trimmed:     ring.deqs.Get(p),
-			FullRejects: ring.fulls.Get(p),
-			IdlePolls:   ring.empties.Get(p),
+			Appends:     ring.enqs.Load(),
+			Trimmed:     ring.deqs.Load(),
+			FullRejects: ring.fulls.Load(),
+			IdlePolls:   ring.empties.Load(),
 			Len:         ring.lenWith(p),
 		}
 		ls.Shards[s] = st
@@ -979,7 +921,7 @@ func (l *Log[T]) Stats() LogStats {
 		st := LogConsumerStats{
 			Slot:     i,
 			Attached: attached,
-			Reads:    cs.reads.Get(p),
+			Reads:    cs.reads.Load(),
 			Drops:    cs.drops.Get(p),
 		}
 		if attached {

@@ -40,10 +40,7 @@ type Map[K comparable, V any] struct {
 	eng *table.Table[K, V]
 	vc  Codec[V] // result-cell codec
 
-	// scalarV is vc when the value codec is single-word: a locked Get's
-	// found value then rides the frame's atomic result word; nil for
-	// multi-word values, which the frame routes through a result cell.
-	scalarV ScalarCodec[V]
+	scalarV ScalarCodec[V] // vc if it is single-word, else nil
 
 	// locks[s] guards eng.Shards[s]; the engine owns everything the
 	// lock protects, the map owns the locking and the semantics.
@@ -182,10 +179,8 @@ func (mp *Map[K, V]) ShardCapacity() int { return mp.eng.Capacity() }
 // plain memory scan with no lock attempt at all. When writers keep the
 // shard's version moving, Get falls back to a critical section on k's
 // shard lock, which is wait-free, so the fallback bounds the total
-// work. The locked path runs as a pre-built frame (see mapFrame): for
-// single-word value codecs it is allocation-free, the found value
-// riding the frame's atomic result word; a multi-word value comes back
-// through one result cell the frame carries.
+// work. The locked path is a frame (mapframe.go), allocation-free
+// for single-word value codecs.
 func (mp *Map[K, V]) Get(k K) (V, bool) {
 	p := mp.m.Acquire()
 	defer mp.m.Release(p)

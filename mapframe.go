@@ -7,22 +7,28 @@ import (
 	"wflocks/internal/table"
 )
 
-// Allocation-free single-key map operations.
+// Critical sections as frames: the one pattern behind mapFrame, and
+// poolFrame, logFrame and txnFrame in workpool.go, log.go and txn.go.
 //
-// The generic Do path builds a closure per call (the captures escape to
-// the heap) and routes results through freshly allocated cells, because
-// a stalled attempt's body may be re-executed by helpers concurrently.
-// The operation frame below removes both costs for the single-key hot
-// path: a frame drawn from the owner's bump arena carries the operation
-// kind and parameters as plain fields — safe precisely because the
-// frame is fresh per call and never recycled, so a straggling helper
-// always reads the parameters its exec was created with — and results
-// are published through atomic fields on the frame. Every run of the
-// body derives identical results from the canonical log, so the
-// concurrent stores are race-free in effect (see idem.Body). The
-// one result that does not fit a word — a found value under a
-// multi-word codec — goes through a result cell the frame carries, so
-// the body is still written once.
+// A stalled attempt's body may be re-run by helpers, concurrently and
+// long after the owner returned. A closure section (txFrame) copes by
+// capturing its inputs on the heap and routing results through fresh
+// cells. A frame is one object drawn per call from the owner's bump
+// arena (frameFor) that implements idem.Thunk: its kind and parameters
+// are plain fields, safe because the frame is fresh and never
+// recycled, so a straggling helper reads the parameters its exec was
+// created with. Results are atomic fields on the frame: every run
+// derives the same values from the canonical log, so the concurrent
+// stores agree (see idem.Body), and the owner reads them after its
+// attempt won. A result that does not fit a word — an element under a
+// multi-word codec, or a batch of them — goes through result cells the
+// frame carries (a handout). Per-run state such as a Tx or a MapTxn
+// view comes from the executing process's arenas (runNew).
+//
+// Counters that only feed Stats are not written in the section: the
+// section publishes what it did (found, moved, reclaimed) and the owner
+// adds it to a plain atomic once the section is over, so helpers'
+// re-runs count nothing and Stats is exact at quiescence.
 
 // mapFrame operation kinds.
 const (

@@ -1,5 +1,7 @@
 package wflocks
 
+import "sync/atomic"
+
 // This file holds the shared bounded-ring protocol: the cell-resident
 // state and step helpers that WorkPool (one ring per shard, two-lock
 // steals; Queue is its one-shard case) and Log (one ring per shard,
@@ -7,10 +9,10 @@ package wflocks
 // protects; the owner brings the locking.
 
 // qring is the cell-resident state of one bounded ring: monotone
-// head/tail tickets, per-slot sequence numbers and elements, and the
-// traffic counters. All mutation happens inside critical sections
-// through the enqOne/deqOne/moveOne/reclaim step helpers, whose
-// operation sequences are deterministic given cell reads — the
+// head/tail tickets and per-slot sequence numbers and elements, plus
+// the traffic counters. All cell mutation happens inside critical
+// sections through the enqOne/deqOne/moveOne/reclaim step helpers,
+// whose operation sequences are deterministic given cell reads — the
 // idempotence contract for helper re-execution.
 //
 // Head and tail are monotone tickets: enqueue number t writes slot
@@ -24,7 +26,8 @@ package wflocks
 // wraparound), exactly the role the engine's meta words play for the
 // shard table.
 type qring[T any] struct {
-	vc       Codec[T] // result-cell codec
+	vc       Codec[T]
+	sc       ScalarCodec[T] // vc if it is single-word, else nil
 	capacity int
 	mask     uint64
 
@@ -33,36 +36,63 @@ type qring[T any] struct {
 	seq  []*Cell[uint64]
 	vals []*Cell[T]
 
-	// Counters, bumped inside critical sections: exact at quiescence.
-	enqs    *Cell[uint64] // completed enqueues
-	deqs    *Cell[uint64] // completed dequeues
-	fulls   *Cell[uint64] // attempts that observed a full ring
-	empties *Cell[uint64] // attempts that observed an empty ring
+	// Counters, bumped by owners after their sections (mapframe.go):
+	// exact at quiescence.
+	enqs    atomic.Uint64 // completed enqueues
+	deqs    atomic.Uint64 // completed dequeues
+	fulls   atomic.Uint64 // attempts that observed a full ring
+	empties atomic.Uint64 // attempts that observed an empty ring
 }
 
-// newQring builds a ring with the given power-of-two capacity. Slot i
-// starts with sequence number i — "awaiting enqueue ticket i" — and a
-// zeroed element (never decoded before an enqueue writes it, so no
-// codec invocation happens at construction).
-func newQring[T any](vc Codec[T], capacity int) qring[T] {
-	r := qring[T]{
-		vc:       vc,
-		capacity: capacity,
-		mask:     uint64(capacity - 1),
-		head:     NewCell(uint64(0)),
-		tail:     NewCell(uint64(0)),
-		seq:      make([]*Cell[uint64], capacity),
-		vals:     make([]*Cell[T], capacity),
-		enqs:     NewCell(uint64(0)),
-		deqs:     NewCell(uint64(0)),
-		fulls:    NewCell(uint64(0)),
-		empties:  NewCell(uint64(0)),
-	}
+// init builds the ring in place with the given power-of-two capacity.
+// Slot i starts with sequence number i — "awaiting enqueue ticket i" —
+// and a zeroed element (never decoded before an enqueue writes it, so
+// no codec invocation happens at construction).
+func (r *qring[T]) init(vc Codec[T], capacity int) {
+	r.vc, r.capacity, r.mask = vc, capacity, uint64(capacity-1)
+	r.sc, _ = vc.(ScalarCodec[T])
+	r.head, r.tail = NewCell(uint64(0)), NewCell(uint64(0))
+	r.seq, r.vals = make([]*Cell[uint64], capacity), make([]*Cell[T], capacity)
 	for i := 0; i < capacity; i++ {
 		r.seq[i] = NewCell(uint64(i))
 		r.vals[i] = newResultCell(vc)
 	}
-	return r
+}
+
+// handout carries the elements a section hands its owner (see
+// mapframe.go): one element under a scalar codec rides word, anything
+// else result cells.
+type handout[T any] struct {
+	cells []*Cell[T]
+	word  atomic.Uint64
+}
+
+// init readies h for up to n elements of ring r.
+func (h *handout[T]) init(r *qring[T], n int) {
+	if r.sc != nil && n == 1 {
+		return
+	}
+	h.cells = make([]*Cell[T], n)
+	for i := range h.cells {
+		h.cells[i] = newResultCell(r.vc)
+	}
+}
+
+// put publishes element i inside the section.
+func (h *handout[T]) put(tx *Tx, r *qring[T], i int, v T) {
+	if h.cells == nil {
+		h.word.Store(r.sc.EncodeWord(v))
+	} else {
+		Put(tx, h.cells[i], v)
+	}
+}
+
+// get reads element i after the section.
+func (h *handout[T]) get(p *Process, r *qring[T], i int) T {
+	if h.cells == nil {
+		return r.sc.DecodeWord(h.word.Load())
+	}
+	return h.cells[i].Get(p)
 }
 
 // enqOne appends v inside a critical section, reporting false when the
@@ -78,33 +108,31 @@ func (r *qring[T]) enqOne(tx *Tx, v T) bool {
 	Put(tx, r.vals[i], v)
 	Put(tx, r.seq[i], t+1)
 	Put(tx, r.tail, t+1)
-	Put(tx, r.enqs, Get(tx, r.enqs)+1)
 	return true
 }
 
-// deqOne pops the oldest element into out inside a critical section,
-// reporting false when the ring is empty. The freed slot's sequence
-// advances a full lap (h+capacity): it now awaits the enqueue ticket
-// that will next land on it.
-func (r *qring[T]) deqOne(tx *Tx, out *Cell[T]) bool {
+// deqOne pops the oldest element inside a critical section, reporting
+// false when the ring is empty. The freed slot's sequence advances a
+// full lap (h+capacity): it now awaits the enqueue ticket that will
+// next land on it.
+func (r *qring[T]) deqOne(tx *Tx) (v T, ok bool) {
 	h := Get(tx, r.head)
 	t := Get(tx, r.tail)
 	if h == t {
-		return false
+		return v, false
 	}
 	i := int(h & r.mask)
-	Put(tx, out, Get(tx, r.vals[i]))
+	v = Get(tx, r.vals[i])
 	Put(tx, r.seq[i], h+uint64(r.capacity))
 	Put(tx, r.head, h+1)
-	Put(tx, r.deqs, Get(tx, r.deqs)+1)
-	return true
+	return v, true
 }
 
 // moveOne migrates one element from the head of `from` to the tail of
 // `to` inside a critical section, reporting false when from is empty
 // or to is full. Migration preserves the moved elements' relative
-// order and does not touch the enqueue/dequeue counters — the element
-// was already counted when it entered the pool.
+// order and is not an enqueue or a dequeue: the element was counted
+// when it entered the pool.
 func moveOne[T any](tx *Tx, from, to *qring[T]) bool {
 	h := Get(tx, from.head)
 	t := Get(tx, from.tail)
@@ -130,7 +158,8 @@ func moveOne[T any](tx *Tx, from, to *qring[T]) bool {
 // elements, stopping at ticket upto: the bulk variant of deqOne's
 // slot-freeing half, used by Log trim (the elements were broadcast, not
 // consumed-once, so nothing is popped). Freed slots advance their
-// sequence a full lap and count as dequeues. Returns the number freed.
+// sequence a full lap; the owner counts them as dequeues. Returns the
+// number freed.
 func (r *qring[T]) reclaim(tx *Tx, upto uint64, max int) int {
 	h := Get(tx, r.head)
 	n := 0
@@ -142,7 +171,6 @@ func (r *qring[T]) reclaim(tx *Tx, upto uint64, max int) int {
 	}
 	if n > 0 {
 		Put(tx, r.head, h)
-		Put(tx, r.deqs, Get(tx, r.deqs)+uint64(n))
 	}
 	return n
 }

@@ -83,10 +83,10 @@ func WithQueueBatch(n int) QueueOption {
 // Per-item and fixed overheads of a queue critical section, in
 // single-word cell operations. A worst-case item is a dequeue: ticket
 // reads (2), the element read and the result-cell write (valueWords
-// each), the slot's sequence write (1), the ticket write (1) and the
-// counter read+write (2); enqueues cost the same with one valueWords
-// term for the slot write. The fixed tail covers the outcome flag or
-// count routing and the full/empty counter bump.
+// each), the slot's sequence write (1), the ticket write (1) and 2
+// spare (counters now settle after the section); enqueues cost the
+// same with one valueWords term for the slot write. The fixed tail is
+// routing headroom; the counters left it too, so it is slack.
 const (
 	queueItemOverhead  = 6
 	queueFixedOverhead = 8
@@ -196,8 +196,8 @@ func (q *Queue[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 func (q *Queue[T]) Len() int { return q.pool.Len() }
 
 // QueueStats is a point-in-time view of a queue's traffic, with the
-// same weak-consistency caveat as StatsSnapshot: counters are updated
-// inside critical sections, so they are exact at quiescence.
+// same weak-consistency caveat as StatsSnapshot: counters are settled
+// after each critical section, so they are exact at quiescence.
 type QueueStats struct {
 	// Lock carries the queue lock's contention counters (these same
 	// counters appear in the manager-wide StatsSnapshot.Locks).

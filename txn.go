@@ -3,22 +3,14 @@ package wflocks
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
 
 	"wflocks/internal/idem"
 )
 
-// Multi-key transactions. The paper's headline guarantee is wait-free
-// acquisition of a *set* of up to L locks with helping; Atomic is where
-// that surfaces in the data-structure API. A transaction declares its
-// key set up front; the involved shard locks are deduplicated, sorted
-// and acquired in one wait-free multi-lock attempt, and the body runs
-// as a single critical section with Get/Put/Delete on any named key.
-// Bodies are idempotent by construction — every read and write flows
-// through the idempotence layer and results route through fresh cells —
-// so a stalled transaction is completed by helpers like any other
-// critical section, and the whole transaction commits atomically or
-// (on validation failure or cancellation) not at all.
+// Multi-key transactions: Atomic and AtomicAll, documented on Atomic
+// and in the package doc, run one frame, txnFrame (see mapframe.go).
 
 // MapTxn is the transaction view Atomic hands its body: typed
 // Get/Put/Delete over the transaction's declared keys, all inside one
@@ -35,9 +27,11 @@ type MapTxn[K comparable, V any] struct {
 	tx    *Tx
 	prep  *mapTxnPrep[K, V]
 	slots []txnSlot
-	// full, when non-nil (Map.Atomic), is set by a Put that found its
-	// shard at capacity so the wrapper can report ErrMapFull.
-	full *Cell[bool]
+	// full, when non-nil (Map.Atomic), is the frame's result word: a
+	// Put that found its shard at capacity sets mresFull there so the
+	// caller can report ErrMapFull.
+	full    *atomic.Uint32
+	slotBuf [txnInline]txnSlot
 }
 
 // txnSlot memoizes one declared key's probe inside one execution of the
@@ -46,32 +40,35 @@ type MapTxn[K comparable, V any] struct {
 type txnSlot struct {
 	probed bool
 	found  bool
-	idx    int // bucket index when found
-	free   int // first reusable bucket when not found (-1: shard full)
+	idx    int32 // bucket index when found
+	free   int32 // first reusable bucket when not found (-1: shard full)
 }
 
-// mapTxnKey is one declared key with its precomputed routing.
-type mapTxnKey[K comparable] struct {
-	k    K
-	h    uint64
-	si   int
-	home int
+// txnRoute is one declared key's precomputed routing.
+type txnRoute struct {
+	h        uint64
+	si, home int32
 }
 
 // mapTxnPrep is the immutable, execution-independent part of a
-// transaction: deduplicated keys with routing, the deduplicated and
-// sorted lock set, the involved shards, and the declared op budget. It
-// is computed once per Atomic call (or once per Region) and shared by
-// every execution of the body.
+// transaction: deduplicated keys with their routing and the declared
+// op budget. It is computed once per Atomic call (or once per Region)
+// and shared by every execution of the body.
 type mapTxnPrep[K comparable, V any] struct {
-	mp      *Map[K, V]
-	keys    []mapTxnKey[K]
-	keyList []K       // declaration-ordered deduplicated keys, for MapTxn.Keys
-	index   map[K]int // key → slot, built past a size threshold (else nil)
-	shards  []int
-	locks   []*Lock
-	ops     int
+	mp     *Map[K, V]
+	keys   []K // declaration-ordered deduplicated keys, for MapTxn.Keys
+	routes []txnRoute
+	index  map[K]int // key → slot, built past a size threshold (else nil)
+	ops    int
+
+	// The slices' storage while they fit; longer ones move to the heap.
+	keyBuf   [txnInline]K
+	routeBuf [txnInline]txnRoute
 }
+
+// txnInline is the key count a transaction's slices hold inside its
+// frame and view without a heap allocation.
+const txnInline = 4
 
 // txnIndexThreshold is the key count past which prepare switches from
 // linear scans to a map index for dedupe and slot resolution: small
@@ -80,86 +77,57 @@ type mapTxnPrep[K comparable, V any] struct {
 // helpers re-executing a body pay slot lookups again.
 const txnIndexThreshold = 8
 
-// prepare computes a transaction's routing: keys deduplicated by
-// equality, shard set deduplicated, locks sorted by ID so every
-// transaction acquires in one canonical order. The op budget gives each
-// distinct key one full single-shard budget (whose bookkeeping headroom
-// already covers the key's share of seqlock bumps and result routing,
-// exactly as in the single-key operations), plus one extra probe per
-// additional key sharing a shard — a same-shard insert can invalidate a
-// sibling key's memoized free bucket, forcing a re-probe.
-func (mp *Map[K, V]) prepare(keys []K) *mapTxnPrep[K, V] {
-	prep := &mapTxnPrep[K, V]{mp: mp}
+// prepare fills prep, in place, with a transaction's routing: keys
+// deduplicated by equality (runTxn collects their shards' locks and
+// sorts them). The op budget gives each distinct key one full
+// single-shard budget (whose bookkeeping headroom already covers the
+// key's share of seqlock bumps and result routing, exactly as in the
+// single-key operations), plus one extra probe per additional key
+// sharing a shard — a same-shard insert can invalidate a sibling key's
+// memoized free bucket, forcing a re-probe.
+func (mp *Map[K, V]) prepare(prep *mapTxnPrep[K, V], keys []K) {
+	prep.mp, prep.keys, prep.routes = mp, prep.keyBuf[:0], prep.routeBuf[:0]
 	if len(keys) > txnIndexThreshold {
 		prep.index = make(map[K]int, len(keys))
 	}
 	for _, k := range keys {
-		dup := false
-		if prep.index != nil {
-			_, dup = prep.index[k]
-		} else {
-			for i := range prep.keys {
-				if prep.keys[i].k == k {
-					dup = true
-					break
-				}
-			}
-		}
-		if dup {
+		if _, dup := prep.index[k]; dup || prep.index == nil && slices.Contains(prep.keys, k) {
 			continue
 		}
-		h := mp.eng.Hash(k)
 		if prep.index != nil {
 			prep.index[k] = len(prep.keys)
 		}
-		prep.keys = append(prep.keys, mapTxnKey[K]{
-			k: k, h: h, si: mp.eng.ShardIndex(h), home: mp.eng.Home(h),
-		})
-		prep.keyList = append(prep.keyList, k)
+		h := mp.eng.Hash(k)
+		prep.keys = append(prep.keys, k)
+		prep.routes = append(prep.routes, txnRoute{h, int32(mp.eng.ShardIndex(h)), int32(mp.eng.Home(h))})
 	}
-	for i := range prep.keys {
-		si := prep.keys[i].si
-		seen := false
-		for _, s := range prep.shards {
-			if s == si {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			prep.shards = append(prep.shards, si)
+	nk, ns := len(prep.keys), 0
+	for i := range prep.routes {
+		if prep.firstOnShard(i) {
+			ns++
 		}
 	}
-	prep.locks = make([]*Lock, len(prep.shards))
-	for i, si := range prep.shards {
-		prep.locks[i] = mp.locks[si]
-	}
-	sort.Slice(prep.locks, func(i, j int) bool { return prep.locks[i].ID() < prep.locks[j].ID() })
-	nk, ns := len(prep.keys), len(prep.shards)
 	prep.ops = nk*mp.opBudget + (nk-ns)*mp.probeCost
-	return prep
 }
 
-// txnVerCells lists the seqlock version cells of the involved shards;
-// the transaction runner bumps each once before and once after the
-// body.
-func (prep *mapTxnPrep[K, V]) txnVerCells() []*idem.Cell {
-	vers := make([]*idem.Cell, len(prep.shards))
-	for i, si := range prep.shards {
-		vers[i] = prep.mp.eng.Shards[si].Ver
+// firstOnShard reports whether key i is the first declared key on its
+// shard.
+func (prep *mapTxnPrep[K, V]) firstOnShard(i int) bool {
+	for _, r := range prep.routes[:i] {
+		if r.si == prep.routes[i].si {
+			return false
+		}
 	}
-	return vers
+	return true
 }
 
-// view creates a fresh per-execution transaction view.
-func (prep *mapTxnPrep[K, V]) view(tx *Tx, full *Cell[bool]) *MapTxn[K, V] {
-	return &MapTxn[K, V]{
-		mp:    prep.mp,
-		tx:    tx,
-		prep:  prep,
-		slots: make([]txnSlot, len(prep.keys)),
-		full:  full,
-	}
+// view creates a fresh per-execution transaction view, drawn from the
+// executing process's arenas as a Tx is.
+func (prep *mapTxnPrep[K, V]) view(tx *Tx, full *atomic.Uint32) *MapTxn[K, V] {
+	t := runNew[MapTxn[K, V]](tx.run)
+	t.mp, t.tx, t.prep, t.full = prep.mp, tx, prep, full
+	t.slots = append(t.slotBuf[:0], make([]txnSlot, len(prep.routes))...)
+	return t
 }
 
 // Atomic runs fn as one atomic transaction over the declared keys: the
@@ -209,28 +177,39 @@ func (mp *Map[K, V]) Atomic(keys []K, fn func(*MapTxn[K, V])) error {
 // cancellation error; a nil (or ErrMapFull) return means exactly one
 // winning attempt committed it.
 func (mp *Map[K, V]) AtomicCtx(ctx context.Context, keys []K, fn func(*MapTxn[K, V])) error {
-	prep := mp.prepare(keys)
-	full := NewBoolCell(false)
-	rg := &MapRegion[K, V]{prep: prep}
-	err := AtomicAllCtx(ctx, mp.m, []TxnRegion{rg}, func(tx *Tx) {
-		fn(prep.view(tx, full))
-	})
-	if err != nil {
+	p := mp.m.Acquire()
+	defer mp.m.Release(p)
+	f := frameFor[mapTxnFrame[K, V]](p)
+	mp.prepare(&f.rg.prep, keys)
+	f.fn, f.body = fn, f
+	regions := [1]TxnRegion{&f.rg}
+	if err := mp.m.runTxn(ctx, p, &f.txnFrame, regions[:]); err != nil {
 		return err
 	}
-	if Load(mp.m, full) {
+	if f.resBits.Load()&mresFull != 0 {
 		return fmt.Errorf("%w: a transactional Put found its shard at capacity %d", ErrMapFull, mp.eng.Capacity())
 	}
 	return nil
 }
 
+// mapTxnFrame is Map.Atomic's txnFrame, its one region and typed body.
+type mapTxnFrame[K comparable, V any] struct {
+	txnFrame
+	rg MapRegion[K, V]
+	fn func(*MapTxn[K, V])
+}
+
+func (f *mapTxnFrame[K, V]) runTxn(tx *Tx) { f.fn(f.rg.prep.view(tx, &f.resBits)) }
+
 // Region declares a transaction's footprint on this map — the given
-// keys, their deduplicated sorted shard locks, and the op budget — for
-// composition into a multi-structure transaction via AtomicAll. Inside
-// the transaction body, View binds the region to the running critical
+// keys, their deduplicated shards, and the op budget — for composition
+// into a multi-structure transaction via AtomicAll. Inside the
+// transaction body, View binds the region to the running critical
 // section and yields the same typed MapTxn view Atomic provides.
 func (mp *Map[K, V]) Region(keys ...K) *MapRegion[K, V] {
-	return &MapRegion[K, V]{prep: mp.prepare(keys)}
+	rg := &MapRegion[K, V]{}
+	mp.prepare(&rg.prep, keys)
+	return rg
 }
 
 // MapRegion is a Map's declared footprint in a multi-structure
@@ -238,7 +217,7 @@ func (mp *Map[K, V]) Region(keys ...K) *MapRegion[K, V] {
 // with View. A region is immutable and may be reused across
 // transactions with the same key set.
 type MapRegion[K comparable, V any] struct {
-	prep *mapTxnPrep[K, V]
+	prep mapTxnPrep[K, V]
 }
 
 // View binds the region to an executing transaction body, returning a
@@ -252,21 +231,90 @@ type MapRegion[K comparable, V any] struct {
 // cells if the caller needs them).
 func (rg *MapRegion[K, V]) View(tx *Tx) *MapTxn[K, V] { return rg.prep.view(tx, nil) }
 
-func (rg *MapRegion[K, V]) txnManager() *Manager      { return rg.prep.mp.m }
-func (rg *MapRegion[K, V]) txnLocks() []*Lock         { return rg.prep.locks }
-func (rg *MapRegion[K, V]) txnOps() int               { return rg.prep.ops }
-func (rg *MapRegion[K, V]) txnVerCells() []*idem.Cell { return rg.prep.txnVerCells() }
+func (rg *MapRegion[K, V]) txnAdd(f *txnFrame) *Manager {
+	mp := rg.prep.mp
+	for i, r := range rg.prep.routes {
+		if rg.prep.firstOnShard(i) {
+			f.locks = append(f.locks, mp.locks[r.si])
+			f.vers = append(f.vers, mp.eng.Shards[r.si].Ver)
+		}
+	}
+	f.ops += rg.prep.ops
+	return mp.m
+}
 
 // TxnRegion is a structure's declared footprint in a multi-structure
 // transaction: its locks, op budget and seqlock cells. Regions are
 // created by the structures themselves (Map.Region); the interface's
-// methods are unexported because a region's internals are engine-level.
+// method is unexported because a region's internals are engine-level.
 type TxnRegion interface {
-	txnManager() *Manager
-	txnLocks() []*Lock
-	txnOps() int
-	txnVerCells() []*idem.Cell
+	// txnAdd adds the region's shard locks, seqlock version cells and
+	// op budget to f, and reports the region's manager.
+	txnAdd(f *txnFrame) *Manager
 }
+
+// txnFrame is the transaction frame AtomicAll and Map.Atomic run (see
+// mapframe.go): the lock set, the seqlock version cells each run bumps
+// around the body, the body, and Map.Atomic's full bit.
+type txnFrame struct {
+	locks   []*Lock
+	vers    []*idem.Cell
+	ops     int
+	body    txnBody
+	resBits atomic.Uint32
+	lockBuf [txnInline]*Lock
+	verBuf  [txnInline]*idem.Cell
+}
+
+// txnBody is what a txnFrame runs between its version bumps.
+type txnBody interface{ runTxn(tx *Tx) }
+
+// txnFunc is AtomicAll's body as a txnBody.
+type txnFunc func(*Tx)
+
+func (fn txnFunc) runTxn(tx *Tx) { fn(tx) }
+
+// RunThunk implements idem.Thunk. Seqlock versions go odd before any
+// bucket is touched and even after the last effect, so lock-free
+// snapshots never observe a half-applied transaction.
+func (f *txnFrame) RunThunk(r *idem.Run) {
+	for _, v := range f.vers {
+		r.Write(v, r.Read(v)+1)
+	}
+	f.body.runTxn(newTx(r))
+	for _, v := range f.vers {
+		r.Write(v, r.Read(v)+1)
+	}
+}
+
+// runTxn adds regions to f, validates the union and runs f under p
+// until an attempt wins.
+func (m *Manager) runTxn(ctx context.Context, p *Process, f *txnFrame, regions []TxnRegion) error {
+	f.locks, f.vers = f.lockBuf[:0], f.verBuf[:0]
+	for _, rg := range regions {
+		if rg.txnAdd(f) != m {
+			return fmt.Errorf("%w: AtomicAll region not on this manager", ErrCrossManager)
+		}
+	}
+	slices.SortFunc(f.locks, byID)
+	for i := 1; i < len(f.locks); i++ {
+		// Locks are per-structure and a region's are distinct, so a
+		// repeat means two regions cover the same shard: their
+		// independent probe memos could corrupt it.
+		if f.locks[i] == f.locks[i-1] {
+			return fmt.Errorf("%w: lock %d appears in two regions", ErrOverlappingRegions, f.locks[i].ID())
+		}
+	}
+	if err := m.validateCall(f.locks, f.ops); err != nil {
+		return err
+	}
+	_, err := m.run(ctx, p, f.locks, f.ops, f)
+	return err
+}
+
+// byID orders locks by ID, the canonical acquisition order of every
+// multi-lock section (slices.SortFunc sorts short sets by insertion).
+func byID(a, b *Lock) int { return a.ID() - b.ID() }
 
 // AtomicAll runs fn as one atomic transaction spanning every region —
 // regions may come from different structures (several Maps) as long as
@@ -293,45 +341,11 @@ func AtomicAll(m *Manager, regions []TxnRegion, fn func(*Tx)) error {
 // loop: it returns an error wrapping ErrCanceled once ctx is done, and
 // the body never runs after that.
 func AtomicAllCtx(ctx context.Context, m *Manager, regions []TxnRegion, fn func(*Tx)) error {
-	var locks []*Lock
-	var vers []*idem.Cell
-	ops := 0
-	for _, rg := range regions {
-		if rg.txnManager() != m {
-			return fmt.Errorf("%w: AtomicAll region not on this manager", ErrCrossManager)
-		}
-		for _, l := range rg.txnLocks() {
-			// A lock seen in an earlier region means two regions cover the
-			// same shard of the same structure (locks are per-structure):
-			// their independent probe memos could corrupt that shard.
-			for _, have := range locks {
-				if have == l {
-					return fmt.Errorf("%w: lock %d appears in two regions", ErrOverlappingRegions, l.ID())
-				}
-			}
-			locks = append(locks, l)
-		}
-		// Regions are shard-disjoint (checked above), so their version
-		// cells are necessarily distinct.
-		vers = append(vers, rg.txnVerCells()...)
-		ops += rg.txnOps()
-	}
-	sort.Slice(locks, func(i, j int) bool { return locks[i].ID() < locks[j].ID() })
 	p := m.Acquire()
 	defer m.Release(p)
-	_, err := m.LockCtx(ctx, p, locks, ops, func(tx *Tx) {
-		// Seqlock versions go odd before any bucket is touched and even
-		// after the last effect, so lock-free snapshots never observe a
-		// half-applied transaction.
-		for _, v := range vers {
-			tx.run.Write(v, tx.run.Read(v)+1)
-		}
-		fn(tx)
-		for _, v := range vers {
-			tx.run.Write(v, tx.run.Read(v)+1)
-		}
-	})
-	return err
+	f := frameFor[txnFrame](p)
+	f.body = txnFunc(fn)
+	return m.runTxn(ctx, p, f, regions)
 }
 
 // slot resolves a key to its declared index, panicking for undeclared
@@ -341,12 +355,8 @@ func (t *MapTxn[K, V]) slot(k K) int {
 		if i, ok := t.prep.index[k]; ok {
 			return i
 		}
-	} else {
-		for i := range t.prep.keys {
-			if t.prep.keys[i].k == k {
-				return i
-			}
-		}
+	} else if i := slices.Index(t.prep.keys, k); i >= 0 {
+		return i
 	}
 	panic("wflocks: MapTxn: key not in the transaction's declared key set")
 }
@@ -355,10 +365,9 @@ func (t *MapTxn[K, V]) slot(k K) int {
 func (t *MapTxn[K, V]) probe(i int) *txnSlot {
 	s := &t.slots[i]
 	if !s.probed {
-		tk := &t.prep.keys[i]
-		sh := &t.mp.eng.Shards[tk.si]
-		s.idx, s.found, s.free = t.mp.eng.Find(t.tx.run, sh, tk.h, tk.home, tk.k)
-		s.probed = true
+		r := &t.prep.routes[i]
+		idx, found, free := t.mp.eng.Find(t.tx.run, &t.mp.eng.Shards[r.si], r.h, int(r.home), t.prep.keys[i])
+		*s = txnSlot{probed: true, found: found, idx: int32(idx), free: int32(free)}
 	}
 	return s
 }
@@ -370,9 +379,9 @@ func (t *MapTxn[K, V]) probe(i int) *txnSlot {
 // and siblings holding a different free bucket keep theirs, which is
 // what bounds re-probes to at most one per same-shard sibling in the
 // budgeted Get-round-then-Put-round pattern.
-func (t *MapTxn[K, V]) invalidateFree(si, filled, self int) {
+func (t *MapTxn[K, V]) invalidateFree(si, filled int32, self int) {
 	for i := range t.slots {
-		if i != self && t.prep.keys[i].si == si &&
+		if i != self && t.prep.routes[i].si == si &&
 			t.slots[i].probed && !t.slots[i].found && t.slots[i].free == filled {
 			t.slots[i].probed = false
 		}
@@ -388,8 +397,7 @@ func (t *MapTxn[K, V]) Get(k K) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	tk := &t.prep.keys[i]
-	return t.mp.eng.Val(t.tx.run, &t.mp.eng.Shards[tk.si], s.idx), true
+	return t.mp.eng.Val(t.tx.run, &t.mp.eng.Shards[t.prep.routes[i].si], int(s.idx)), true
 }
 
 // Put stores v for k within the transaction, inserting or overwriting.
@@ -399,21 +407,21 @@ func (t *MapTxn[K, V]) Get(k K) (V, bool) {
 func (t *MapTxn[K, V]) Put(k K, v V) error {
 	i := t.slot(k)
 	s := t.probe(i)
-	tk := &t.prep.keys[i]
-	sh := &t.mp.eng.Shards[tk.si]
+	r := &t.prep.routes[i]
+	sh := &t.mp.eng.Shards[r.si]
 	if s.found {
-		t.mp.eng.SetVal(t.tx.run, sh, s.idx, v)
+		t.mp.eng.SetVal(t.tx.run, sh, int(s.idx), v)
 		return nil
 	}
 	if s.free < 0 {
 		if t.full != nil {
-			Put(t.tx, t.full, true)
+			t.full.Store(mresFull)
 		}
-		return fmt.Errorf("%w: shard %d at capacity %d", ErrMapFull, tk.si, t.mp.eng.Capacity())
+		return fmt.Errorf("%w: shard %d at capacity %d", ErrMapFull, r.si, t.mp.eng.Capacity())
 	}
-	t.mp.eng.Insert(t.tx.run, sh, s.free, tk.h, tk.k, v)
+	t.mp.eng.Insert(t.tx.run, sh, int(s.free), r.h, t.prep.keys[i], v)
 	s.found, s.idx = true, s.free
-	t.invalidateFree(tk.si, s.idx, i)
+	t.invalidateFree(r.si, s.idx, i)
 	return nil
 }
 
@@ -425,15 +433,15 @@ func (t *MapTxn[K, V]) Delete(k K) bool {
 	if !s.found {
 		return false
 	}
-	tk := &t.prep.keys[i]
-	t.mp.eng.Remove(t.tx.run, &t.mp.eng.Shards[tk.si], s.idx)
+	si := t.prep.routes[i].si
+	t.mp.eng.Remove(t.tx.run, &t.mp.eng.Shards[si], int(s.idx))
 	s.found, s.free = false, s.idx
 	// Same-shard siblings that probed a full region (free = -1) can use
 	// the freed bucket: a probe that found no reusable bucket covered
 	// the whole region, so every chain reaches this one. Without this a
 	// Delete-then-Put pair would spuriously report ErrMapFull.
 	for j := range t.slots {
-		if j != i && t.prep.keys[j].si == tk.si &&
+		if j != i && t.prep.routes[j].si == si &&
 			t.slots[j].probed && !t.slots[j].found && t.slots[j].free < 0 {
 			t.slots[j].free = s.idx
 		}
@@ -447,7 +455,7 @@ func (t *MapTxn[K, V]) Delete(k K) bool {
 // even after Atomic returns (a straggling helper may still be
 // re-executing the body), and Keys is backed by the transaction's own
 // immutable preparation. Callers must not modify the returned slice.
-func (t *MapTxn[K, V]) Keys() []K { return t.prep.keyList }
+func (t *MapTxn[K, V]) Keys() []K { return t.prep.keys }
 
 // Tx exposes the underlying critical-section handle, for routing
 // results out through the caller's own cells:

@@ -124,28 +124,41 @@ type Process struct {
 	// owner-transient — core copies the set into its own attempt
 	// record before publishing — so plain reuse is safe.
 	lockBuf []*core.Lock
-
-	// structs holds the per-structure operation-frame arenas (see
-	// frameFor), found by type via a linear scan; the handful of
-	// structure types a goroutine touches keeps it short.
-	structs []any
 }
 
-// frameFor draws a fresh operation frame of type F (a mapFrame or
-// logFrame instantiation) from p's arena for that type, created on the
-// goroutine's first use. Frames are read by helpers at unbounded
+// typedArenas is a process's bump arenas for frames, Tx handles and
+// MapTxn views, in its ScratchTx slot, found by type with a short scan.
+type typedArenas []any
+
+// newIn draws a fresh F from the arena for F in scratch slot s, created
+// on first use, or from the heap when s is nil (an environment without
+// scratch state). Frames and handles are read by helpers at unbounded
 // staleness, so they are never recycled; the arena abandons full chunks
 // (internal/arena).
-func frameFor[F any](p *Process) *F {
-	for _, s := range p.structs {
-		if a, ok := s.(*arena.Arena[F]); ok {
+func newIn[F any](s *any) *F {
+	if s == nil {
+		return new(F)
+	}
+	as, _ := (*s).(*typedArenas)
+	if as == nil {
+		as = new(typedArenas)
+		*s = as
+	}
+	for _, a := range *as {
+		if a, ok := a.(*arena.Arena[F]); ok {
 			return a.New()
 		}
 	}
 	a := &arena.Arena[F]{}
-	p.structs = append(p.structs, a)
+	*as = append(*as, a)
 	return a.New()
 }
+
+// frameFor draws a fresh operation frame of type F from p's arenas.
+func frameFor[F any](p *Process) *F { return newIn[F](p.env.Scratch(env.ScratchTx)) }
+
+// runNew draws a fresh F from the arenas of the process executing r.
+func runNew[F any](r *idem.Run) *F { return newIn[F](env.ScratchOf(r.Env(), env.ScratchTx)) }
 
 // NewProcess creates a fresh process handle. Prefer Acquire, which
 // reuses pooled handles.
@@ -181,20 +194,11 @@ func (f txFrame) RunThunk(r *idem.Run) {
 	f(newTx(r))
 }
 
-// newTx returns a Tx for r, drawn from the executing environment's
-// arena when it carries scratch state (always, for native processes).
+// newTx returns a Tx for r, drawn from the executing process's arenas.
 func newTx(r *idem.Run) *Tx {
-	if p := env.ScratchOf(r.Env(), env.ScratchTx); p != nil {
-		a, ok := (*p).(*arena.Arena[Tx])
-		if !ok {
-			a = &arena.Arena[Tx]{}
-			*p = a
-		}
-		tx := a.New()
-		tx.run = r
-		return tx
-	}
-	return &Tx{run: r}
+	tx := runNew[Tx](r)
+	tx.run = r
+	return tx
 }
 
 // TryLock attempts to acquire all locks and run body atomically. maxOps

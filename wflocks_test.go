@@ -443,14 +443,32 @@ func steadyAllocs(op func()) float64 {
 	return testing.AllocsPerRun(400, op)
 }
 
+// steadyBytes returns op's average heap bytes per call over 8192 calls
+// after warm-up, arena chunks amortized in.
+func steadyBytes(op func()) float64 {
+	const n = 8192
+	for i := 0; i < 2048; i++ {
+		op()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / n
+}
+
 // TestMapAllocs pins the map hot paths: a steady-state Get (seqlock
 // fast path), Put and Update (operation frames) on single-word codecs
 // average well under one allocation per call — at 16 buckets per shard
 // and at 1024, where the budget (2061 operations) is far beyond what
 // the arena carves from a chunk, so a log sized by the budget
-// would cost a heap allocation per attempt. A 2-key Atomic still
-// allocates its closure, view and result cells at any size; what is
-// pinned for it is that the budget adds nothing to that.
+// would cost a heap allocation per attempt. A 2-key Atomic is a frame
+// too: its routing, lock set and version cells live in the frame and
+// its per-run view in the running process's arena, so it averages at
+// most 2 allocations per call and stays within its byte bounds at
+// either size; the budget adds nothing.
 func TestMapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
@@ -496,11 +514,19 @@ func TestMapAllocs(t *testing.T) {
 			tx.Put(3, a+1)
 			tx.Put(42, b-1)
 		}
-		atomicAllocs = append(atomicAllocs, steadyAllocs(func() {
+		atomic := func() {
 			if err := mp.Atomic(keys, transfer); err != nil {
 				t.Fatal(err)
 			}
-		}))
+		}
+		atomicAllocs = append(atomicAllocs, steadyAllocs(atomic))
+		if got := atomicAllocs[len(atomicAllocs)-1]; got > 2 {
+			t.Errorf("2-key Atomic at %d buckets per shard averages %.2f allocs/op, want <= 2", shardCap, got)
+		}
+		bound := map[int]float64{16: 1700, 1024: 1400}[shardCap]
+		if got := steadyBytes(atomic); got > bound {
+			t.Errorf("2-key Atomic at %d buckets per shard averages %.0f B/op, want <= %.0f", shardCap, got, bound)
+		}
 	}
 	if small, large := atomicAllocs[0], atomicAllocs[1]; large >= small+0.5 {
 		t.Errorf("2-key Atomic averages %.2f allocs/op at 1024 buckets per shard, %.2f at 16: the budget is allocating", large, small)
@@ -561,6 +587,34 @@ func TestCacheAllocs(t *testing.T) {
 	}
 	if got := steadyAllocs(func() { mp.Get("k000000042") }); got >= 1.5 {
 		t.Errorf("Map[string,string] Get hit averages %.2f allocs/op, want 1", got)
+	}
+}
+
+// TestWorkPoolAllocs pins the pool's hot pair: an enqueue and a
+// dequeue are frames whose scalar results ride atomic words, so the
+// pair averages well under one allocation and at most 1300 B.
+func TestWorkPoolAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	m := newManager(t, WithUnknownBounds(4), WithMaxLocks(2), WithMaxCriticalSteps(WorkPoolCriticalSteps(1, 8)))
+	wp, err := NewWorkPool[uint64](m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := func() {
+		if !wp.TryEnqueue(7) {
+			t.Fatal("enqueue failed")
+		}
+		if _, ok := wp.TryDequeue(); !ok {
+			t.Fatal("dequeue failed")
+		}
+	}
+	if got := steadyAllocs(pair); got >= 0.5 {
+		t.Errorf("enqueue+dequeue averages %.2f allocs/op, want < 0.5", got)
+	}
+	if got := steadyBytes(pair); got > 1300 {
+		t.Errorf("enqueue+dequeue averages %.0f B/op, want <= 1300", got)
 	}
 }
 

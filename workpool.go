@@ -3,8 +3,10 @@ package wflocks
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
+	"wflocks/internal/idem"
 	"wflocks/internal/stats"
 	"wflocks/internal/table"
 )
@@ -52,7 +54,7 @@ type WorkPool[T any] struct {
 	// locks[s] guards rings[s]; locks[s:s+1] is shard s's single-lock
 	// set, so the runner's lock sets exist from construction on.
 	locks  []*Lock
-	steals []*Cell[uint64] // per shard: elements gained by stealing
+	steals []atomic.Uint64 // per shard: elements gained by stealing
 	// emptyReads[s] counts the dequeue passes that read shard s's
 	// occupancy as zero and so never took its lock; Stats adds them to
 	// the rejects the locked passes count in the ring.
@@ -202,7 +204,7 @@ func newPool[T any](m *Manager, vc Codec[T], cfg poolConfig, noun string) *WorkP
 		noun:        noun,
 		rings:       make([]qring[T], cfg.shards),
 		locks:       make([]*Lock, cfg.shards),
-		steals:      make([]*Cell[uint64], cfg.shards),
+		steals:      make([]atomic.Uint64, cfg.shards),
 		emptyReads:  make([]atomic.Uint64, cfg.shards),
 		shardMask:   uint64(cfg.shards - 1),
 		batch:       cfg.batch,
@@ -212,11 +214,136 @@ func newPool[T any](m *Manager, vc Codec[T], cfg poolConfig, noun string) *WorkP
 		wake:        make(chan struct{}, 1),
 	}
 	for s := range wp.rings {
-		wp.rings[s] = newQring(vc, perShard)
+		wp.rings[s].init(vc, perShard)
 		wp.locks[s] = m.NewLock()
-		wp.steals[s] = NewCell(uint64(0))
 	}
 	return wp
+}
+
+// poolFrame is a pool section in frame form (see mapframe.go): with
+// items, an enqueue of them to ring si while it has room; else a
+// dequeue of up to want from ring si or, when vi is another ring, a
+// steal of one from vi that migrates up to stealBatch more to si.
+type poolFrame[T any] struct {
+	wp     *WorkPool[T]
+	items  []T
+	one    [1]T // items of a single enqueue
+	out    handout[T]
+	si, vi int32
+	want   int32
+	moved  atomic.Uint32 // elements enqueued, dequeued or stolen
+}
+
+// RunThunk implements idem.Thunk.
+func (f *poolFrame[T]) RunThunk(r *idem.Run) {
+	tx := newTx(r)
+	ring := &f.wp.rings[f.si]
+	n := 0
+	switch {
+	case f.items != nil:
+		for n < len(f.items) && ring.enqOne(tx, f.items[n]) {
+			n++
+		}
+	case f.vi == f.si:
+		for ; n < int(f.want); n++ {
+			v, ok := ring.deqOne(tx)
+			if !ok {
+				break
+			}
+			f.out.put(tx, ring, n, v)
+		}
+	default:
+		vr := &f.wp.rings[f.vi]
+		if v, ok := vr.deqOne(tx); ok {
+			f.out.put(tx, ring, 0, v)
+			for n = 1; n <= stealBatch && moveOne(tx, vr, ring); n++ {
+			}
+		}
+	}
+	f.moved.Store(uint32(n))
+}
+
+// ExpectedOps implements idem.Sized: 4 operations per element plus two
+// per element word (a result cell's included); migrations count twice.
+func (f *poolFrame[T]) ExpectedOps() int {
+	n := max(len(f.items), int(f.want))
+	if f.vi != f.si {
+		n = 1 + 2*stealBatch
+	}
+	return n * (4 + 2*f.wp.rings[0].vc.Words())
+}
+
+// enqueue appends items — v alone when items is nil — to shard si in
+// one critical section and returns the number appended.
+func (wp *WorkPool[T]) enqueue(p *Process, si int, v T, items []T) int {
+	f := frameFor[poolFrame[T]](p)
+	f.wp, f.si, f.vi, f.one[0], f.items = wp, int32(si), int32(si), v, items
+	if items == nil {
+		f.items = f.one[:]
+	}
+	return wp.section(p, f, wp.locks[si:si+1])
+}
+
+// dequeue takes up to want elements from shard si, or steals from
+// shard vi when that differs, in one section and returns got with them
+// appended. It looks before it locks: an empty pass changes nothing, so
+// a shard whose advisory lock-free occupancy (what park trusts) reads
+// zero is counted in EmptyRejects and left alone.
+func (wp *WorkPool[T]) dequeue(p *Process, si, vi, want int, got []T) []T {
+	if vi == si && wp.rings[si].lenWith(p) == 0 {
+		wp.emptyReads[si].Add(1)
+		return got
+	}
+	f := frameFor[poolFrame[T]](p)
+	f.wp, f.si, f.vi, f.want = wp, int32(si), int32(vi), int32(want)
+	f.out.init(&wp.rings[si], want)
+	locks := wp.locks[si : si+1]
+	if vi != si {
+		// Canonical acquisition order, as the transaction layer sorts.
+		pair := [2]*Lock{wp.locks[si], wp.locks[vi]}
+		slices.SortFunc(pair[:], byID)
+		locks = pair[:]
+	}
+	n := min(wp.section(p, f, locks), want)
+	for i := 0; i < n; i++ {
+		got = append(got, f.out.get(p, &wp.rings[si], i))
+	}
+	return got
+}
+
+// section runs f under locks within the budget of its kind, settles
+// the counters from the number of elements it moved, and returns it.
+func (wp *WorkPool[T]) section(p *Process, f *poolFrame[T], locks []*Lock) int {
+	budget := wp.opBudget
+	if f.vi != f.si {
+		budget = wp.stealBudget
+	} else if max(len(f.items), int(f.want)) > 1 {
+		budget = wp.batchBudget
+	}
+	wp.m.run(context.Background(), p, locks, budget, f)
+	n := int(f.moved.Load())
+	ring, victim := &wp.rings[f.si], &wp.rings[f.vi]
+	switch {
+	case f.items != nil:
+		ring.enqs.Add(uint64(n))
+		if n < len(f.items) {
+			ring.fulls.Add(1)
+		}
+		if n > 0 {
+			wp.wakeSleeper()
+		}
+	case f.vi == f.si:
+		ring.deqs.Add(uint64(n))
+		if n < int(f.want) {
+			ring.empties.Add(1)
+		}
+	case n == 0:
+		victim.empties.Add(1)
+	default:
+		victim.deqs.Add(1)
+		wp.steals[f.si].Add(uint64(n))
+	}
+	return n
 }
 
 // Shards reports the shard count (after power-of-two rounding).
@@ -232,27 +359,16 @@ func (wp *WorkPool[T]) Cap() int { return len(wp.rings) * wp.rings[0].capacity }
 func (wp *WorkPool[T]) TryEnqueue(v T) bool {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
-	return wp.tryEnqueueFrom(p, wp.rr.Add(1)-1, v)
+	return wp.enqueueFrom(p, wp.rr.Add(1)-1, v, nil) > 0
 }
 
-func (wp *WorkPool[T]) tryEnqueueFrom(p *Process, start uint64, v T) bool {
-	for j := 0; j < len(wp.rings); j++ {
-		si := int((start + uint64(j)) & wp.shardMask)
-		ring := &wp.rings[si]
-		ok := NewBoolCell(false)
-		wp.m.run(context.Background(), p, wp.locks[si:si+1], wp.opBudget, txFrame(func(tx *Tx) {
-			if ring.enqOne(tx, v) {
-				Put(tx, ok, true)
-			} else {
-				Put(tx, ring.fulls, Get(tx, ring.fulls)+1)
-			}
-		}))
-		if ok.Get(p) {
-			wp.wakeSleeper()
-			return true
-		}
+// enqueueFrom probes the shards in order from start until one takes
+// items (v alone when items is nil), and returns the number it took.
+func (wp *WorkPool[T]) enqueueFrom(p *Process, start uint64, v T, items []T) (moved int) {
+	for j := 0; j < len(wp.rings) && moved == 0; j++ {
+		moved = wp.enqueue(p, int((start+uint64(j))&wp.shardMask), v, items)
 	}
-	return false
+	return moved
 }
 
 // wakeSleeper is what a completed enqueue owes the consumers: one
@@ -325,34 +441,13 @@ func (wp *WorkPool[T]) TryDequeue() (T, bool) {
 }
 
 func (wp *WorkPool[T]) tryDequeueWith(p *Process) (T, bool) {
-	var zero T
+	var one [1]T
 	home := int((wp.dq.Add(1) - 1) & wp.shardMask)
-	ring := &wp.rings[home]
-	// Look before locking: an empty pass changes nothing, so a home ring
-	// whose lock-free occupancy (what park trusts) reads zero is counted
-	// and left alone. The read is advisory, as the victim scan's is.
-	if ring.lenWith(p) == 0 {
-		wp.emptyReads[home].Add(1)
-	} else {
-		out := newResultCell(ring.vc)
-		ok := NewBoolCell(false)
-		wp.m.run(context.Background(), p, wp.locks[home:home+1], wp.opBudget, txFrame(func(tx *Tx) {
-			if ring.deqOne(tx, out) {
-				Put(tx, ok, true)
-			} else {
-				Put(tx, ring.empties, Get(tx, ring.empties)+1)
-			}
-		}))
-		if ok.Get(p) {
-			return out.Get(p), true
-		}
+	if got := wp.dequeue(p, home, home, 1, one[:0]); len(got) > 0 {
+		return got[0], true
 	}
-	if len(wp.rings) == 1 {
-		return zero, false
-	}
-	// Home is empty: pick the fullest other shard by its lock-free
-	// occupancy and raid it. The read is advisory — the steal re-checks
-	// under both locks.
+	// Home is empty: raid the fullest other shard by its advisory
+	// lock-free occupancy; the steal re-checks under both locks.
 	victim, best := -1, 0
 	for s := range wp.rings {
 		if s == home {
@@ -362,36 +457,12 @@ func (wp *WorkPool[T]) tryDequeueWith(p *Process) (T, bool) {
 			victim, best = s, n
 		}
 	}
-	if victim < 0 {
-		return zero, false
-	}
-	vr := &wp.rings[victim]
-	out := newResultCell(ring.vc)
-	stolen := NewCell(uint64(0))
-	// Canonical acquisition order, as the transaction layer sorts.
-	pair := [2]*Lock{wp.locks[home], wp.locks[victim]}
-	if pair[0].ID() > pair[1].ID() {
-		pair[0], pair[1] = pair[1], pair[0]
-	}
-	wp.m.run(context.Background(), p, pair[:], wp.stealBudget, txFrame(func(tx *Tx) {
-		if !vr.deqOne(tx, out) {
-			Put(tx, vr.empties, Get(tx, vr.empties)+1)
-			return
+	if victim >= 0 {
+		if got := wp.dequeue(p, home, victim, 1, one[:0]); len(got) > 0 {
+			return got[0], true
 		}
-		moved := uint64(1)
-		for j := 0; j < stealBatch; j++ {
-			if !moveOne(tx, vr, ring) {
-				break
-			}
-			moved++
-		}
-		Put(tx, stolen, moved)
-		Put(tx, wp.steals[home], Get(tx, wp.steals[home])+moved)
-	}))
-	if stolen.Get(p) == 0 {
-		return zero, false
 	}
-	return out.Get(p), true
+	return one[0], false
 }
 
 // TryEnqueueKeyed submits v with shard affinity: probing starts at the
@@ -406,7 +477,7 @@ func (wp *WorkPool[T]) tryDequeueWith(p *Process) (T, bool) {
 func (wp *WorkPool[T]) TryEnqueueKeyed(key uint64, v T) bool {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
-	return wp.tryEnqueueFrom(p, key, v)
+	return wp.enqueueFrom(p, key, v, nil) > 0
 }
 
 // EnqueueKeyed submits v with TryEnqueueKeyed's shard affinity, waiting
@@ -415,7 +486,7 @@ func (wp *WorkPool[T]) TryEnqueueKeyed(key uint64, v T) bool {
 func (wp *WorkPool[T]) EnqueueKeyed(ctx context.Context, key uint64, v T) error {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
-	return wp.m.await(ctx, wp.noun, "full", func() bool { return wp.tryEnqueueFrom(p, key, v) }, nil)
+	return wp.m.await(ctx, wp.noun, "full", func() bool { return wp.enqueueFrom(p, key, v, nil) > 0 }, nil)
 }
 
 // Enqueue submits v, waiting while every shard is full: failed passes
@@ -425,7 +496,7 @@ func (wp *WorkPool[T]) EnqueueKeyed(ctx context.Context, key uint64, v T) error 
 func (wp *WorkPool[T]) Enqueue(ctx context.Context, v T) error {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
-	return wp.m.await(ctx, wp.noun, "full", func() bool { return wp.tryEnqueueFrom(p, wp.rr.Add(1)-1, v) }, nil)
+	return wp.m.await(ctx, wp.noun, "full", func() bool { return wp.enqueueFrom(p, wp.rr.Add(1)-1, v, nil) > 0 }, nil)
 }
 
 // Dequeue pops an element, waiting while the pool is empty. The
@@ -469,21 +540,14 @@ func (wp *WorkPool[T]) awaitWork(ctx context.Context, p *Process, try func() boo
 // returns the number of elements enqueued, which is len(vs) unless ctx
 // was done first.
 func (wp *WorkPool[T]) EnqueueBatch(ctx context.Context, vs []T) (int, error) {
-	// Critical-section bodies must capture only data that stays
-	// immutable even after the call returns — a straggling helper may
-	// still be re-executing a body — so snapshot the caller's slice.
-	items := append([]T(nil), vs...)
+	items := append([]T(nil), vs...) // frames outlive the call (see mapframe.go)
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
 	done := 0
 	for done < len(items) {
 		chunk := items[done:min(done+wp.batch, len(items))]
 		err := wp.m.await(ctx, wp.noun, "full", func() bool {
-			moved := 0
-			start := wp.rr.Add(1) - 1
-			for j := 0; j < len(wp.rings) && moved == 0; j++ {
-				moved = wp.enqueueChunk(p, int((start+uint64(j))&wp.shardMask), chunk)
-			}
+			moved := wp.enqueueFrom(p, wp.rr.Add(1)-1, chunk[0], chunk)
 			done += moved
 			return moved > 0
 		}, nil)
@@ -492,29 +556,6 @@ func (wp *WorkPool[T]) EnqueueBatch(ctx context.Context, vs []T) (int, error) {
 		}
 	}
 	return done, nil
-}
-
-// enqueueChunk appends as much of chunk as fits to shard si in one
-// critical section and returns the number of elements moved.
-func (wp *WorkPool[T]) enqueueChunk(p *Process, si int, chunk []T) int {
-	ring := &wp.rings[si]
-	n := NewCell(uint64(0))
-	wp.m.run(context.Background(), p, wp.locks[si:si+1], wp.batchBudget, txFrame(func(tx *Tx) {
-		k := uint64(0)
-		for _, v := range chunk {
-			if !ring.enqOne(tx, v) {
-				Put(tx, ring.fulls, Get(tx, ring.fulls)+1)
-				break
-			}
-			k++
-		}
-		Put(tx, n, k)
-	}))
-	moved := int(n.Get(p))
-	if moved > 0 {
-		wp.wakeSleeper()
-	}
-	return moved
 }
 
 // DequeueBatch pops up to max elements, waiting only until the first
@@ -542,7 +583,8 @@ func (wp *WorkPool[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 			for j := 0; j < len(wp.rings) && len(got) < max; j++ {
 				want := min(max-len(got), wp.batch)
 				before := len(got)
-				got = wp.dequeueChunk(p, int((start+uint64(j))&wp.shardMask), want, got)
+				si := int((start + uint64(j)) & wp.shardMask)
+				got = wp.dequeue(p, si, si, want, got)
 				fullChunk = fullChunk || len(got)-before == want
 			}
 			if !fullChunk {
@@ -552,32 +594,6 @@ func (wp *WorkPool[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 		return len(got) > 0
 	})
 	return got, err
-}
-
-// dequeueChunk pops up to want elements from shard si in one critical
-// section and returns got with them appended.
-func (wp *WorkPool[T]) dequeueChunk(p *Process, si, want int, got []T) []T {
-	ring := &wp.rings[si]
-	outs := make([]*Cell[T], want)
-	for i := range outs {
-		outs[i] = newResultCell(ring.vc)
-	}
-	n := NewCell(uint64(0))
-	wp.m.run(context.Background(), p, wp.locks[si:si+1], wp.batchBudget, txFrame(func(tx *Tx) {
-		k := uint64(0)
-		for i := 0; i < want; i++ {
-			if !ring.deqOne(tx, outs[i]) {
-				Put(tx, ring.empties, Get(tx, ring.empties)+1)
-				break
-			}
-			k++
-		}
-		Put(tx, n, k)
-	}))
-	for _, out := range outs[:n.Get(p)] {
-		got = append(got, out.Get(p))
-	}
-	return got
 }
 
 // Len reports the number of pooled elements: the sum of the shards'
@@ -648,11 +664,11 @@ func (wp *WorkPool[T]) Stats() WorkPoolStats {
 		ring := &wp.rings[s]
 		st := WorkPoolShardStats{
 			Lock:         wp.locks[s].stats(),
-			Enqueues:     ring.enqs.Get(p),
-			Dequeues:     ring.deqs.Get(p),
-			Steals:       wp.steals[s].Get(p),
-			FullRejects:  ring.fulls.Get(p),
-			EmptyRejects: ring.empties.Get(p) + wp.emptyReads[s].Load(),
+			Enqueues:     ring.enqs.Load(),
+			Dequeues:     ring.deqs.Load(),
+			Steals:       wp.steals[s].Load(),
+			FullRejects:  ring.fulls.Load(),
+			EmptyRejects: ring.empties.Load() + wp.emptyReads[s].Load(),
 			Len:          ring.lenWith(p),
 		}
 		ps.Shards[s] = st

@@ -788,3 +788,161 @@ func TestWorkPoolParkCancelHandsWakeOn(t *testing.T) {
 		}
 	}
 }
+
+// TestSettledCountersUnderHelping pins that the counters owners settle
+// after their sections stay exact when helpers run those sections. Four
+// goroutines drive a two-shard pool, a one-shard pool and a one-shard
+// log whose element codec is multi-word and stalls inside sections, so
+// holders stall mid-section, competitors finish their bodies, and
+// dequeued and delivered elements come back through result cells. At
+// quiescence every counter a caller can tally equals the callers' sum:
+// enqueues and dequeues; full rejects (none on the two-shard pool,
+// which has room for everything; on the one-shard structures a failed
+// call is exactly one rejected pass); appends and each cursor's reads. Steals cannot be tallied by callers (a dequeue does
+// not say whether it stole), so the two-shard pool's are checked by
+// conservation: they happened, and every element is accounted for.
+func TestSettledCountersUnderHelping(t *testing.T) {
+	const (
+		workers = 4
+		rounds  = 150
+	)
+	var armed atomic.Bool
+	vc := stallingPairCodec(&armed, 8, 300*time.Microsecond)
+	m := newManager(t, WithKappa(workers+1), WithMaxLocks(2), WithDelayConstants(1, 1),
+		WithMaxCriticalSteps(max(WorkPoolCriticalSteps(2, 2), LogCriticalSteps(2, 1, workers, 4))))
+	// Room for every element: no shard ever fills, so no pass is rejected.
+	pool, err := NewWorkPoolOf[widePair](m, vc, WithPoolShards(2), WithPoolCapacity(2*workers*rounds), WithPoolBatch(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := NewWorkPoolOf[widePair](m, vc, WithPoolShards(1), WithPoolCapacity(4), WithPoolBatch(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := NewLogOf[widePair](m, vc, WithLogShards(1), WithLogCapacity(8), WithLogSegment(4),
+		WithLogConsumers(workers), WithLogBatch(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cursors := make([]*Cursor[widePair], workers)
+	for i := range cursors {
+		if cursors[i], err = lg.NewCursor(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type tally struct{ enq, deq, oneEnq, oneDeq, oneFull, appends, logFull, reads uint64 }
+	tallies := make([]tally, workers)
+	armed.Store(true)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tl := &tallies[w]
+			for i := 0; i < rounds; i++ {
+				v := newWidePair(uint64(w*rounds + i))
+				if pool.TryEnqueue(v) {
+					tl.enq++
+				}
+				if got, ok := pool.TryDequeue(); ok {
+					if !got.sane() {
+						t.Errorf("pool dequeued %+v", got)
+					}
+					tl.deq++
+				}
+				if one.TryEnqueue(v) {
+					tl.oneEnq++
+				} else {
+					tl.oneFull++
+				}
+				if i%2 == 0 {
+					if _, ok := one.TryDequeue(); ok {
+						tl.oneDeq++
+					}
+				}
+				if lg.TryAppend(v) {
+					tl.appends++
+				} else {
+					tl.logFull++
+				}
+				for {
+					got, ok := cursors[w].TryNext()
+					if !ok {
+						break
+					}
+					if !got.sane() {
+						t.Errorf("cursor read %+v", got)
+					}
+					tl.reads++
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	armed.Store(false)
+	var sum tally
+	for _, tl := range tallies {
+		sum.enq, sum.deq, sum.oneEnq, sum.oneDeq = sum.enq+tl.enq, sum.deq+tl.deq, sum.oneEnq+tl.oneEnq, sum.oneDeq+tl.oneDeq
+		sum.oneFull, sum.appends, sum.logFull = sum.oneFull+tl.oneFull, sum.appends+tl.appends, sum.logFull+tl.logFull
+		sum.reads += tl.reads
+	}
+	ps, os, ls := pool.Stats(), one.Stats(), lg.Stats()
+	if ps.Enqueues != sum.enq || ps.Dequeues != sum.deq {
+		t.Errorf("pool stats: %d enqueues, %d dequeues; callers counted %d, %d", ps.Enqueues, ps.Dequeues, sum.enq, sum.deq)
+	}
+	if ps.FullRejects != 0 || sum.enq != workers*rounds {
+		t.Errorf("pool stats: %d full rejects, %d of %d enqueues succeeded; want 0 and all", ps.FullRejects, sum.enq, workers*rounds)
+	}
+	if ps.Steals == 0 || uint64(ps.Len) != ps.Enqueues-ps.Dequeues {
+		t.Errorf("pool stats: %d steals, len %d; want steals > 0 and len = %d enqueues - %d dequeues",
+			ps.Steals, ps.Len, ps.Enqueues, ps.Dequeues)
+	}
+	if os.Enqueues != sum.oneEnq || os.Dequeues != sum.oneDeq || os.FullRejects != sum.oneFull {
+		t.Errorf("one-shard pool stats: %d enqueues, %d dequeues, %d full rejects; callers counted %d, %d, %d",
+			os.Enqueues, os.Dequeues, os.FullRejects, sum.oneEnq, sum.oneDeq, sum.oneFull)
+	}
+	if ls.Appends != sum.appends || ls.FullRejects != sum.logFull || ls.Reads != sum.reads {
+		t.Errorf("log stats: %d appends, %d full rejects, %d reads; callers counted %d, %d, %d",
+			ls.Appends, ls.FullRejects, ls.Reads, sum.appends, sum.logFull, sum.reads)
+	}
+	for w, c := range cursors {
+		if got := ls.Consumers[c.Slot()].Reads; got != tallies[w].reads {
+			t.Errorf("cursor %d: %d reads, its caller counted %d", w, got, tallies[w].reads)
+		}
+	}
+	if st := m.Stats(); st.HelpCompletions == 0 {
+		t.Fatalf("no helper completed a stalled section (%d helps): the helped path never ran", st.Helps)
+	}
+	cursors[0].Close()
+	again, err := lg.NewCursor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lg.Stats().Consumers[again.Slot()].Reads; got != 0 {
+		t.Fatalf("a re-attached cursor starts with %d reads, want 0", got)
+	}
+}
+
+// TestDequeueBatchEmptyLooksBeforeLocking: a DequeueBatch that times out
+// on an empty pool reads every shard's occupancy instead of locking it,
+// so it makes no lock attempt and its empty passes show in
+// EmptyRejects.
+func TestDequeueBatchEmptyLooksBeforeLocking(t *testing.T) {
+	m := poolManager(t, 2, 8)
+	wp, err := NewWorkPool[uint64](m, WithPoolShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	attempts := m.Stats().Attempts
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if got, err := wp.DequeueBatch(ctx, 8); !errors.Is(err, ErrCanceled) || len(got) != 0 {
+		t.Fatalf("DequeueBatch on an empty pool = (%v, %v), want (nothing, ErrCanceled)", got, err)
+	}
+	if n := m.Stats().Attempts - attempts; n != 0 {
+		t.Errorf("DequeueBatch on an empty pool made %d lock attempts, want 0", n)
+	}
+	if s := wp.Stats(); s.EmptyRejects == 0 {
+		t.Error("EmptyRejects did not rise for the empty passes")
+	}
+}
